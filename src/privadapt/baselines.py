@@ -13,7 +13,7 @@ from .core import (
     LossModel,
     PrivacyBudget,
     FeasiblePoint,
-    loss_grads,
+    loss_and_slope,
     loss_values,
 )
 from .mechanisms import derive_rng, gaussian_vector
@@ -76,9 +76,11 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
     # GD converges linearly on these smooth objectives
     w = np.zeros(d)
     for _ in range(T):
-        g = c_priv @ loss_grads(model, w, data.private_x, data.private_y)
+        _, slope = loss_and_slope(model, w, data.private_x, data.private_y)
+        g = data.private_x.T @ (c_priv * slope)
         if c_pub.any():
-            g = g + c_pub @ loss_grads(model, w, data.public_x, data.public_y)
+            _, slope = loss_and_slope(model, w, data.public_x, data.public_y)
+            g = g + data.public_x.T @ (c_pub * slope)
         w = w - eta * (g + gaussian_vector(d, sigma, rng))
         nrm = np.linalg.norm(w)
         if nrm > model.lam:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class AdaptDataset:
             raise ValueError("public feature/label count mismatch")
         if self.private_x.shape[0] != self.private_y.shape[0]:
             raise ValueError("private feature/label count mismatch")
+        for a in (self.public_x, self.public_y, self.private_x, self.private_y):
+            if not np.all(np.isfinite(a)):
+                raise ValueError("features and labels must be finite")
         for y in (self.public_y, self.private_y):
             if np.max(np.abs(y)) > 1.0 + 1e-12:
                 raise ValueError("labels must lie in [-1, 1]")
@@ -121,34 +124,40 @@ def derive_constants(model: LossModel):
     return model.B, model.G, model.beta
 
 
+def loss_and_slope(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """Per-example losses and their slopes l'(x.w) from a single ``X @ w``.
+
+    ``w`` has shape (d,) or (d, E) (E predictors side by side); both results
+    have shape (rows,) or (rows, E).  The gradient of example i in w is
+    slope_i * x_i, so a weighted gradient sum is ``X.T @ (slope * c)``.
+    """
+    w = np.asarray(w, dtype=float)
+    X = _as_matrix(X)
+    if w.ndim not in (1, 2) or X.shape[1] != w.shape[0]:
+        raise ValueError("dimension mismatch between w and features")
+    y = np.asarray(y, dtype=float).ravel()
+    if w.ndim == 2:
+        y = y[:, None]
+    s = X @ w
+    if model.kind == SQUARED:
+        s -= y  # the residual, in the product's buffer
+        loss = s * s
+        s *= 2.0
+        return loss, s
+    # log(1 + exp(-y * w.x)) in the overflow-safe form; slope -sigmoid(-y * w.x) * y
+    sig = 1.0 / (1.0 + np.exp(np.clip(y * s, -500, 500)))
+    return np.logaddexp(0.0, -y * s), -sig * y
+
+
 def loss_values(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vector of per-example losses at predictor w."""
-    w = np.asarray(w, dtype=float).ravel()
-    X = _as_matrix(X)
-    if X.shape[1] != w.shape[0]:
-        raise ValueError("dimension mismatch between w and features")
-    margin_or_resid = X @ w
-    y = np.asarray(y, dtype=float).ravel()
-    if model.kind == SQUARED:
-        return (margin_or_resid - y) ** 2
-    # log(1 + exp(-y * w.x)), computed in the overflow-safe form
-    z = -y * margin_or_resid
-    return np.logaddexp(0.0, z)
+    return loss_and_slope(model, np.asarray(w, dtype=float).ravel(), X, y)[0]
 
 
 def loss_grads(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix of per-example loss gradients in w, one row per example."""
-    w = np.asarray(w, dtype=float).ravel()
-    X = _as_matrix(X)
-    if X.shape[1] != w.shape[0]:
-        raise ValueError("dimension mismatch between w and features")
-    y = np.asarray(y, dtype=float).ravel()
-    s = X @ w
-    if model.kind == SQUARED:
-        return 2.0 * (s - y)[:, None] * X
-    # -sigmoid(-y * w.x) * y * x
-    sig = 1.0 / (1.0 + np.exp(np.clip(y * s, -500, 500)))
-    return (-sig * y)[:, None] * X
+    _, slope = loss_and_slope(model, np.asarray(w, dtype=float).ravel(), X, y)
+    return slope[:, None] * _as_matrix(X)
 
 
 def loss_value(model: LossModel, w, x, y: float) -> float:
@@ -286,7 +295,6 @@ class AdaptationResult:
     T_used: int = 0
     grad_mapping_norm: float | None = None
     t_star: int | None = None
-    trajectory_stats: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         out = {

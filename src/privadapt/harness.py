@@ -6,6 +6,12 @@ so along the privacy axis every epsilon sees the same data and the same
 standardized noise draws, merely rescaled by its own sigma — common random
 numbers that make per-trial utility nearly monotone in the budget.  Reruns
 with the same master seed produce byte-identical record output.
+
+The sweep runs (n, trial) on the outside and epsilon on the inside: the
+data draw, the raw discrepancy and the reference fit are made once per
+(n, trial), and the convex cells that share a T run as one batched solve
+(``fit_convex_columns``), which the common random numbers make exact.
+Records still come out in (epsilon, n, trial) order.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ import numpy as np
 
 from . import baselines
 from .baselines import fit_baseline
-from .convex_solver import ConvexRunConfig, default_T_convex, fit_convex
+from .convex_solver import ConvexRunConfig, default_T_convex, fit_convex_columns
+# not called here any more; benchmarks/test_benchmark.py reads harness.fit_convex
+from .convex_solver import fit_convex  # noqa: F401
 from .core import (
     AdaptDataset,
     LossModel,
@@ -157,83 +165,128 @@ def _cell_T(spec: SweepSpec, budget: PrivacyBudget, train: AdaptDataset) -> int:
                             reg.b_bar(model.B))
 
 
-def _run_cell(spec: SweepSpec, base, eps: float, n: int, eps_idx: int,
-              n_idx: int, trial: int, ref_cache: dict | None = None) -> dict:
+def _budget(spec: SweepSpec, eps: float) -> PrivacyBudget:
+    if math.isinf(eps):
+        return non_private(spec.delta)
+    return PrivacyBudget(eps, spec.delta, spec.disc_fraction)
+
+
+def _per_cell(spec: SweepSpec, n: int, trial: int, fn, *columns) -> list:
+    """fn applied to each epsilon cell's arguments; a failure names its cell."""
+    out = []
+    for eps, args in zip(spec.epsilons, zip(*columns)):
+        try:
+            out.append(fn(*args))
+        except Exception as exc:
+            raise SweepCellError(eps, n, trial, exc) from exc
+    return out
+
+
+def _convex_results(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
+                    budgets: list, d_dps: list, rngs: list) -> list:
+    """One engine run per distinct T over the epsilon cells that share it.
+
+    Every finite-epsilon stream is keyed alike and has taken one Laplace
+    draw, so all of them stand in the same state: the last one serves as
+    the shared stream of its group.  A failed run names its first cell.
+    """
+    by_T: dict = {}
+    for i, budget in enumerate(budgets):
+        by_T.setdefault(_cell_T(spec, budget, train), []).append(i)
+    results = [None] * len(budgets)
+    for T, idx in by_T.items():
+        finite = [i for i in idx if budgets[i].is_private]
+        try:
+            group = fit_convex_columns(train, [(budgets[i], d_dps[i]) for i in idx],
+                                       spec.reg, ConvexRunConfig(T=T), spec.model,
+                                       rng=rngs[finite[-1] if finite else idx[0]])
+        except Exception as exc:
+            raise SweepCellError(spec.epsilons[idx[0]], n, trial, exc) from exc
+        for i, result in zip(idx, group):
+            results[i] = result
+    return results
+
+
+def _run_group(spec: SweepSpec, base, n: int, n_idx: int, trial: int) -> list[dict]:
+    """Every epsilon cell of one (n, trial), in the order of spec.epsilons.
+
+    The data draw, the raw discrepancy and the reference fit depend on
+    (n, trial) only, so they are made once and shared by every epsilon.
+    """
     train, test_x, test_y = _cell_data(spec, base, n, n_idx, trial)
-    budget = (non_private(spec.delta) if math.isinf(eps)
-              else PrivacyBudget(eps, spec.delta, spec.disc_fraction))
-    noise_rng = derive_rng(spec.master_seed, "noise", n_idx, trial)
+    budgets = [_budget(spec, eps) for eps in spec.epsilons]
+    rngs = [derive_rng(spec.master_seed, "noise", n_idx, trial) for _ in budgets]
 
     if spec.algorithm in (CONVEX, NONCONVEX):
-        d_dp = privatize_discrepancy(
-            min(max(_raw_d_hat(spec, train), 0.0), spec.model.B),
-            spec.model.B, budget.epsilon_disc, train.n, noise_rng)
-        T = _cell_T(spec, budget, train)
+        d_hat = min(max(_raw_d_hat(spec, train), 0.0), spec.model.B)
+        d_dps = _per_cell(spec, n, trial, lambda budget, rng: privatize_discrepancy(
+            d_hat, spec.model.B, budget.epsilon_disc, train.n, rng), budgets, rngs)
         if spec.algorithm == CONVEX:
-            result = fit_convex(train, budget, spec.reg, ConvexRunConfig(T=T),
-                                spec.model, d_dp=d_dp, rng=noise_rng)
+            results = _convex_results(spec, train, n, trial, budgets, d_dps, rngs)
         else:
-            result = fit_nonconvex(train, budget, spec.reg, NonConvexRunConfig(T=T),
-                                   spec.model, d_dp=d_dp, rng=noise_rng)
+            results = _per_cell(spec, n, trial, lambda budget, d_dp, rng: fit_nonconvex(
+                train, budget, spec.reg, NonConvexRunConfig(T=_cell_T(spec, budget, train)),
+                spec.model, d_dp=d_dp, rng=rng), budgets, d_dps, rngs)
     elif spec.algorithm == baselines.TARGET_ONLY:
         # same fit as the relative-MSE denominator, so the ratio is exactly 1
-        result = _reference_fit(spec, train, n_idx, trial)
+        results = [_reference_fit(spec, train, n_idx, trial)] * len(budgets)
     else:
         T = spec.T if spec.T is not None else spec.baseline_T
-        result = fit_baseline(spec.algorithm, train, spec.model, T=T,
-                              budget=budget, alpha=spec.reg.alpha, rng=noise_rng)
+        results = _per_cell(spec, n, trial, lambda budget, rng: fit_baseline(
+            spec.algorithm, train, spec.model, T=T, budget=budget, alpha=spec.reg.alpha,
+            rng=rng), budgets, rngs)
 
-    value = _test_metric(spec, result.point.w, test_x, test_y)
-    if spec.metric == RELATIVE_MSE:
-        if spec.algorithm == baselines.TARGET_ONLY:
-            value = 1.0
-        else:
-            key = (n_idx, trial)
-            if ref_cache is not None and key in ref_cache:
-                denom = ref_cache[key]
+    denom = None
+    if spec.metric == RELATIVE_MSE and spec.algorithm != baselines.TARGET_ONLY:
+        ref = _reference_fit(spec, train, n_idx, trial)
+        denom = _test_metric(spec, ref.point.w, test_x, test_y)
+
+    records = []
+    for eps, result in zip(spec.epsilons, results):
+        value = _test_metric(spec, result.point.w, test_x, test_y)
+        if spec.metric == RELATIVE_MSE:
+            if spec.algorithm == baselines.TARGET_ONLY:
+                value = 1.0
             else:
-                ref = _reference_fit(spec, train, n_idx, trial)
-                denom = _test_metric(spec, ref.point.w, test_x, test_y)
-                if ref_cache is not None:
-                    ref_cache[key] = denom
-            value = value / denom if denom > 0 else math.inf
-
-    rec = {
-        "epsilon": eps,
-        "n": n,
-        "seed": trial,
-        "metric_value": value,
-        "objective_value": result.objective_value,
-        "T_used": result.T_used,
-    }
-    if result.grad_mapping_norm is not None:
-        rec["grad_mapping_norm"] = result.grad_mapping_norm
-    return rec
+                value = value / denom if denom > 0 else math.inf
+        rec = {
+            "epsilon": eps,
+            "n": n,
+            "seed": trial,
+            "metric_value": value,
+            "objective_value": result.objective_value,
+            "T_used": result.T_used,
+        }
+        if result.grad_mapping_norm is not None:
+            rec["grad_mapping_norm"] = result.grad_mapping_norm
+        records.append(rec)
+    return records
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (epsilon, n, trial) cell and aggregate per (epsilon, n).
 
-    Deterministic given the master seed; cells are independent and keyed,
-    so any execution order yields the same records.
+    Deterministic given the master seed.  Cells are keyed, so the execution
+    order (n and trial outside, epsilon inside) does not change any record;
+    records come out in (epsilon, n, trial) order.
     """
     t0 = time.perf_counter()
     base = None
     if isinstance(spec.dataset, DatasetManifest):
         base = load_dataset(spec.dataset)
 
-    records = []
-    ref_cache: dict = {}
-    for eps_idx, eps in enumerate(spec.epsilons):
-        for n_idx, n in enumerate(spec.target_sizes):
-            for trial in range(spec.trials):
-                try:
-                    records.append(
-                        _run_cell(spec, base, eps, n, eps_idx, n_idx, trial,
-                                  ref_cache))
-                except Exception as exc:
-                    raise SweepCellError(eps, n, trial, exc) from exc
-
+    by_cell = {}
+    for n_idx, n in enumerate(spec.target_sizes):
+        for trial in range(spec.trials):
+            try:
+                group = _run_group(spec, base, n, n_idx, trial)
+            except SweepCellError:
+                raise
+            except Exception as exc:
+                raise SweepCellError(spec.epsilons[0], n, trial, exc) from exc
+            for eps_idx, rec in enumerate(group):
+                by_cell[eps_idx, n_idx, trial] = rec
+    records = [by_cell[key] for key in sorted(by_cell)]
     aggregates = []
     for eps in spec.epsilons:
         for n in spec.target_sizes:

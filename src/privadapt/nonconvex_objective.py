@@ -19,7 +19,7 @@ from .core import (
     LossModel,
     RegularizerConfig,
     is_feasible,
-    loss_grads,
+    loss_and_slope,
     loss_values,
 )
 from .convex_objective import project
@@ -43,10 +43,10 @@ class NonConvexContext:
         mu = self.config.softmax_mu(m, n)
         if mu > (m + n) ** (2.0 / 3.0):
             warnings.warn("mu exceeds (m+n)^(2/3); the smoothness analysis "
-                          "precondition is violated", stacklevel=2)
+                          "precondition is violated", stacklevel=3)
         if n > m ** 3 or m > n ** 3:
             warnings.warn("sample-size imbalance violates the smoothness "
-                          "analysis preconditions", stacklevel=2)
+                          "analysis preconditions", stacklevel=3)
 
     @property
     def mu(self) -> float:
@@ -86,12 +86,11 @@ def grad_J(ctx: NonConvexContext, p: FeasiblePoint):
     _check_feasible(ctx, p)
     cfg = ctx.config
     m = ctx.data.m
-    num_pub = loss_values(ctx.model, p.w, ctx.data.public_x, ctx.data.public_y) + ctx.d_dp
-    num_priv = loss_values(ctx.model, p.w, ctx.data.private_x, ctx.data.private_y)
-
-    gp = loss_grads(ctx.model, p.w, ctx.data.public_x, ctx.data.public_y)
-    gq = loss_grads(ctx.model, p.w, ctx.data.private_x, ctx.data.private_y)
-    g_w = gp.T @ (1.0 / p.u_pub) + gq.T @ (1.0 / p.u_priv)
+    data = ctx.data
+    loss_pub, slope_pub = loss_and_slope(ctx.model, p.w, data.public_x, data.public_y)
+    num_priv, slope_priv = loss_and_slope(ctx.model, p.w, data.private_x, data.private_y)
+    num_pub = loss_pub + ctx.d_dp
+    g_w = data.public_x.T @ (slope_pub / p.u_pub) + data.private_x.T @ (slope_priv / p.u_priv)
 
     u_all = np.concatenate([p.u_pub, p.u_priv])
     g_u = np.concatenate([-num_pub / p.u_pub ** 2, -num_priv / p.u_priv ** 2])

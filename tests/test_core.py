@@ -35,6 +35,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             AdaptDataset([[1.0]], [3.0], [[1.0]], [0.0])
 
+    @pytest.mark.parametrize("where, value", [
+        ("public_x", math.nan), ("private_y", math.nan),
+        ("private_x", math.inf), ("public_y", -math.inf)])
+    def test_rejects_non_finite(self, where, value):
+        arrays = {"public_x": [[1.0]], "public_y": [0.5],
+                  "private_x": [[0.5]], "private_y": [0.0]}
+        arrays[where] = [[value]] if where.endswith("_x") else [value]
+        with pytest.raises(ValueError, match="finite"):
+            AdaptDataset(**arrays)
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             AdaptDataset([[1.0, 0.0]], [0.0], [[1.0]], [0.0])

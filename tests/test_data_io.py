@@ -49,6 +49,13 @@ class TestLoad:
         with pytest.raises(ValueError):
             load_dataset(DatasetManifest(path=path))
 
+    @pytest.mark.parametrize("row", ["nan,0,0.5,source", "1,0,nan,source",
+                                     "inf,0,0.5,source"])
+    def test_rejects_non_finite_cell(self, tmp_path, row):
+        path = _write(tmp_path, [row, "0,1,0.2,target"])
+        with pytest.raises(ValueError, match="finite"):
+            load_dataset(DatasetManifest(path=path))
+
     def test_needs_both_domains(self, tmp_path):
         path = _write(tmp_path, ["1,0,0.5,source", "0,1,0.2,source"])
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from privadapt import cli
+from privadapt.baselines import fit_baseline
 from privadapt.core import LossModel, RegularizerConfig
 from privadapt.data_io import (
     DatasetManifest,
@@ -137,6 +138,62 @@ class TestRunSweep:
         err = exc_info.value
         assert err.key == (1.0, 10, 0)
         assert "test split" in str(err.cause)
+
+    def test_shared_work_once_per_n_and_trial(self, monkeypatch):
+        from privadapt import harness
+        calls = {"discrepancy_dca": 0, "generate_synthetic": 0}
+        for name in calls:
+            original = getattr(harness, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+        res = run_sweep(small_spec(epsilons=[0.5, 1.0, 5.0, math.inf],
+                                   target_sizes=[30, 40], d_hat="dca"))
+        assert len(res.records) == 16
+        # 2 target sizes x 2 trials, whatever the number of epsilons
+        assert calls == {"discrepancy_dca": 4, "generate_synthetic": 4}
+
+    @pytest.mark.parametrize("overrides", [
+        {"epsilons": [0.5, 1.0, 5.0, math.inf], "d_hat": "dca",
+         "reg": RegularizerConfig(alpha=0.5, kappa1=4.0, kappa2=0.5, kappa_inf=0.5)},
+        # T = None: the analytic T differs per epsilon, so cells group by T
+        {"epsilons": [0.05, 0.1, 0.1, 0.4], "T": None},
+    ])
+    def test_batched_cells_match_single_epsilon_sweeps(self, overrides):
+        spec = small_spec(**overrides)
+        batched = run_sweep(spec).records
+        alone = [rec for eps in spec.epsilons
+                 for rec in run_sweep(small_spec(**overrides | {"epsilons": [eps]})).records]
+        assert [(r["epsilon"], r["n"], r["seed"], r["T_used"]) for r in batched] == \
+            [(r["epsilon"], r["n"], r["seed"], r["T_used"]) for r in alone]
+        if spec.T is None:  # some cells share a T and some do not
+            assert 1 < len({r["T_used"] for r in batched}) < len(spec.epsilons)
+        for got, want in zip(batched, alone):
+            assert got["metric_value"] == pytest.approx(want["metric_value"], rel=1e-10)
+            assert got["objective_value"] == pytest.approx(want["objective_value"], rel=1e-10)
+
+    def test_cell_error_names_the_failing_epsilon(self, monkeypatch):
+        from privadapt import harness
+
+        def fail_at_five(kind, data, model, T, budget=None, **kwargs):
+            if budget is not None and budget.epsilon_total == 5.0:
+                raise ArithmeticError("boom")
+            return fit_baseline(kind, data, model, T, budget=budget, **kwargs)
+        monkeypatch.setattr(harness, "fit_baseline", fail_at_five)
+        with pytest.raises(SweepCellError) as exc_info:
+            run_sweep(small_spec(algorithm="target_only_dp",
+                                 epsilons=[1.0, 5.0, math.inf]))
+        assert exc_info.value.key == (5.0, 30, 0)
+
+        def engine_fails(*args, **kwargs):
+            raise ArithmeticError("boom")
+        monkeypatch.setattr(harness, "fit_convex_columns", engine_fails)
+        with pytest.raises(SweepCellError) as exc_info:
+            run_sweep(small_spec(epsilons=[2.0, 5.0, math.inf]))
+        # the batched solve covers every epsilon; it names the first
+        assert exc_info.value.key == (2.0, 30, 0)
 
     def test_csv_dataset_sweep(self, tmp_path):
         data, _ = generate_synthetic(SyntheticShiftSpec(d=2, noise_std=0.1),

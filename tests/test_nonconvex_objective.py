@@ -87,6 +87,15 @@ class TestSoftmax:
             assert math.isfinite(eval_J(ctx, p))
 
 
+@pytest.mark.parametrize("mu, match", [(None, "imbalance"), (100.0, "mu exceeds")])
+def test_context_warnings_point_at_caller(mu, match):
+    # m = 1, n = 2 breaks n <= m^3; mu = 100 exceeds (m + n)^(2/3)
+    data = AdaptDataset([[0.5]], [1.0], [[0.5], [0.2]], [1.0, -1.0])
+    with pytest.warns(UserWarning, match=match) as record:
+        NonConvexContext(data, 0.0, RegularizerConfig(mu=mu), LG)
+    assert {w.filename for w in record} == {__file__}
+
+
 class TestGradJ:
     def test_softmax_weights_symmetric_point(self):
         # equal u -> softmax weights 1/2 each; softmax-term gradient entry
