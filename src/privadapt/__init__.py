@@ -7,8 +7,8 @@ differential privacy with respect to the target sample.  The pieces:
 - ``core``: datasets, loss models, feasible points, budgets, results.
 - ``mechanisms``: seeded RNG substreams, Laplace/Gaussian noise, noise
   calibration for the optimizers, the private discrepancy release.
-- ``discrepancy``: loss-gap discrepancy estimation (DC iteration and a
-  low-dimensional grid oracle).
+- ``discrepancy``: loss-gap discrepancy estimation (an exact trust-region
+  solve for the squared loss and a low-dimensional grid oracle).
 - ``convex_objective`` / ``convex_solver``: the jointly convex
   weighted-loss objective for squared-loss regression and its noisy
   projected gradient solver with iterate averaging.

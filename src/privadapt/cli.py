@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .convex_solver import ConvexRunConfig, default_T_convex, fit_convex
+from .convex_solver import ConvexRunConfig, fit_convex
 from .core import LossModel, PrivacyBudget, RegularizerConfig, SQUARED, non_private
 from .data_io import (
     DatasetManifest,
@@ -22,10 +22,9 @@ from .data_io import (
     write_csv,
 )
 from .discrepancy import discrepancy_dca, discrepancy_grid
-from .harness import emit_results, run_sweep, spec_from_config
+from .harness import convex_T, emit_results, raw_d_hat, run_sweep, spec_from_config
 from .mechanisms import derive_rng, privatize_discrepancy
-from .nonconvex_objective import NonConvexContext, smoothness_beta_bar, uniform_bound_M
-from .nonconvex_solver import NonConvexRunConfig, default_T_nonconvex, fit_nonconvex
+from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex
 
 
 def _parse_epsilon(s: str) -> float:
@@ -62,13 +61,7 @@ def _fit_common(args, kind: str):
     model = LossModel(kind=kind, r=max(data.max_feature_norm(), 1e-12), lam=args.lam)
     budget = _budget(args)
     rng = derive_rng(args.seed, "cli-fit")
-    if args.d_hat == "dca":
-        raw = discrepancy_dca(data, model).d_hat
-    elif args.d_hat == "grid":
-        raw = discrepancy_grid(data, model).d_hat
-    else:
-        raw = float(args.d_hat)
-    d_dp = privatize_discrepancy(min(max(raw, 0.0), model.B), model.B,
+    d_dp = privatize_discrepancy(raw_d_hat(args.d_hat, data, model), model.B,
                                  budget.epsilon_disc, data.n, rng)
     return data, model, budget, d_dp, rng
 
@@ -112,9 +105,7 @@ def cmd_fit_convex(args) -> int:
     data, model, budget, d_dp, rng = _fit_common(args, SQUARED)
     reg = RegularizerConfig(alpha=args.alpha, kappa1=args.kappa1,
                             kappa2=args.kappa2, kappa_inf=args.kappa_inf)
-    T = args.T if args.T is not None else default_T_convex(
-        data.n, data.m, data.d, reg.alpha, budget.epsilon_opt, budget.delta,
-        model.B, reg.b_bar(model.B))
+    T = convex_T(args.T, budget, data, reg, model)
     result = fit_convex(data, budget, reg, ConvexRunConfig(T=T, seed=args.seed),
                         model, d_dp=d_dp, rng=rng)
     print(json.dumps(result.to_dict() | {"d_dp": d_dp}))
@@ -126,14 +117,7 @@ def cmd_fit_nonconvex(args) -> int:
     reg = RegularizerConfig(alpha=args.alpha, lambda1=args.lambda1,
                             lambda2=args.lambda2, lambda_inf=args.lambda_inf,
                             mu=args.mu)
-    if args.T is not None:
-        T = args.T
-    else:
-        ctx = NonConvexContext(data, d_dp, reg, model)
-        T = default_T_nonconvex(data.n, data.d, reg.alpha, budget.epsilon_opt,
-                                budget.delta, model.G, model.B,
-                                smoothness_beta_bar(ctx), uniform_bound_M(ctx))
-    result = fit_nonconvex(data, budget, reg, NonConvexRunConfig(T=T, seed=args.seed),
+    result = fit_nonconvex(data, budget, reg, NonConvexRunConfig(T=args.T, seed=args.seed),
                            model, d_dp=d_dp, rng=rng)
     print(json.dumps(result.to_dict() | {"d_dp": d_dp}))
     return 0

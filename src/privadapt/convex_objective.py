@@ -134,10 +134,6 @@ def project(w: np.ndarray, u_pub: np.ndarray, u_priv: np.ndarray,
     return FeasiblePoint(*(c[:, 0] for c in cols))
 
 
-def project_point(p: FeasiblePoint, lam, alpha, m, n) -> FeasiblePoint:
-    return project(p.w, p.u_pub, p.u_priv, lam, alpha, m, n)
-
-
 def gradient_bounds(ctx: ConvexObjectiveContext):
     """Uniform bounds on the three block-gradient norms over the feasible
     set: (G, alpha^2 (B + Bbar) / m^{3/2}, (1-alpha)^2 Bbar / n^{3/2})."""

@@ -119,11 +119,6 @@ class LossModel:
         return self.r ** 2 / 4.0
 
 
-def derive_constants(model: LossModel):
-    """Return (B, G, beta)."""
-    return model.B, model.G, model.beta
-
-
 def loss_and_slope(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray):
     """Per-example losses and their slopes l'(x.w) from a single ``X @ w``.
 

@@ -1,14 +1,15 @@
 """Empirical labeled-discrepancy estimation between the two samples.
 
 The estimate is sup over feasible predictors of
-|mean private loss - mean public loss|.  Two solvers are provided: a
-difference-of-convex (DC) iteration for the squared loss in any dimension,
-and a brute-force grid oracle restricted to d <= 2.
+|mean private loss - mean public loss|.  Two solvers are provided: an
+exact trust-region solve for the squared loss in any dimension (one
+eigendecomposition per sign of the gap), and a brute-force grid oracle
+restricted to d <= 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +19,8 @@ from .core import AdaptDataset, LossModel, SQUARED, loss_values
 @dataclass
 class DiscrepancyEstimate:
     d_hat: float
-    d_dp: float
     solver: str
     witness_w: np.ndarray
-    branch_histories: list = field(default_factory=list)
 
 
 def loss_gap(data: AdaptDataset, model: LossModel, w: np.ndarray) -> float:
@@ -73,7 +72,7 @@ def discrepancy_grid(data: AdaptDataset, model: LossModel,
         if gaps[i] > best_val:
             best_val = float(gaps[i])
             best_w = W[i].copy()
-    return DiscrepancyEstimate(best_val, best_val, "grid", best_w)
+    return DiscrepancyEstimate(best_val, "grid", best_w)
 
 
 def _quadratic_form(X: np.ndarray, y: np.ndarray):
@@ -85,90 +84,61 @@ def _quadratic_form(X: np.ndarray, y: np.ndarray):
     return M, b, c
 
 
-def _pgd_convex_quadratic(M, b, lin, lam, tol, max_iter=20_000):
-    """Minimize w'Mw - 2 b'w - lin'w over the Lambda-ball by projected GD."""
-    d = M.shape[0]
-    L = 2.0 * max(float(np.linalg.eigvalsh(M).max()), 0.0)
-    w = np.zeros(d)
-    if L <= 1e-15:
-        # objective is linear: the minimizer sits on the sphere
-        v = 2.0 * b + lin
-        nv = np.linalg.norm(v)
-        return lam * v / nv if nv > 0 else w
-    step = 1.0 / L
-    prev = w @ (M @ w) - 2.0 * b @ w - lin @ w
-    for _ in range(max_iter):
-        g = 2.0 * (M @ w) - 2.0 * b - lin
-        w = w - step * g
-        nrm = np.linalg.norm(w)
-        if nrm > lam:
-            w = lam * w / nrm
-        val = w @ (M @ w) - 2.0 * b @ w - lin @ w
-        if abs(prev - val) <= tol:
-            break
-        prev = val
-    return w
+def _trust_region_max(A: np.ndarray, g: np.ndarray, lam: float):
+    """Global maximizer of w'Aw - 2 g'w over the ball ||w|| <= lam.
+
+    The KKT conditions (nu I - A) w = -g with nu >= max(lambda_max(A), 0)
+    and nu = 0 or ||w|| = lam are sufficient for this trust-region
+    subproblem (More & Sorensen, 1983).  In the eigenbasis of A they leave
+    one scalar unknown nu: either the interior point nu = 0, the hard case
+    (g has no component on the singular directions of nu I - A at the
+    smallest admissible nu, which are then filled up to the sphere), or
+    the root of the decreasing secular function ||w(nu)|| = lam, bracketed
+    and bisected to machine precision.
+    """
+    evals, Q = np.linalg.eigh(A)
+    gam = Q.T @ g
+    lo = max(evals[-1], 0.0)
+    gap = lo - evals
+    singular = gap <= 1e-12 * max(1.0, np.abs(evals).max())
+    c = np.zeros_like(gam)
+    c[~singular] = -gam[~singular] / gap[~singular]
+    if np.all(np.abs(gam[singular]) <= 1e-12 * max(1.0, np.linalg.norm(g))) \
+            and np.linalg.norm(c) <= lam:
+        if singular.any():
+            c[np.argmax(singular)] = np.sqrt(lam ** 2 - c @ c)
+    else:
+        # ||w(nu)|| <= ||g|| / (nu - lambda_max) <= lam at the upper end
+        hi = lo + np.linalg.norm(g) / lam
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if np.linalg.norm(gam / (mid - evals)) > lam:
+                lo = mid
+            else:
+                hi = mid
+        c = -gam / (hi - evals)
+        c *= lam / np.linalg.norm(c)
+    w = Q @ c
+    return float(w @ (A @ w) - 2.0 * g @ w), w
 
 
-def discrepancy_dca(data: AdaptDataset, model: LossModel, tol: float = 1e-8,
-                    restarts: int = 8, rng=None) -> DiscrepancyEstimate:
-    """DC iteration for the squared-loss discrepancy.
+def discrepancy_dca(data: AdaptDataset, model: LossModel) -> DiscrepancyEstimate:
+    """Exact squared-loss discrepancy over the Lambda-ball.
 
-    The absolute value is split into two sign branches; each branch
-    maximizes a difference of convex quadratics by linearizing the concave
-    part at the current iterate and solving the convex surrogate over the
-    Lambda-ball with projected gradient descent (tolerance tol/10).
+    The loss gap is the quadratic w'(M_p - M_q)w - 2(b_p - b_q)'w + c, so
+    each sign of the absolute value is a trust-region subproblem, solved
+    globally by one eigendecomposition.  The name (and the "dca" solver
+    label) is historical: it once named a difference-of-convex iteration.
     """
     if model.kind != SQUARED:
-        raise ValueError("the DC solver supports the squared loss only")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
+        raise ValueError("the exact solver supports the squared loss only")
     Mp, bp, cp = _quadratic_form(data.private_x, data.private_y)
     Mq, bq, cq = _quadratic_form(data.public_x, data.public_y)
-    d, lam = data.d, model.lam
-
-    inits = [np.zeros(d)]
-    for _ in range(restarts):
-        v = rng.standard_normal(d)
-        nv = np.linalg.norm(v)
-        inits.append(lam * v / nv if nv > 0 else np.zeros(d))
-
-    def branch(sign: float):
-        # maximize sign * (Q_priv - Q_pub) = A(w) - C(w) with both convex
-        if sign > 0:
-            MA, bA, cA = Mp, bp, cp
-            MC, bC, cC = Mq, bq, cq
-        else:
-            MA, bA, cA = Mq, bq, cq
-            MC, bC, cC = Mp, bp, cp
-
-        def value(w):
-            a = w @ (MA @ w) - 2.0 * bA @ w + cA
-            c = w @ (MC @ w) - 2.0 * bC @ w + cC
-            return a - c
-
-        best_v, best_w, best_hist = -np.inf, np.zeros(d), []
-        for w0 in inits:
-            w = w0.copy()
-            hist = [value(w)]
-            for _ in range(500):
-                grad_a = 2.0 * (MA @ w) - 2.0 * bA
-                w = _pgd_convex_quadratic(MC, bC, grad_a, lam, tol / 10.0)
-                hist.append(value(w))
-                if abs(hist[-1] - hist[-2]) <= tol:
-                    break
-            if hist[-1] > best_v:
-                best_v, best_w, best_hist = hist[-1], w, hist
-        return best_v, best_w, best_hist
-
-    v_pos, w_pos, h_pos = branch(+1.0)
-    v_neg, w_neg, h_neg = branch(-1.0)
-    if v_pos >= v_neg:
-        val, wit = v_pos, w_pos
-    else:
-        val, wit = v_neg, w_neg
-    val = max(val, 0.0)
-    return DiscrepancyEstimate(float(val), float(val), "dca", wit,
-                               branch_histories=[h_pos, h_neg])
+    best = (0.0, np.zeros(data.d))
+    for sign in (1.0, -1.0):
+        val, w = _trust_region_max(sign * (Mp - Mq), sign * (bp - bq), model.lam)
+        if val + sign * (cp - cq) > best[0]:
+            best = (val + sign * (cp - cq), w)
+    return DiscrepancyEstimate(float(best[0]), "dca", best[1])

@@ -45,12 +45,7 @@ from .data_io import (
 )
 from .discrepancy import discrepancy_dca, discrepancy_grid
 from .mechanisms import derive_rng, privatize_discrepancy
-from .nonconvex_solver import (
-    NonConvexRunConfig,
-    default_T_nonconvex,
-    fit_nonconvex,
-)
-from .nonconvex_objective import NonConvexContext, smoothness_beta_bar, uniform_bound_M
+from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex
 
 CONVEX = "convex"
 NONCONVEX = "nonconvex"
@@ -141,28 +136,30 @@ def _reference_fit(spec: SweepSpec, train: AdaptDataset, n_idx: int, trial: int)
                         T=spec.baseline_T, rng=rng)
 
 
-def _raw_d_hat(spec: SweepSpec, train: AdaptDataset) -> float:
-    if isinstance(spec.d_hat, (int, float)):
-        return float(spec.d_hat)
-    if spec.d_hat == "dca":
-        return discrepancy_dca(train, spec.model).d_hat
-    if spec.d_hat == "grid":
-        return discrepancy_grid(train, spec.model).d_hat
-    raise ValueError(f"unknown d_hat policy {spec.d_hat!r}")
+def raw_d_hat(policy: float | str, data: AdaptDataset, model: LossModel) -> float:
+    """The non-private discrepancy under a d_hat policy, clamped to [0, B]:
+    "dca" (the exact solve), "grid" (the d <= 2 oracle) or a fixed number."""
+    if policy == "dca":
+        raw = discrepancy_dca(data, model).d_hat
+    elif policy == "grid":
+        raw = discrepancy_grid(data, model).d_hat
+    else:
+        try:
+            raw = float(policy)
+        except (TypeError, ValueError):
+            raise ValueError(f"unknown d_hat policy {policy!r}") from None
+        if not math.isfinite(raw):
+            raise ValueError(f"d_hat must be finite, got {policy!r}")
+    return min(max(raw, 0.0), model.B)
 
 
-def _cell_T(spec: SweepSpec, budget: PrivacyBudget, train: AdaptDataset) -> int:
-    if spec.T is not None:
-        return spec.T
-    model, reg = spec.model, spec.reg
-    if spec.algorithm == NONCONVEX:
-        ctx = NonConvexContext(train, 0.0, reg, model)
-        return default_T_nonconvex(train.n, train.d, reg.alpha, budget.epsilon_opt,
-                                   budget.delta, model.G, model.B,
-                                   smoothness_beta_bar(ctx), uniform_bound_M(ctx))
-    return default_T_convex(train.n, train.m, train.d, reg.alpha,
-                            budget.epsilon_opt, budget.delta, model.B,
-                            reg.b_bar(model.B))
+def convex_T(T: int | None, budget: PrivacyBudget, data: AdaptDataset,
+             reg: RegularizerConfig, model: LossModel) -> int:
+    """T, or the analytic default_T_convex when T is None."""
+    if T is not None:
+        return T
+    return default_T_convex(data.n, data.m, data.d, reg.alpha, budget.epsilon_opt,
+                            budget.delta, model.B, reg.b_bar(model.B))
 
 
 def _budget(spec: SweepSpec, eps: float) -> PrivacyBudget:
@@ -192,7 +189,8 @@ def _convex_results(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
     """
     by_T: dict = {}
     for i, budget in enumerate(budgets):
-        by_T.setdefault(_cell_T(spec, budget, train), []).append(i)
+        by_T.setdefault(convex_T(spec.T, budget, train, spec.reg, spec.model),
+                        []).append(i)
     results = [None] * len(budgets)
     for T, idx in by_T.items():
         finite = [i for i in idx if budgets[i].is_private]
@@ -218,15 +216,15 @@ def _run_group(spec: SweepSpec, base, n: int, n_idx: int, trial: int) -> list[di
     rngs = [derive_rng(spec.master_seed, "noise", n_idx, trial) for _ in budgets]
 
     if spec.algorithm in (CONVEX, NONCONVEX):
-        d_hat = min(max(_raw_d_hat(spec, train), 0.0), spec.model.B)
+        d_hat = raw_d_hat(spec.d_hat, train, spec.model)
         d_dps = _per_cell(spec, n, trial, lambda budget, rng: privatize_discrepancy(
             d_hat, spec.model.B, budget.epsilon_disc, train.n, rng), budgets, rngs)
         if spec.algorithm == CONVEX:
             results = _convex_results(spec, train, n, trial, budgets, d_dps, rngs)
         else:
             results = _per_cell(spec, n, trial, lambda budget, d_dp, rng: fit_nonconvex(
-                train, budget, spec.reg, NonConvexRunConfig(T=_cell_T(spec, budget, train)),
-                spec.model, d_dp=d_dp, rng=rng), budgets, d_dps, rngs)
+                train, budget, spec.reg, NonConvexRunConfig(T=spec.T), spec.model,
+                d_dp=d_dp, rng=rng), budgets, d_dps, rngs)
     elif spec.algorithm == baselines.TARGET_ONLY:
         # same fit as the relative-MSE denominator, so the ratio is exactly 1
         results = [_reference_fit(spec, train, n_idx, trial)] * len(budgets)

@@ -7,7 +7,6 @@ uniformly from the trajectory.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -39,7 +38,7 @@ DEFAULT_T_CEILING = 200_000
 
 @dataclass
 class NonConvexRunConfig:
-    T: int
+    T: int | None  # None -> default_T_nonconvex
     init: FeasiblePoint | None = None
     seed: int = 0
 
@@ -82,18 +81,21 @@ def fit_nonconvex(data: AdaptDataset, budget: PrivacyBudget,
                   reg: RegularizerConfig, run: NonConvexRunConfig,
                   model: LossModel, d_dp: float = 0.0,
                   rng: np.random.Generator | None = None) -> AdaptationResult:
-    """Run T noisy projected gradient steps and return the iterate at a
-    uniformly sampled index t*.
+    """Draw t* uniformly from {1, ..., T}, run t* noisy projected gradient
+    steps and return the last iterate: the iterate at a uniformly sampled
+    index of a T-step run.
 
-    t* is drawn from the same stream after the trajectory, so trajectories
-    agree across different output draws; the iterate is recovered by
-    replaying the stream from a saved state rather than storing all
-    iterates.
+    t* is the first draw of the stream, so the trajectory does not depend
+    on its value.  T = None takes the analytic default_T_nonconvex.
     """
-    if run.T < 1:
-        raise ValueError("T must be >= 1")
     ctx = NonConvexContext(data, d_dp, reg, model)
     m, n, d = data.m, data.n, data.d
+    beta_bar = smoothness_beta_bar(ctx)
+    T = run.T if run.T is not None else default_T_nonconvex(
+        n, d, reg.alpha, budget.epsilon_opt, budget.delta, model.G, model.B,
+        beta_bar, uniform_bound_M(ctx))
+    if T < 1:
+        raise ValueError("T must be >= 1")
 
     p0 = run.init if run.init is not None else reference_point(reg.alpha, m, n, d)
     if not is_feasible(p0, model.lam, reg.alpha, m, n):
@@ -101,22 +103,15 @@ def fit_nonconvex(data: AdaptDataset, budget: PrivacyBudget,
     if rng is None:
         rng = derive_rng(run.seed, "fit-nonconvex")
 
-    schedule = calibrate(budget, reg.alpha, model.G, model.B, n, run.T)
-    beta_bar = smoothness_beta_bar(ctx)
-    eta = 1.0 / beta_bar
-
-    state0 = copy.deepcopy(rng.bit_generator.state)
-    _run_steps(ctx, p0, run.T, eta, schedule, rng)
-    t_star = int(rng.integers(1, run.T + 1))
-
-    rng.bit_generator.state = state0
-    out = _run_steps(ctx, p0, t_star, eta, schedule, rng)
+    schedule = calibrate(budget, reg.alpha, model.G, model.B, n, T)
+    t_star = int(rng.integers(1, T + 1))
+    out = _run_steps(ctx, p0, t_star, 1.0 / beta_bar, schedule, rng)
 
     return AdaptationResult(
         point=out,
         objective_value=eval_J(ctx, out),
         privacy_spent=(budget.epsilon_opt, budget.delta if budget.is_private else 0.0),
-        T_used=run.T,
+        T_used=T,
         grad_mapping_norm=gradient_mapping_norm(ctx, out, beta_bar),
         t_star=t_star,
     )

@@ -16,7 +16,6 @@ from privadapt.convex_objective import (
     grad_F,
     gradient_bounds,
     project,
-    project_point,
 )
 
 SQ = LossModel("squared", r=1.0, lam=1.0)
@@ -111,7 +110,7 @@ class TestProject:
 
     def test_identity_on_feasible(self):
         p0 = FeasiblePoint([0.3], [5.0], [7.0])
-        p = project_point(p0, 1.0, 0.5, 1, 1)
+        p = project(p0.w, p0.u_pub, p0.u_priv, 1.0, 0.5, 1, 1)
         assert p.w == pytest.approx(p0.w)
         assert p.u_pub == pytest.approx(p0.u_pub)
         assert p.u_priv == pytest.approx(p0.u_priv)
@@ -121,7 +120,7 @@ class TestProject:
         for _ in range(100):
             raw = rng.standard_normal(2), rng.uniform(0, 10, 3), rng.uniform(0, 10, 2)
             p1 = project(*raw, 1.0, 0.5, 3, 2)
-            p2 = project_point(p1, 1.0, 0.5, 3, 2)
+            p2 = project(p1.w, p1.u_pub, p1.u_priv, 1.0, 0.5, 3, 2)
             assert np.allclose(p1.as_vector(), p2.as_vector())
 
 

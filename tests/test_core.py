@@ -10,7 +10,6 @@ from privadapt.core import (
     LossModel,
     PrivacyBudget,
     RegularizerConfig,
-    derive_constants,
     is_feasible,
     loss_grad_w,
     loss_value,
@@ -63,11 +62,11 @@ class TestDataset:
 
 class TestLossModel:
     def test_constants_squared_unit(self):
-        B, G, beta = derive_constants(SQ)
+        B, G, beta = SQ.B, SQ.G, SQ.beta
         assert B == 4.0 and G == 4.0
 
     def test_constants_logistic_unit(self):
-        B, G, beta = derive_constants(LG)
+        B, G, beta = LG.B, LG.G, LG.beta
         assert G == 1.0 and beta == 0.25 and B == 1.0
 
     def test_constants_squared_substitution(self):

@@ -3,6 +3,7 @@ import pytest
 
 from privadapt.core import AdaptDataset, LossModel
 from privadapt.discrepancy import (
+    _quadratic_form,
     discrepancy_dca,
     discrepancy_grid,
     loss_gap,
@@ -45,10 +46,34 @@ class TestGrid:
             discrepancy_grid(data, SQ)
 
 
+def _kkt_residuals(data, est):
+    """The trust-region certificate of the witness on its own sign branch:
+    (stationarity residual, nu - max(lambda_max, 0), ||w||, nu)."""
+    Mp, bp, cp = _quadratic_form(data.private_x, data.private_y)
+    Mq, bq, cq = _quadratic_form(data.public_x, data.public_y)
+    w = est.witness_w
+    sign = 1.0 if loss_gap(data, SQ, w) >= 0 else -1.0
+    A, g = sign * (Mp - Mq), sign * (bp - bq)
+    nu = w @ (A @ w - g) / (w @ w)
+    resid = np.linalg.norm(nu * w - A @ w + g)
+    return resid, nu - max(np.linalg.eigvalsh(A).max(), 0.0), np.linalg.norm(w), nu
+
+
 class TestDCA:
     def test_one_dim_hand_instance(self):
-        est = discrepancy_dca(TINY, SQ, tol=1e-8)
-        assert est.d_hat == pytest.approx(3.0, abs=1e-6)
+        est = discrepancy_dca(TINY, SQ)
+        assert est.d_hat == pytest.approx(3.0, abs=1e-12)
+        assert est.witness_w == pytest.approx([-1.0], abs=1e-12)
+
+    def test_hard_case_hand_instance(self):
+        # public x=(1,0), y=0; private x=(0,1), y=0: gap(w) = w2^2 - w1^2,
+        # so g = 0 and the maximizer lies on the top eigenvector of each branch
+        data = AdaptDataset([[1.0, 0.0]], [0.0], [[0.0, 1.0]], [0.0])
+        est = discrepancy_dca(data, SQ)
+        assert est.d_hat == pytest.approx(1.0, abs=1e-12)
+        resid, slack, norm, _ = _kkt_residuals(data, est)
+        assert resid <= 1e-12 and slack >= -1e-12
+        assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_samples_zero(self):
         data = AdaptDataset([[0.5], [0.2]], [0.1, 0.9], [[0.5], [0.2]], [0.1, 0.9])
@@ -58,34 +83,36 @@ class TestDCA:
         with pytest.raises(ValueError):
             discrepancy_dca(TINY, LossModel("logistic", 1.0, 1.0))
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            discrepancy_dca(TINY, SQ, tol=0.0)
-
-    def test_branch_histories_monotone(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            data = random_dataset(rng, 15, 15, 2, SQ)
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 100])
+    def test_kkt_certificate(self, d):
+        # (nu I - A) w = -g, nu >= max(lambda_max(A), 0), and ||w|| = lam or
+        # nu = 0: sufficient for the global maximum of the sign branch
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            data = random_dataset(rng, int(rng.integers(2, 60)),
+                                  int(rng.integers(2, 60)), d, SQ)
             est = discrepancy_dca(data, SQ)
-            for hist in est.branch_histories:
-                diffs = np.diff(hist)
-                assert np.all(diffs >= -1e-9)
+            resid, slack, norm, nu = _kkt_residuals(data, est)
+            assert resid <= 1e-10
+            assert slack >= -1e-10
+            assert norm == pytest.approx(SQ.lam, abs=1e-10) or abs(nu) <= 1e-10
 
     def test_matches_grid_on_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             data = random_dataset(rng, 20, 20, 2, SQ)
-            dca = discrepancy_dca(data, SQ).d_hat
+            exact = discrepancy_dca(data, SQ).d_hat
             grid = discrepancy_grid(data, SQ, grid_points=2001).d_hat
-            assert dca == pytest.approx(grid, abs=1e-3)
-            assert dca >= grid - 1e-3  # DCA never below the oracle
+            assert exact >= grid - 1e-12  # the grid points are feasible
+            assert abs(exact - grid) <= 1e-6
 
     def test_witness_achieves_value(self):
         rng = np.random.default_rng(5)
         data = random_dataset(rng, 12, 9, 2, SQ)
         est = discrepancy_dca(data, SQ)
         assert abs(loss_gap(data, SQ, est.witness_w)) == pytest.approx(
-            est.d_hat, abs=1e-7)
+            est.d_hat, abs=1e-12)
+        assert np.linalg.norm(est.witness_w) <= SQ.lam + 1e-12
 
 
 class TestProperties:
@@ -118,6 +145,6 @@ class TestProperties:
             xt[row] = v * rng.random() / max(np.linalg.norm(v), 1e-12)
             yt[row] = rng.uniform(-1, 1)
             data2 = AdaptDataset(data.public_x, data.public_y, xt, yt)
-            a = discrepancy_dca(data, SQ, tol=1e-10).d_hat
-            b = discrepancy_dca(data2, SQ, tol=1e-10).d_hat
+            a = discrepancy_dca(data, SQ).d_hat
+            b = discrepancy_dca(data2, SQ).d_hat
             assert abs(a - b) <= SQ.B / n + 1e-6

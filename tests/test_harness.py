@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from privadapt.harness import (
     SweepCellError,
     SweepSpec,
     emit_results,
+    raw_d_hat,
     read_results,
     run_sweep,
     spec_from_config,
 )
+from privadapt.discrepancy import discrepancy_dca, discrepancy_grid
 from privadapt.mechanisms import derive_rng
 
 
@@ -125,6 +128,19 @@ class TestRunSweep:
         assert "grad_mapping_norm" in res.records[0]
         assert res.records[0]["grad_mapping_norm"] >= 0.0
 
+    def test_smoothness_warning_once_per_cell(self):
+        # mu = 50 exceeds (m + n)^(2/3) = 200^(2/3); T = None resolves the
+        # analytic T from the solver's own context, which warns once
+        spec = small_spec(algorithm="nonconvex", epsilons=[1.0], trials=1,
+                          target_sizes=[100], m=100, T=None, metric="accuracy",
+                          dataset=SyntheticShiftSpec(d=2, label_rule="linear_classification"),
+                          model=LossModel("logistic", r=1.0, lam=1.0),
+                          reg=RegularizerConfig(alpha=0.5, lambda_inf=0.1, mu=50.0))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run_sweep(spec)
+        assert sum("mu exceeds" in str(w.message) for w in record) == 1
+
     def test_cell_error_wraps_cause(self, tmp_path):
         # CSV pool smaller than the requested held-out test split
         data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 20, 25,
@@ -206,6 +222,23 @@ class TestRunSweep:
         res = run_sweep(spec)
         assert len(res.records) == 1
         assert np.isfinite(res.records[0]["metric_value"])
+
+
+class TestRawDHat:
+    def test_policies(self):
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 30, 30, derive_rng(1, "d"))
+        model = LossModel("squared", r=1.0, lam=1.0)
+        assert raw_d_hat("dca", data, model) == discrepancy_dca(data, model).d_hat
+        assert raw_d_hat("grid", data, model) == discrepancy_grid(data, model).d_hat
+        assert raw_d_hat("0.25", data, model) == raw_d_hat(0.25, data, model) == 0.25
+        assert raw_d_hat(-1.0, data, model) == 0.0
+        assert raw_d_hat(9.0, data, model) == model.B
+
+    @pytest.mark.parametrize("policy", ["exact", "nan", math.inf])
+    def test_rejects_unknown_and_non_finite(self, policy):
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 5, 5, derive_rng(1, "d"))
+        with pytest.raises(ValueError):
+            raw_d_hat(policy, data, LossModel("squared", r=1.0, lam=1.0))
 
 
 class TestSweepSpecValidation:
@@ -368,6 +401,14 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["T_used"] == 50
         assert out["grad_mapping_norm"] >= 0.0
+
+    def test_fit_nonconvex_default_T(self, tmp_path, capsys):
+        path, _ = self._gen(tmp_path, capsys,
+                            label_rule="linear_classification", noise_std=0.0)
+        assert cli.main(["fit-nonconvex", "--data", str(path), "--epsilon", "1.0",
+                         "--d-hat", "0.0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 1 <= out["t_star"] <= out["T_used"]
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = {

@@ -16,6 +16,7 @@ from privadapt.nonconvex_objective import (
     NonConvexContext,
     eval_J,
     smoothness_beta_bar,
+    uniform_bound_M,
 )
 from privadapt.nonconvex_solver import (
     NonConvexRunConfig,
@@ -51,6 +52,32 @@ class TestSingleStep:
         assert 1 <= res.t_star <= 5
         assert res.grad_mapping_norm is not None and res.grad_mapping_norm >= 0
         assert res.T_used == 5
+
+
+    def test_stops_at_t_star(self, monkeypatch):
+        # t* gradient steps plus one for the gradient-mapping norm; no replay
+        from privadapt import nonconvex_objective, nonconvex_solver
+        calls = []
+        original = nonconvex_objective.grad_J
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(nonconvex_solver, "grad_J", counted)
+        monkeypatch.setattr(nonconvex_objective, "grad_J", counted)
+        res = fit_nonconvex(TINY, PrivacyBudget(1.0, 0.05), RegularizerConfig(),
+                            NonConvexRunConfig(T=40, seed=2), LG)
+        assert res.t_star < 40
+        assert len(calls) == res.t_star + 1
+
+    def test_T_none_takes_analytic_default(self):
+        reg, budget = RegularizerConfig(), PrivacyBudget(1.0, 0.05)
+        ctx = NonConvexContext(TINY, 0.0, reg, LG)
+        T = default_T_nonconvex(1, 1, reg.alpha, budget.epsilon_opt, budget.delta,
+                                LG.G, LG.B, smoothness_beta_bar(ctx),
+                                uniform_bound_M(ctx))
+        res = fit_nonconvex(TINY, budget, reg, NonConvexRunConfig(T=None), LG)
+        assert res.T_used == T
 
 
 class TestDeterminism:
