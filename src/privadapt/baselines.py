@@ -13,6 +13,7 @@ from .core import (
     LossModel,
     PrivacyBudget,
     FeasiblePoint,
+    SQUARED,
     loss_and_slope,
     loss_values,
 )
@@ -25,10 +26,11 @@ KINDS = (TARGET_ONLY, TARGET_ONLY_DP, MIXTURE_ALPHA)
 
 
 def _weights(kind: str, data: AdaptDataset, alpha: float):
+    """The per-example weight of each block (public, private); every
+    example of a block weighs the same."""
     if kind == MIXTURE_ALPHA:
-        return (np.full(data.m, alpha / data.m),
-                np.full(data.n, (1.0 - alpha) / data.n))
-    return (np.zeros(data.m), np.full(data.n, 1.0 / data.n))
+        return alpha / data.m, (1.0 - alpha) / data.n
+    return 0.0, 1.0 / data.n
 
 
 def weighted_loss(model: LossModel, data: AdaptDataset, w, c_pub, c_priv) -> float:
@@ -48,7 +50,8 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
     target_only_dp adds per-step Gaussian noise with
     sigma = 2 * (2G/n) * sqrt(T * ln(3/delta)) / eps_opt, the full-gradient
     analogue of the adaptation solver's w-noise with all weight on the
-    private sample.
+    private sample.  For the squared loss each step is one d x d
+    matrix-vector product; the logistic loss takes a pass over the data.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
@@ -72,16 +75,26 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
     d = data.d
     eta = model.lam / math.sqrt(T * (model.G ** 2 + d * sigma ** 2))
 
+    blocks = [(c_priv, data.private_x, data.private_y)]
+    if c_pub > 0:
+        blocks.append((c_pub, data.public_x, data.public_y))
+    if model.kind == SQUARED:
+        # the squared-loss gradient is affine in w, A w - b with
+        # A = 2 sum c_i x_i x_i' and b = 2 sum c_i y_i x_i: form both once
+        A = sum(2.0 * c * (X.T @ X) for c, X, _ in blocks)
+        b = sum(2.0 * c * (X.T @ y) for c, X, y in blocks)
+
+        def grad(w):
+            return A @ w - b
+    else:
+        def grad(w):
+            return sum(X.T @ (c * loss_and_slope(model, w, X, y)[1]) for c, X, y in blocks)
+
     # final iterate (not an average): in the noiseless cases plain projected
     # GD converges linearly on these smooth objectives
     w = np.zeros(d)
     for _ in range(T):
-        _, slope = loss_and_slope(model, w, data.private_x, data.private_y)
-        g = data.private_x.T @ (c_priv * slope)
-        if c_pub.any():
-            _, slope = loss_and_slope(model, w, data.public_x, data.public_y)
-            g = g + data.public_x.T @ (c_pub * slope)
-        w = w - eta * (g + gaussian_vector(d, sigma, rng))
+        w = w - eta * (grad(w) + gaussian_vector(d, sigma, rng))
         nrm = np.linalg.norm(w)
         if nrm > model.lam:
             w = model.lam * w / nrm
@@ -97,7 +110,8 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
                                    and budget.is_private) else 0.0
     return AdaptationResult(
         point=point,
-        objective_value=weighted_loss(model, data, w_bar, c_pub, c_priv),
+        objective_value=weighted_loss(model, data, w_bar, np.full(data.m, c_pub),
+                                      np.full(data.n, c_priv)),
         privacy_spent=(eps_spent, delta_spent),
         T_used=T,
     )

@@ -58,7 +58,7 @@ def _budget(args) -> PrivacyBudget:
 def _fit_common(args, kind: str):
     manifest = DatasetManifest(path=args.data)
     data = load_dataset(manifest)
-    model = LossModel(kind=kind, r=max(data.max_feature_norm(), 1e-12), lam=args.lam)
+    model = LossModel(kind=kind, r=data.max_feature_norm(), lam=args.lam)
     budget = _budget(args)
     rng = derive_rng(args.seed, "cli-fit")
     d_dp = privatize_discrepancy(raw_d_hat(args.d_hat, data, model), model.B,
@@ -85,7 +85,7 @@ def cmd_gen_synth(args) -> int:
 def cmd_discrepancy(args) -> int:
     manifest = DatasetManifest(path=args.data)
     data = load_dataset(manifest)
-    model = LossModel(kind=SQUARED, r=max(data.max_feature_norm(), 1e-12),
+    model = LossModel(kind=SQUARED, r=data.max_feature_norm(),
                       lam=args.lam)
     if args.solver == "grid":
         est = discrepancy_grid(data, model)

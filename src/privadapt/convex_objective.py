@@ -18,7 +18,6 @@ from .core import (
     RegularizerConfig,
     SQUARED,
     is_feasible,
-    loss_and_slope,
     loss_values,
 )
 
@@ -62,62 +61,93 @@ def eval_F(ctx: ConvexObjectiveContext, p: FeasiblePoint) -> float:
     return val
 
 
-def block_gradient(data: AdaptDataset, model: LossModel, cfg: RegularizerConfig,
-                   d_dp: np.ndarray, W: np.ndarray, U_pub: np.ndarray,
-                   U_priv: np.ndarray):
-    """Block gradients (g_w, g_u_pub, g_u_priv) of E objectives at once.
+class GradientWorkspace:
+    """Buffers for ``block_gradient`` at one (d, m, n, E) shape, allocated
+    once and overwritten by every call.
 
-    Column j of W (d, E), U_pub (m, E) and U_priv (n, E) is a point of the
-    objective with discrepancy d_dp[j]; each result has the shape of its
-    block.  One pass over the data: g_w = X^T (l'/u) never forms per-example
-    gradient rows.  The kappa_inf subgradient puts full mass on the
-    lowest-index minimizer of u over the concatenated (u_pub, u_priv) column.
+    The u-blocks are laid out (E, rows), one row per problem, so the
+    elementwise passes run along the long axis; the products X @ W land
+    in (rows, E) buffers, the layout a plain BLAS call writes fastest.
+    """
+
+    def __init__(self, d: int, m: int, n: int, E: int):
+        self.prod_pub, self.prod_priv = np.empty((m, E)), np.empty((n, E))
+        self.g_pub, self.g_priv = np.empty((E, m)), np.empty((E, n))
+        self.g_w, self.g_w_priv = np.empty((d, E)), np.empty((d, E))
+
+
+def _residual_over_u(X, y, W, U, prod, out):
+    """(x.w - y) / u for every problem, into ``out`` (E, rows)."""
+    np.matmul(X, W, out=prod)
+    np.subtract(prod.T, y, out=out)  # the transpose rides on the residual pass
+    out /= U
+    return out
+
+
+def block_gradient(data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray,
+                   W: np.ndarray, U_pub: np.ndarray, U_priv: np.ndarray,
+                   ws: GradientWorkspace | None = None):
+    """Block gradients (g_w, g_u_pub, g_u_priv) of E squared-loss objectives
+    at once, written into the workspace ``ws`` (a fresh one if None).
+
+    Problem j is column j of W (d, E) and row j of U_pub (E, m) and
+    U_priv (E, n), with discrepancy d_dp[j]; each result has the shape of
+    its block.  With q = (x.w - y)/u, g_w = 2 X^T q and
+    g_u = -(q^2 + d_dp/u^2) on the public block, -q^2 on the private one,
+    plus the regularizer terms.  The kappa_inf subgradient puts full mass
+    on the lowest-index minimizer of u over the concatenated (u_pub, u_priv)
+    row.
     """
     m, n = data.m, data.n
-    loss_pub, slope_pub = loss_and_slope(model, W, data.public_x, data.public_y)
-    loss_priv, slope_priv = loss_and_slope(model, W, data.private_x, data.private_y)
-    slope_pub /= U_pub
-    slope_priv /= U_priv
-    g_w = data.public_x.T @ slope_pub + data.private_x.T @ slope_priv
+    if ws is None:
+        ws = GradientWorkspace(data.d, m, n, W.shape[1])
+    q_pub = _residual_over_u(data.public_x, data.public_y, W, U_pub, ws.prod_pub, ws.g_pub)
+    q_priv = _residual_over_u(data.private_x, data.private_y, W, U_priv,
+                              ws.prod_priv, ws.g_priv)
+    g_w = np.matmul(data.public_x.T, q_pub.T, out=ws.g_w)
+    g_w += np.matmul(data.private_x.T, q_priv.T, out=ws.g_w_priv)
+    g_w *= 2.0
 
-    # g_u = -numerator / u^2, computed in the loss buffers
-    loss_pub += d_dp
-    loss_pub /= U_pub * U_pub
-    g_pub = np.negative(loss_pub, out=loss_pub)
-    loss_priv /= U_priv * U_priv
-    g_priv = np.negative(loss_priv, out=loss_priv)
-    if cfg.kappa1 > 0:
-        g_pub += cfg.kappa1 * (cfg.alpha / m) ** 2
-        g_priv += cfg.kappa1 * ((1.0 - cfg.alpha) / n) ** 2
+    # the product buffer is free once the residual is taken
+    dp = np.divide(d_dp[:, None], U_pub, out=ws.prod_pub.reshape(U_pub.shape))
+    dp /= U_pub
+    q_pub *= q_pub
+    q_pub += dp
+    q_priv *= q_priv
+    # g_u = kappa1 c - numerator / u^2, negated in the same pass
+    g_pub = np.subtract(cfg.kappa1 * (cfg.alpha / m) ** 2, q_pub, out=q_pub)
+    g_priv = np.subtract(cfg.kappa1 * ((1.0 - cfg.alpha) / n) ** 2, q_priv, out=q_priv)
     if cfg.kappa2 > 0:
-        root = np.sqrt(np.sum(1.0 / U_pub ** 2, axis=0) + np.sum(1.0 / U_priv ** 2, axis=0))
+        root = np.sqrt(np.sum(1.0 / U_pub ** 2, axis=1)
+                       + np.sum(1.0 / U_priv ** 2, axis=1))[:, None]
         g_pub -= cfg.kappa2 / (U_pub ** 3 * root)
         g_priv -= cfg.kappa2 / (U_priv ** 3 * root)
     if cfg.kappa_inf > 0:
-        cols = np.arange(W.shape[1])
-        i_pub, i_priv = U_pub.argmin(axis=0), U_priv.argmin(axis=0)
-        min_pub, min_priv = U_pub[i_pub, cols], U_priv[i_priv, cols]
+        rows = np.arange(W.shape[1])
+        i_pub, i_priv = U_pub.argmin(axis=1), U_priv.argmin(axis=1)
+        min_pub, min_priv = U_pub[rows, i_pub], U_priv[rows, i_priv]
         on_pub = min_pub <= min_priv  # ties go to the public block, which comes first
-        g_pub[i_pub[on_pub], cols[on_pub]] -= cfg.kappa_inf / min_pub[on_pub] ** 2
+        g_pub[rows[on_pub], i_pub[on_pub]] -= cfg.kappa_inf / min_pub[on_pub] ** 2
         on_priv = ~on_pub
-        g_priv[i_priv[on_priv], cols[on_priv]] -= cfg.kappa_inf / min_priv[on_priv] ** 2
+        g_priv[rows[on_priv], i_priv[on_priv]] -= cfg.kappa_inf / min_priv[on_priv] ** 2
     return g_w, g_pub, g_priv
 
 
 def grad_F(ctx: ConvexObjectiveContext, p: FeasiblePoint):
     """Block gradients (g_w, g_u_pub, g_u_priv) at one point: the single
-    column case of ``block_gradient``."""
+    problem case of ``block_gradient``."""
     _check_feasible(ctx, p)
     g_w, g_pub, g_priv = block_gradient(
-        ctx.data, ctx.model, ctx.config, np.array([ctx.d_dp]),
-        p.w[:, None], p.u_pub[:, None], p.u_priv[:, None])
-    return g_w[:, 0], g_pub[:, 0], g_priv[:, 0]
+        ctx.data, ctx.config, np.array([ctx.d_dp]),
+        p.w[:, None], p.u_pub[None, :], p.u_priv[None, :])
+    return g_w[:, 0], g_pub[0], g_priv[0]
 
 
 def project_columns(W: np.ndarray, U_pub: np.ndarray, U_priv: np.ndarray,
                     lam: float, alpha: float, m: int, n: int) -> None:
-    """Euclidean projection of column-batched points, in place: rescale each
-    column of W to the ball, clamp U to the box."""
+    """Euclidean projection of batched points, in place: rescale each
+    column of W (d, E) to the ball, clamp the u-blocks (any layout) to
+    the box."""
     nrm = np.linalg.norm(W, axis=0)
     over = nrm > lam
     if over.any():

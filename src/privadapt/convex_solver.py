@@ -6,10 +6,17 @@ size and the returned point is the uniform average of the iterates.
 
 One engine, ``fit_convex_columns``, runs E problems that share the data, T,
 the start point, the step-size overrides and one noise stream as a single
-block of iterates, one column per problem.  Each step draws one standard
-normal vector per noisy block and every column scales it by its own sigma,
-so column j follows the trajectory of a single run with its own budget and
-d_dp on a stream in the same state.  ``fit_convex`` is the one-column case.
+block of iterates: w as a (d, E) block, one column per problem, and the
+u-blocks as (E, m) and (E, n), one row per problem, so the elementwise work
+of a step runs along the long sample axis.  Each step draws one standard
+normal vector per noisy block and every problem scales it by its own sigma,
+so problem j follows the trajectory of a single run with its own budget and
+d_dp on a stream in the same state.  ``fit_convex`` is the one-problem case.
+
+The step writes into buffers allocated once per fit (the iterates, their
+running sums, a ``GradientWorkspace`` and the noise block): the residual,
+r/u for g_w, the u-gradients, the noise, the step and the projection are
+done in place, one pass over the data per operation.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .core import (
 )
 from .convex_objective import (
     ConvexObjectiveContext,
+    GradientWorkspace,
     block_gradient,
     eval_F,
     project_columns,
@@ -115,22 +123,26 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
     for j, step in enumerate((run.step_w, run.step_u_pub, run.step_u_priv)):
         if step is not None:
             eta[:, j] = step
-    eta_w, eta_pub, eta_priv = eta.T.copy()
+    # per-problem scalars, shaped to broadcast over W's columns or the u-rows
+    eta_w, eta_pub, eta_priv = eta[:, 0], eta[:, 1, None], eta[:, 2, None]
     sigma1 = np.array([s.sigma1 for s in schedules])
-    sigma2 = np.array([s.sigma2 for s in schedules])
+    sigma2 = np.array([[s.sigma2] for s in schedules])
     d_dp = np.array([d_dp for _, d_dp in columns])
 
     E = len(columns)
     W = np.repeat(p.w[:, None], E, axis=1)
-    U_pub = np.repeat(p.u_pub[:, None], E, axis=1)
-    U_priv = np.repeat(p.u_priv[:, None], E, axis=1)
+    U_pub = np.repeat(p.u_pub[None, :], E, axis=0)
+    U_priv = np.repeat(p.u_priv[None, :], E, axis=0)
     sum_w, sum_pub, sum_priv = np.zeros_like(W), np.zeros_like(U_pub), np.zeros_like(U_priv)
+    ws = GradientWorkspace(d, m, n, E)
+    noise_priv = np.empty((E, n))
+    noisy_w, noisy_u = sigma1.any(), sigma2.any()
     for _ in range(run.T):
-        g_w, g_pub, g_priv = block_gradient(data, model, reg, d_dp, W, U_pub, U_priv)
-        if sigma1.any():
+        g_w, g_pub, g_priv = block_gradient(data, reg, d_dp, W, U_pub, U_priv, ws)
+        if noisy_w:
             g_w += np.outer(gaussian_vector(d, 1.0, rng), sigma1)
-        if sigma2.any():
-            g_priv += np.outer(gaussian_vector(n, 1.0, rng), sigma2)
+        if noisy_u:
+            g_priv += np.multiply(sigma2, gaussian_vector(n, 1.0, rng), out=noise_priv)
         g_w *= eta_w
         W -= g_w
         g_pub *= eta_pub
@@ -147,7 +159,7 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
     project_columns(sum_w, sum_pub, sum_priv, lam, alpha, m, n)
     results = []
     for j, ((budget, _), ctx) in enumerate(zip(columns, ctxs)):
-        avg = FeasiblePoint(sum_w[:, j], sum_pub[:, j], sum_priv[:, j])
+        avg = FeasiblePoint(sum_w[:, j], sum_pub[j], sum_priv[j])
         results.append(AdaptationResult(
             point=avg,
             objective_value=eval_F(ctx, avg),

@@ -122,17 +122,14 @@ class LossModel:
 def loss_and_slope(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray):
     """Per-example losses and their slopes l'(x.w) from a single ``X @ w``.
 
-    ``w`` has shape (d,) or (d, E) (E predictors side by side); both results
-    have shape (rows,) or (rows, E).  The gradient of example i in w is
-    slope_i * x_i, so a weighted gradient sum is ``X.T @ (slope * c)``.
+    The gradient of example i in w is slope_i * x_i, so a weighted gradient
+    sum is ``X.T @ (slope * c)``.
     """
     w = np.asarray(w, dtype=float)
     X = _as_matrix(X)
-    if w.ndim not in (1, 2) or X.shape[1] != w.shape[0]:
+    if w.ndim != 1 or X.shape[1] != w.shape[0]:
         raise ValueError("dimension mismatch between w and features")
     y = np.asarray(y, dtype=float).ravel()
-    if w.ndim == 2:
-        y = y[:, None]
     s = X @ w
     if model.kind == SQUARED:
         s -= y  # the residual, in the product's buffer

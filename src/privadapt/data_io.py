@@ -110,15 +110,57 @@ def generate_synthetic(spec: SyntheticShiftSpec, m: int, n: int,
     return AdaptDataset(xs, ys, xt, yt), w_star
 
 
+DOMAINS = ("source", "target")
+
+
+def _parse_fast(fh, header: list[str], cols: list[str], domain_col: str):
+    """Numeric columns ``cols`` and the domain column of every data row, in
+    one pass of numpy's parser; raises ValueError on any row it rejects."""
+    index = {c: i for i, c in enumerate(header)}  # last of a repeated name, as csv.DictReader
+    # "U7" holds either domain value plus one character, so a longer value
+    # is cut to 7 characters and can never read as a valid one
+    dtype = np.dtype([("num", float, (len(cols),)), ("domain", "U7")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows, or blank lines
+        rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                          usecols=[index[c] for c in cols] + [index[domain_col]], ndmin=1)
+    return rows["num"], rows["domain"]
+
+
+def _parse_rows(path: str, reader: csv.DictReader, cols: list[str], domain_col: str):
+    """The same columns parsed row by row with Python's ``float``; raises
+    ValueError naming the first row with a non-numeric cell or a domain
+    other than source/target."""
+    num, domains = [], []
+    for i, row in enumerate(reader):
+        try:
+            num.append([float(row[c]) for c in cols])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: non-numeric cell in row {i}: {exc}")
+        if row[domain_col] not in DOMAINS:
+            raise ValueError(
+                f"{path}: row {i}: domain must be 'source' or "
+                f"'target', got {row[domain_col]!r}")
+        domains.append(row[domain_col])
+    return np.array(num, dtype=float).reshape(len(num), len(cols)), np.array(domains)
+
+
 def load_dataset(manifest: DatasetManifest) -> AdaptDataset:
     """Read a CSV, route rows by domain, and rescale features globally so
     the max row norm equals ``r_target``; regression labels are clipped
-    to [-1, 1] with a warning."""
-    with open(manifest.path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{manifest.path}: empty file")
-        header = list(reader.fieldnames)
+    to [-1, 1] with a warning.
+
+    numpy's parser reads the file in one pass; a file it rejects, or with
+    a bad domain value, is parsed again row by row, which names the first
+    offending row (or reads what Python's ``float`` accepts and numpy's
+    parser does not).
+    """
+    path = manifest.path
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        header = next(csv.reader([first]))
         if manifest.feature_columns is None:
             feat_cols = [c for c in header
                          if c not in (manifest.label_column, manifest.domain_column)]
@@ -126,33 +168,28 @@ def load_dataset(manifest: DatasetManifest) -> AdaptDataset:
             feat_cols = list(manifest.feature_columns)
         for col in feat_cols + [manifest.label_column, manifest.domain_column]:
             if col not in header:
-                raise ValueError(f"{manifest.path}: missing column {col!r}")
-        xs, ys, xt, yt = [], [], [], []
-        for i, row in enumerate(reader):
-            try:
-                feats = [float(row[c]) for c in feat_cols]
-                label = float(row[manifest.label_column])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{manifest.path}: non-numeric cell in row {i}: {exc}")
-            domain = row[manifest.domain_column]
-            if domain == "source":
-                xs.append(feats)
-                ys.append(label)
-            elif domain == "target":
-                xt.append(feats)
-                yt.append(label)
-            else:
-                raise ValueError(
-                    f"{manifest.path}: row {i}: domain must be 'source' or "
-                    f"'target', got {domain!r}")
-    if not xs or not xt:
-        raise ValueError(f"{manifest.path}: need at least one source and one target row")
-    xs, xt = np.asarray(xs, float), np.asarray(xt, float)
-    ys, yt = np.asarray(ys, float), np.asarray(yt, float)
+                raise ValueError(f"{path}: missing column {col!r}")
+        cols = feat_cols + [manifest.label_column]
+        try:
+            num, domains = _parse_fast(fh, header, cols, manifest.domain_column)
+        except ValueError:
+            num = None
+        if num is None or not np.isin(domains, DOMAINS).all():
+            fh.seek(0)
+            num, domains = _parse_rows(path, csv.DictReader(fh), cols, manifest.domain_column)
+    if not np.all(np.isfinite(num)):
+        raise ValueError(f"{path}: features and labels must be finite")
+    src = domains == "source"
+    if not src.any() or src.all():
+        raise ValueError(f"{path}: need at least one source and one target row")
+    xs, ys = num[src, :-1], num[src, -1]
+    xt, yt = num[~src, :-1], num[~src, -1]
     top = max(np.linalg.norm(xs, axis=1).max(), np.linalg.norm(xt, axis=1).max())
-    if top > 0:
-        scale = manifest.r_target / top
-        xs, xt = xs * scale, xt * scale
+    if top == 0:
+        raise ValueError(f"{path}: every feature row is zero, so no rescaling "
+                         "can meet the feature-norm bound")
+    scale = manifest.r_target / top
+    xs, xt = xs * scale, xt * scale
     clipped = int((np.abs(ys) > 1).sum() + (np.abs(yt) > 1).sum())
     if clipped:
         warnings.warn(f"{clipped} label(s) outside [-1, 1] were clipped")
@@ -171,11 +208,11 @@ def resample_target(data: AdaptDataset, n_new: int,
 
 
 def write_csv(data: AdaptDataset, path: str) -> None:
-    d = data.d
+    """The CSV schema above, one ``repr`` per value, rows ended by CRLF as
+    ``csv.writer`` ends them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(d)] + ["label", "domain"])
-        for x, y in zip(data.public_x, data.public_y):
-            writer.writerow([repr(float(v)) for v in x] + [repr(float(y)), "source"])
-        for x, y in zip(data.private_x, data.private_y):
-            writer.writerow([repr(float(v)) for v in x] + [repr(float(y)), "target"])
+        fh.write(",".join([f"f{j}" for j in range(data.d)] + ["label", "domain"]) + "\r\n")
+        for x, y, domain in ((data.public_x, data.public_y, "source"),
+                             (data.private_x, data.private_y, "target")):
+            fh.writelines(",".join(map(repr, row)) + f",{label!r},{domain}\r\n"
+                          for row, label in zip(x.tolist(), y.tolist()))

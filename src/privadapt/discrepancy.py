@@ -9,6 +9,7 @@ restricted to d <= 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,10 @@ def loss_gap(data: AdaptDataset, model: LossModel, w: np.ndarray) -> float:
     return float(lp - lq)
 
 
+@functools.lru_cache(maxsize=4)
 def _candidate_grid(d: int, lam: float, grid_points: int) -> np.ndarray:
+    """The grid points of the Lambda-ball, read-only: cached, so every call
+    with the same (d, lam, grid_points) shares one array."""
     axes = [np.linspace(-lam, lam, grid_points)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -42,37 +46,8 @@ def _candidate_grid(d: int, lam: float, grid_points: int) -> np.ndarray:
     if outside.size:
         boundary = lam * outside / np.linalg.norm(outside, axis=1, keepdims=True)
         inside = np.vstack([inside, boundary])
+    inside.flags.writeable = False
     return inside
-
-
-def discrepancy_grid(data: AdaptDataset, model: LossModel,
-                     grid_points: int = 201) -> DiscrepancyEstimate:
-    """Brute-force oracle: maximize |loss gap| over a uniform grid of the
-    Lambda-ball.  Restricted to d <= 2."""
-    if data.d > 2:
-        raise ValueError("grid oracle is restricted to d <= 2")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
-    cand = _candidate_grid(data.d, model.lam, grid_points)
-    best_val = -1.0
-    best_w = np.zeros(data.d)
-    chunk = 200_000
-    for start in range(0, cand.shape[0], chunk):
-        W = cand[start:start + chunk]
-        sp = data.private_x @ W.T
-        sq = data.public_x @ W.T
-        if model.kind == SQUARED:
-            lp = ((sp - data.private_y[:, None]) ** 2).mean(axis=0)
-            lq = ((sq - data.public_y[:, None]) ** 2).mean(axis=0)
-        else:
-            lp = np.logaddexp(0.0, -data.private_y[:, None] * sp).mean(axis=0)
-            lq = np.logaddexp(0.0, -data.public_y[:, None] * sq).mean(axis=0)
-        gaps = np.abs(lp - lq)
-        i = int(np.argmax(gaps))
-        if gaps[i] > best_val:
-            best_val = float(gaps[i])
-            best_w = W[i].copy()
-    return DiscrepancyEstimate(best_val, "grid", best_w)
 
 
 def _quadratic_form(X: np.ndarray, y: np.ndarray):
@@ -82,6 +57,55 @@ def _quadratic_form(X: np.ndarray, y: np.ndarray):
     b = X.T @ y / N
     c = float(y @ y) / N
     return M, b, c
+
+
+def _gap_quadratic(data: AdaptDataset):
+    """The squared-loss gap as (A, g, c): gap(w) = w'Aw - 2 g'w + c."""
+    Mp, bp, cp = _quadratic_form(data.private_x, data.private_y)
+    Mq, bq, cq = _quadratic_form(data.public_x, data.public_y)
+    return Mp - Mq, bp - bq, cp - cq
+
+
+def _quadratic_gaps(quad, W: np.ndarray) -> np.ndarray:
+    """w'Aw - 2 g'w + c at each row w of W, for quad = (A, g, c)."""
+    A, g, c = quad
+    return np.einsum("ij,ij->i", W @ A, W) - 2.0 * (W @ g) + c
+
+
+def discrepancy_grid(data: AdaptDataset, model: LossModel,
+                     grid_points: int = 201) -> DiscrepancyEstimate:
+    """Brute-force oracle: maximize |loss gap| over a uniform grid of the
+    Lambda-ball.  Restricted to d <= 2.
+
+    For the squared loss the gap is scanned through the data's second
+    moments, and the value reported is ``loss_gap`` at the best point.
+    """
+    if data.d > 2:
+        raise ValueError("grid oracle is restricted to d <= 2")
+    if grid_points < 3:
+        raise ValueError("grid_points must be >= 3")
+    cand = _candidate_grid(data.d, model.lam, grid_points)
+    quad = _gap_quadratic(data) if model.kind == SQUARED else None
+    best_val = -1.0
+    best_w = np.zeros(data.d)
+    chunk = 200_000
+    for start in range(0, cand.shape[0], chunk):
+        W = cand[start:start + chunk]
+        if quad is not None:
+            gaps = np.abs(_quadratic_gaps(quad, W))
+        else:
+            sp = data.private_x @ W.T
+            sq = data.public_x @ W.T
+            lp = np.logaddexp(0.0, -data.private_y[:, None] * sp).mean(axis=0)
+            lq = np.logaddexp(0.0, -data.public_y[:, None] * sq).mean(axis=0)
+            gaps = np.abs(lp - lq)
+        i = int(np.argmax(gaps))
+        if gaps[i] > best_val:
+            best_val = float(gaps[i])
+            best_w = W[i].copy()
+    if quad is not None:
+        best_val = abs(loss_gap(data, model, best_w))
+    return DiscrepancyEstimate(best_val, "grid", best_w)
 
 
 def _trust_region_max(A: np.ndarray, g: np.ndarray, lam: float):
@@ -134,11 +158,10 @@ def discrepancy_dca(data: AdaptDataset, model: LossModel) -> DiscrepancyEstimate
     """
     if model.kind != SQUARED:
         raise ValueError("the exact solver supports the squared loss only")
-    Mp, bp, cp = _quadratic_form(data.private_x, data.private_y)
-    Mq, bq, cq = _quadratic_form(data.public_x, data.public_y)
+    A, g, c = _gap_quadratic(data)
     best = (0.0, np.zeros(data.d))
     for sign in (1.0, -1.0):
-        val, w = _trust_region_max(sign * (Mp - Mq), sign * (bp - bq), model.lam)
-        if val + sign * (cp - cq) > best[0]:
-            best = (val + sign * (cp - cq), w)
+        val, w = _trust_region_max(sign * A, sign * g, model.lam)
+        if val + sign * c > best[0]:
+            best = (val + sign * c, w)
     return DiscrepancyEstimate(float(best[0]), "dca", best[1])

@@ -10,8 +10,11 @@ with the same master seed produce byte-identical record output.
 The sweep runs (n, trial) on the outside and epsilon on the inside: the
 data draw, the raw discrepancy and the reference fit are made once per
 (n, trial), and the convex cells that share a T run as one batched solve
-(``fit_convex_columns``), which the common random numbers make exact.
-Records still come out in (epsilon, n, trial) order.
+(``fit_convex_columns``), which the common random numbers make exact.  That
+solve holds one problem per epsilon and allocates its buffers once for all
+T steps; the squared-loss reference fit forms the Gram matrix of the
+target sample once and then steps in d x d.  Records still come out in
+(epsilon, n, trial) order.
 """
 
 from __future__ import annotations
@@ -86,6 +89,12 @@ class SweepSpec:
         for eps in self.epsilons:
             if eps <= 0:
                 raise ValueError("epsilons must be positive (inf allowed)")
+        if min(self.target_sizes) < 1:
+            raise ValueError("target_sizes must be >= 1")
+        for name in ("test_size", "m", "baseline_T", "T"):
+            value = getattr(self, name)
+            if value is not None and value < 1:  # T = None takes the analytic default
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass

@@ -71,6 +71,54 @@ class TestLoad:
         assert np.allclose(back.public_x, data.public_x)
         assert np.allclose(back.private_y, data.private_y)
 
+    def test_round_trip_is_exact(self, tmp_path):
+        # r_target at the data's own top norm makes the rescale factor 1.0
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=4, noise_std=0.3), 25, 40,
+                                     derive_rng(1, "rt"))
+        path = str(tmp_path / "rt.csv")
+        write_csv(data, path)
+        back = load_dataset(DatasetManifest(path=path, r_target=data.max_feature_norm()))
+        for name in ("public_x", "public_y", "private_x", "private_y"):
+            assert np.array_equal(getattr(back, name), getattr(data, name))
+
+    def test_write_csv_format(self, tmp_path):
+        data = AdaptDataset([[0.1, -2.0]], [0.5], [[1e-300, 3.0]], [-1.0])
+        path = tmp_path / "small.csv"
+        write_csv(data, str(path))
+        assert path.read_bytes() == (b"f0,f1,label,domain\r\n0.1,-2.0,0.5,source\r\n"
+                                     b"1e-300,3.0,-1.0,target\r\n")
+
+    def test_all_zero_features_rejected(self, tmp_path):
+        path = _write(tmp_path, ["0,0,0.5,source", "0,0,0.2,target"])
+        with pytest.raises(ValueError, match="zero"):
+            load_dataset(DatasetManifest(path=path))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            load_dataset(DatasetManifest(path=str(path)))
+
+    def test_error_names_first_bad_row(self, tmp_path):
+        path = _write(tmp_path, ["1,0,0.5,source", "0,1,0.2,target", "1,x,0.5,source"])
+        with pytest.raises(ValueError, match="non-numeric cell in row 2"):
+            load_dataset(DatasetManifest(path=path))
+        path = _write(tmp_path, ["1,0,0.5,source", "0,1,0.2,sourcetarget"])
+        with pytest.raises(ValueError, match="row 1: domain .* got 'sourcetarget'"):
+            load_dataset(DatasetManifest(path=path))
+
+    def test_feature_column_subset(self, tmp_path):
+        path = _write(tmp_path, ["x,3,0.5,source", "0,4,0.2,target"])
+        data = load_dataset(DatasetManifest(path=path, feature_columns=["f1"]))
+        assert data.public_x.tolist() == [[0.75]] and data.private_x.tolist() == [[1.0]]
+
+    def test_reads_what_python_float_reads(self, tmp_path):
+        # "1_0" is a float to Python but not to numpy's parser: the
+        # row-by-row parse reads the file
+        path = _write(tmp_path, ["1_0,0,0.5,source", "0,5,0.2,target"])
+        data = load_dataset(DatasetManifest(path=path))
+        assert data.public_x.tolist() == [[1.0, 0.0]] and data.private_x.tolist() == [[0.0, 0.5]]
+
     def test_post_ingestion_norm_bound(self, tmp_path):
         rows = [f"{v},{w},0.1,{dom}" for v, w, dom in
                 [(3, 4, "source"), (0.1, 0.2, "target"), (1, 1, "target")]]

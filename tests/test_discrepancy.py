@@ -3,7 +3,10 @@ import pytest
 
 from privadapt.core import AdaptDataset, LossModel
 from privadapt.discrepancy import (
+    _candidate_grid,
+    _gap_quadratic,
     _quadratic_form,
+    _quadratic_gaps,
     discrepancy_dca,
     discrepancy_grid,
     loss_gap,
@@ -38,6 +41,23 @@ class TestGrid:
         coarse = discrepancy_grid(data, SQ, grid_points=11).d_hat
         fine = discrepancy_grid(data, SQ, grid_points=101).d_hat
         assert fine >= coarse - 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_moment_form_gap_equals_loss_gap(self, d):
+        rng = np.random.default_rng(10 + d)
+        cand = _candidate_grid(d, SQ.lam, 201)
+        for _ in range(5):
+            data = random_dataset(rng, int(rng.integers(1, 40)), int(rng.integers(1, 40)), d, SQ)
+            W = cand[rng.integers(0, cand.shape[0], 50)]
+            got = _quadratic_gaps(_gap_quadratic(data), W)
+            want = np.array([loss_gap(data, SQ, w) for w in W])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+    def test_candidate_grid_cached_read_only(self):
+        grid = _candidate_grid(2, 1.0, 11)
+        assert _candidate_grid(2, 1.0, 11) is grid
+        assert not grid.flags.writeable
+        assert np.all(np.linalg.norm(grid, axis=1) <= 1.0 + 1e-12)
 
     def test_rejects_high_dim(self):
         rng = np.random.default_rng(2)

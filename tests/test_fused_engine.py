@@ -1,5 +1,5 @@
-"""Equivalence of the one-pass gradients and the column-batched convex
-engine with the row-wise formulas they replace."""
+"""Equivalence of the one-pass gradients, the column-batched convex engine
+and the Gram-form reference fit with the row-wise formulas they replace."""
 
 import math
 import warnings
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privadapt.baselines import KINDS, MIXTURE_ALPHA, TARGET_ONLY_DP, fit_baseline
 from privadapt.core import (
     FeasiblePoint,
     LossModel,
@@ -19,7 +20,7 @@ from privadapt.core import (
 )
 from privadapt.convex_objective import ConvexObjectiveContext, grad_F
 from privadapt.convex_solver import ConvexRunConfig, fit_convex, fit_convex_columns
-from privadapt.mechanisms import derive_rng
+from privadapt.mechanisms import derive_rng, gaussian_vector
 from privadapt.nonconvex_objective import NonConvexContext, grad_J
 from tests.test_convex_objective import random_dataset, random_feasible_point
 
@@ -162,3 +163,39 @@ def test_engine_rejects_empty_batch():
     data = random_dataset(np.random.default_rng(1), 4, 5, 2, SQ)
     with pytest.raises(ValueError):
         fit_convex_columns(data, [], RegularizerConfig(), ConvexRunConfig(T=5), SQ)
+
+
+def _rowwise_baseline(kind, data, model, T, budget, alpha, rng):
+    """fit_baseline's projected gradient descent with each gradient summed
+    from per-example rows."""
+    m, n, d = data.m, data.n, data.d
+    c_pub = alpha / m if kind == MIXTURE_ALPHA else 0.0
+    c_priv = (1.0 - alpha) / n if kind == MIXTURE_ALPHA else 1.0 / n
+    sigma = 0.0
+    if kind == TARGET_ONLY_DP and budget.is_private:
+        sigma = (2.0 * (2.0 * model.G / n) * math.sqrt(T * math.log(3.0 / budget.delta))
+                 / budget.epsilon_opt)
+    eta = model.lam / math.sqrt(T * (model.G ** 2 + d * sigma ** 2))
+    w = np.zeros(d)
+    for _ in range(T):
+        g = c_priv * loss_grads(model, w, data.private_x, data.private_y).sum(axis=0)
+        if c_pub > 0:
+            g = g + c_pub * loss_grads(model, w, data.public_x, data.public_y).sum(axis=0)
+        w = w - eta * (g + gaussian_vector(d, sigma, rng))
+        if np.linalg.norm(w) > model.lam:
+            w = model.lam * w / np.linalg.norm(w)
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), sizes, st.sampled_from(KINDS),
+       st.sampled_from([0.5, 4.0, math.inf]), st.floats(0.05, 0.95), st.integers(1, 60))
+def test_gram_baseline_matches_rowwise_reference(seed, mnd, kind, eps, alpha, T):
+    rng = np.random.default_rng(seed)
+    m, n, d = mnd
+    data = random_dataset(rng, m, n, d, SQ)
+    budget = _budget(eps)
+    got = fit_baseline(kind, data, SQ, T=T, budget=budget, alpha=alpha,
+                       rng=derive_rng(seed, "baseline")).point.w
+    want = _rowwise_baseline(kind, data, SQ, T, budget, alpha, derive_rng(seed, "baseline"))
+    assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)

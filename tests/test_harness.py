@@ -264,6 +264,17 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             small_spec(epsilons=[0.0])
 
+    @pytest.mark.parametrize("overrides", [
+        {"test_size": 0}, {"m": 0}, {"target_sizes": [30, 0]}, {"baseline_T": 0},
+        {"T": 0}, {"test_size": -1}])
+    def test_nonpositive_sizes(self, overrides):
+        # test_size = 0 once ran to the end and wrote metric_value inf
+        with pytest.raises(ValueError, match=">= 1"):
+            small_spec(**overrides)
+
+    def test_T_none_allowed(self):
+        assert small_spec(T=None).T is None
+
 
 class TestEmitRead:
     def test_round_trip_exact(self, tmp_path):
