@@ -10,11 +10,11 @@ differential privacy with respect to the target sample.  The pieces:
 - ``discrepancy``: loss-gap discrepancy estimation (an exact trust-region
   solve for the squared loss and a low-dimensional grid oracle).
 - ``convex_objective`` / ``convex_solver``: the jointly convex
-  weighted-loss objective for squared-loss regression and its noisy
-  projected gradient solver with iterate averaging.
+  weighted-loss objective for squared-loss regression, the noisy projected
+  gradient engine of both solvers, and the solver with iterate averaging.
 - ``nonconvex_objective`` / ``nonconvex_solver``: the smoothed objective
-  for general Lipschitz/smooth losses and its noisy projected gradient
-  solver with a uniformly sampled output iterate.
+  for general Lipschitz/smooth losses and its solver on the same engine,
+  with a uniformly sampled output iterate.
 - ``baselines``: target-only ERM, its private variant, alpha-mixture ERM.
 - ``data_io``: CSV ingestion, rescaling, resampling, synthetic shift.
 - ``harness`` / ``cli``: the (epsilon, n) sweep runner and entry point.

@@ -57,17 +57,12 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
         raise ValueError(f"unknown baseline kind {kind!r}")
     if T < 1:
         raise ValueError("T must be >= 1")
-    if kind == TARGET_ONLY_DP:
-        if budget is None:
-            raise ValueError("the private baseline requires a budget")
-        if math.isinf(budget.epsilon_opt):
-            sigma = 0.0
-        else:
-            sigma = (2.0 * (2.0 * model.G / data.n)
-                     * math.sqrt(T * math.log(3.0 / budget.delta))
-                     / budget.epsilon_opt)
-    else:
-        sigma = 0.0
+    if kind == TARGET_ONLY_DP and budget is None:
+        raise ValueError("the private baseline requires a budget")
+    sigma = 0.0
+    if kind == TARGET_ONLY_DP and budget.is_private:
+        sigma = (2.0 * (2.0 * model.G / data.n)
+                 * math.sqrt(T * math.log(3.0 / budget.delta)) / budget.epsilon_opt)
     if rng is None:
         rng = derive_rng(seed, "baseline", kind)
 
@@ -98,19 +93,18 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
         nrm = np.linalg.norm(w)
         if nrm > model.lam:
             w = model.lam * w / nrm
-    w_bar = w
 
     # nominal reciprocal weights for the report; alpha = 0 (pure target
     # weighting) puts no mass on the public sample
     u_pub = np.full(data.m, data.m / alpha) if alpha > 0 else np.full(data.m, np.inf)
-    point = FeasiblePoint(w_bar, u_pub,
+    point = FeasiblePoint(w, u_pub,
                           np.full(data.n, data.n / (1.0 - alpha)))
     eps_spent = budget.epsilon_opt if (budget and kind == TARGET_ONLY_DP) else math.inf
     delta_spent = budget.delta if (budget and kind == TARGET_ONLY_DP
                                    and budget.is_private) else 0.0
     return AdaptationResult(
         point=point,
-        objective_value=weighted_loss(model, data, w_bar, np.full(data.m, c_pub),
+        objective_value=weighted_loss(model, data, w, np.full(data.m, c_pub),
                                       np.full(data.n, c_priv)),
         privacy_spent=(eps_spent, delta_spent),
         T_used=T,

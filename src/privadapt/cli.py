@@ -13,7 +13,7 @@ import math
 import sys
 
 from .convex_solver import ConvexRunConfig, fit_convex
-from .core import LossModel, PrivacyBudget, RegularizerConfig, SQUARED, non_private
+from .core import LossModel, PrivacyBudget, RegularizerConfig, SQUARED
 from .data_io import (
     DatasetManifest,
     SyntheticShiftSpec,
@@ -49,17 +49,10 @@ def _add_fit_args(sub):
                      help="'dca', 'grid', or a fixed value for the discrepancy")
 
 
-def _budget(args) -> PrivacyBudget:
-    if math.isinf(args.epsilon):
-        return non_private(args.delta)
-    return PrivacyBudget(args.epsilon, args.delta, args.disc_fraction)
-
-
 def _fit_common(args, kind: str):
-    manifest = DatasetManifest(path=args.data)
-    data = load_dataset(manifest)
+    data = load_dataset(DatasetManifest(path=args.data))
     model = LossModel(kind=kind, r=data.max_feature_norm(), lam=args.lam)
-    budget = _budget(args)
+    budget = PrivacyBudget(args.epsilon, args.delta, args.disc_fraction)
     rng = derive_rng(args.seed, "cli-fit")
     d_dp = privatize_discrepancy(raw_d_hat(args.d_hat, data, model), model.B,
                                  budget.epsilon_disc, data.n, rng)
@@ -83,19 +76,11 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
-    manifest = DatasetManifest(path=args.data)
-    data = load_dataset(manifest)
-    model = LossModel(kind=SQUARED, r=data.max_feature_norm(),
-                      lam=args.lam)
-    if args.solver == "grid":
-        est = discrepancy_grid(data, model)
-    else:
-        est = discrepancy_dca(data, model)
-    rng = derive_rng(args.seed, "cli-discrepancy")
-    if math.isinf(args.epsilon):
-        d_dp = est.d_hat
-    else:
-        d_dp = privatize_discrepancy(est.d_hat, model.B, args.epsilon, data.n, rng)
+    data = load_dataset(DatasetManifest(path=args.data))
+    model = LossModel(kind=SQUARED, r=data.max_feature_norm(), lam=args.lam)
+    est = (discrepancy_grid if args.solver == "grid" else discrepancy_dca)(data, model)
+    d_dp = privatize_discrepancy(est.d_hat, model.B, args.epsilon, data.n,
+                                 derive_rng(args.seed, "cli-discrepancy"))
     print(json.dumps({"d_hat": est.d_hat, "d_dp": d_dp, "solver": est.solver,
                       "witness_w": est.witness_w.tolist()}))
     return 0
@@ -192,7 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input: one line and argparse's usage-error code
+        print(f"privadapt: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -37,13 +37,15 @@ class ConvexObjectiveContext:
         self.data.check_feature_bound(self.model.r)
 
 
-def _check_feasible(ctx, p: FeasiblePoint):
+def check_feasible(ctx, p: FeasiblePoint):
+    """Raise ValueError unless p lies in the feasible set of the objective
+    context ``ctx`` (convex or non-convex)."""
     if not is_feasible(p, ctx.model.lam, ctx.config.alpha, ctx.data.m, ctx.data.n):
         raise ValueError("point violates the feasible set")
 
 
 def eval_F(ctx: ConvexObjectiveContext, p: FeasiblePoint) -> float:
-    _check_feasible(ctx, p)
+    check_feasible(ctx, p)
     cfg = ctx.config
     m, n = ctx.data.m, ctx.data.n
     num_pub = loss_values(ctx.model, p.w, ctx.data.public_x, ctx.data.public_y) + ctx.d_dp
@@ -136,7 +138,7 @@ def block_gradient(data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray,
 def grad_F(ctx: ConvexObjectiveContext, p: FeasiblePoint):
     """Block gradients (g_w, g_u_pub, g_u_priv) at one point: the single
     problem case of ``block_gradient``."""
-    _check_feasible(ctx, p)
+    check_feasible(ctx, p)
     g_w, g_pub, g_priv = block_gradient(
         ctx.data, ctx.config, np.array([ctx.d_dp]),
         p.w[:, None], p.u_pub[None, :], p.u_priv[None, :])

@@ -1,22 +1,16 @@
-"""Noisy projected gradient descent on the convex objective.
+"""The noisy projected gradient descent engine, and the convex solver on it.
 
-Gaussian noise is added to the w-gradient and the private-weight gradient
-only; the public-weight block stays noiseless.  Each block has its own step
-size and the returned point is the uniform average of the iterates.
-
-One engine, ``fit_convex_columns``, runs E problems that share the data, T,
-the start point, the step-size overrides and one noise stream as a single
-block of iterates: w as a (d, E) block, one column per problem, and the
-u-blocks as (E, m) and (E, n), one row per problem, so the elementwise work
-of a step runs along the long sample axis.  Each step draws one standard
-normal vector per noisy block and every problem scales it by its own sigma,
-so problem j follows the trajectory of a single run with its own budget and
-d_dp on a stream in the same state.  ``fit_convex`` is the one-problem case.
-
-The step writes into buffers allocated once per fit (the iterates, their
-running sums, a ``GradientWorkspace`` and the noise block): the residual,
-r/u for g_w, the u-gradients, the noise, the step and the projection are
-done in place, one pass over the data per operation.
+``noisy_pgd`` is the step loop of both private solvers.  It steps E problems
+that share the data, the start point and one noise stream as one block of
+iterates: w as (d, E), one column per problem, and the u-blocks as (E, m)
+and (E, n), one row per problem, so elementwise work runs along the sample
+axis.  Noise goes to the w-gradient and the private-weight gradient only:
+each step draws one standard normal vector per noisy block and each problem
+scales it by its own sigma, so problem j follows the trajectory of its own
+single run on a stream in the same state.  The two solvers differ in the
+gradient, the step sizes and the output rule: ``fit_convex_columns``
+returns the average of the iterates (``fit_convex`` is its one-problem
+case), ``nonconvex_solver`` the iterate at a random stop t*.
 """
 
 from __future__ import annotations
@@ -92,6 +86,55 @@ def default_T_convex(n: int, m: int, d: int, alpha: float, eps_opt: float,
     return int(min(math.ceil(max(terms)), ceiling))
 
 
+def noisy_pgd(grad, p: FeasiblePoint, eta: np.ndarray, sigma1: np.ndarray,
+              sigma2: np.ndarray, steps: int, lam: float, alpha: float,
+              rng: np.random.Generator, average: bool):
+    """Run ``steps`` noisy projected gradient steps on E problems from the
+    feasible point p and return one point per problem: the projected
+    average of its iterates if ``average``, else its last iterate.
+
+    ``grad(W, U_pub, U_priv)`` returns the block gradients of every problem,
+    shaped like their blocks; the engine overwrites them.  Row j of eta
+    (E, 3) holds problem j's step sizes for w, u_pub and u_priv, and
+    sigma1[j], sigma2[j] scale its noise on w and u_priv.  A problem with
+    zero sigmas takes no noise, and a run whose sigmas are all zero draws
+    nothing from the stream.
+    """
+    m, n, d = p.u_pub.size, p.u_priv.size, p.w.size
+    if not is_feasible(p, lam, alpha, m, n):
+        raise ValueError("initial point is infeasible")
+    E = eta.shape[0]
+    # per-problem scalars, shaped to broadcast over W's columns or the u-rows
+    etas = eta[:, 0], eta[:, 1, None], eta[:, 2, None]
+    sigma2 = sigma2[:, None]
+    W = np.repeat(p.w[:, None], E, axis=1)
+    U_pub = np.repeat(p.u_pub[None, :], E, axis=0)
+    U_priv = np.repeat(p.u_priv[None, :], E, axis=0)
+    if average:
+        sums = np.zeros_like(W), np.zeros_like(U_pub), np.zeros_like(U_priv)
+    noise_priv = np.empty((E, n))
+    noisy_w, noisy_u = sigma1.any(), sigma2.any()
+    for _ in range(steps):
+        g_w, g_pub, g_priv = grads = grad(W, U_pub, U_priv)
+        if noisy_w:
+            g_w += np.outer(gaussian_vector(d, 1.0, rng), sigma1)
+        if noisy_u:
+            g_priv += np.multiply(sigma2, gaussian_vector(n, 1.0, rng), out=noise_priv)
+        for block, g, eta_b in zip((W, U_pub, U_priv), grads, etas):
+            g *= eta_b
+            block -= g
+        project_columns(W, U_pub, U_priv, lam, alpha, m, n)
+        if average:
+            for total, block in zip(sums, (W, U_pub, U_priv)):
+                total += block
+    if average:
+        for total in sums:
+            total /= steps
+        project_columns(*sums, lam, alpha, m, n)
+        W, U_pub, U_priv = sums
+    return [FeasiblePoint(W[:, j], U_pub[j], U_priv[j]) for j in range(E)]
+
+
 def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],
                        reg: RegularizerConfig, run: ConvexRunConfig, model: LossModel,
                        rng: np.random.Generator | None = None) -> list[AdaptationResult]:
@@ -103,70 +146,30 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
     column with epsilon = inf takes no noise, and a run with no finite
     epsilon draws nothing from the stream.
     """
-    if run.T < 1:
-        raise ValueError("T must be >= 1")
     if not columns:
         raise ValueError("at least one (budget, d_dp) column is required")
     ctxs = [ConvexObjectiveContext(data, d_dp, reg, model) for _, d_dp in columns]
     m, n, d = data.m, data.n, data.d
-    lam, alpha = model.lam, reg.alpha
-
-    p = run.init if run.init is not None else reference_point(alpha, m, n, d)
-    if not is_feasible(p, lam, alpha, m, n):
-        raise ValueError("initial point is infeasible")
+    p = run.init if run.init is not None else reference_point(reg.alpha, m, n, d)
     if rng is None:
         rng = derive_rng(run.seed, "fit-convex")
 
-    schedules = [calibrate(budget, alpha, model.G, model.B, n, run.T)
+    schedules = [calibrate(budget, reg.alpha, model.G, model.B, n, run.T)
                  for budget, _ in columns]
     eta = np.array([default_step_sizes(model, reg, s, m, n, d) for s in schedules])
     for j, step in enumerate((run.step_w, run.step_u_pub, run.step_u_priv)):
         if step is not None:
             eta[:, j] = step
-    # per-problem scalars, shaped to broadcast over W's columns or the u-rows
-    eta_w, eta_pub, eta_priv = eta[:, 0], eta[:, 1, None], eta[:, 2, None]
-    sigma1 = np.array([s.sigma1 for s in schedules])
-    sigma2 = np.array([[s.sigma2] for s in schedules])
     d_dp = np.array([d_dp for _, d_dp in columns])
-
-    E = len(columns)
-    W = np.repeat(p.w[:, None], E, axis=1)
-    U_pub = np.repeat(p.u_pub[None, :], E, axis=0)
-    U_priv = np.repeat(p.u_priv[None, :], E, axis=0)
-    sum_w, sum_pub, sum_priv = np.zeros_like(W), np.zeros_like(U_pub), np.zeros_like(U_priv)
-    ws = GradientWorkspace(d, m, n, E)
-    noise_priv = np.empty((E, n))
-    noisy_w, noisy_u = sigma1.any(), sigma2.any()
-    for _ in range(run.T):
-        g_w, g_pub, g_priv = block_gradient(data, reg, d_dp, W, U_pub, U_priv, ws)
-        if noisy_w:
-            g_w += np.outer(gaussian_vector(d, 1.0, rng), sigma1)
-        if noisy_u:
-            g_priv += np.multiply(sigma2, gaussian_vector(n, 1.0, rng), out=noise_priv)
-        g_w *= eta_w
-        W -= g_w
-        g_pub *= eta_pub
-        U_pub -= g_pub
-        g_priv *= eta_priv
-        U_priv -= g_priv
-        project_columns(W, U_pub, U_priv, lam, alpha, m, n)
-        sum_w += W
-        sum_pub += U_pub
-        sum_priv += U_priv
-
-    for block in (sum_w, sum_pub, sum_priv):
-        block /= run.T
-    project_columns(sum_w, sum_pub, sum_priv, lam, alpha, m, n)
-    results = []
-    for j, ((budget, _), ctx) in enumerate(zip(columns, ctxs)):
-        avg = FeasiblePoint(sum_w[:, j], sum_pub[j], sum_priv[j])
-        results.append(AdaptationResult(
-            point=avg,
-            objective_value=eval_F(ctx, avg),
-            privacy_spent=(budget.epsilon_opt, budget.delta if budget.is_private else 0.0),
-            T_used=run.T,
-        ))
-    return results
+    ws = GradientWorkspace(d, m, n, len(columns))
+    averages = noisy_pgd(
+        lambda W, U_pub, U_priv: block_gradient(data, reg, d_dp, W, U_pub, U_priv, ws),
+        p, eta, np.array([s.sigma1 for s in schedules]),
+        np.array([s.sigma2 for s in schedules]), run.T, model.lam, reg.alpha, rng,
+        average=True)
+    return [AdaptationResult(point=avg, objective_value=eval_F(ctx, avg),
+                             privacy_spent=budget.spent, T_used=run.T)
+            for (budget, _), ctx, avg in zip(columns, ctxs, averages)]
 
 
 def fit_convex(data: AdaptDataset, budget: PrivacyBudget, reg: RegularizerConfig,

@@ -129,16 +129,23 @@ def loss_and_slope(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray
     X = _as_matrix(X)
     if w.ndim != 1 or X.shape[1] != w.shape[0]:
         raise ValueError("dimension mismatch between w and features")
-    y = np.asarray(y, dtype=float).ravel()
-    s = X @ w
+    return score_loss_and_slope(model, X @ w, np.asarray(y, dtype=float).ravel())
+
+
+def score_loss_and_slope(model: LossModel, s: np.ndarray, y: np.ndarray):
+    """Per-example losses and slopes at the scores s = x.w, which it
+    overwrites; the last axis of s runs over the examples of y."""
     if model.kind == SQUARED:
-        s -= y  # the residual, in the product's buffer
+        s -= y  # the residual, in the scores' buffer
         loss = s * s
         s *= 2.0
         return loss, s
-    # log(1 + exp(-y * w.x)) in the overflow-safe form; slope -sigmoid(-y * w.x) * y
-    sig = 1.0 / (1.0 + np.exp(np.clip(y * s, -500, 500)))
-    return np.logaddexp(0.0, -y * s), -sig * y
+    # at z = y s, with e = exp(-|z|): log(1 + exp(-z)) = log1p(e) - min(z, 0)
+    # and the slope -y sigmoid(-z) = -y (e if z > 0 else 1) / (1 + e)
+    z = np.multiply(s, y, out=s)
+    e = np.exp(-np.abs(z))
+    slope = np.where(z > 0.0, e, 1.0) / (1.0 + e) * -y
+    return np.log1p(e) - np.minimum(z, 0.0), slope
 
 
 def loss_values(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,14 +157,6 @@ def loss_grads(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) ->
     """Matrix of per-example loss gradients in w, one row per example."""
     _, slope = loss_and_slope(model, np.asarray(w, dtype=float).ravel(), X, y)
     return slope[:, None] * _as_matrix(X)
-
-
-def loss_value(model: LossModel, w, x, y: float) -> float:
-    return float(loss_values(model, w, np.atleast_2d(np.asarray(x, dtype=float)), [y])[0])
-
-
-def loss_grad_w(model: LossModel, w, x, y: float) -> np.ndarray:
-    return loss_grads(model, w, np.atleast_2d(np.asarray(x, dtype=float)), [y])[0]
 
 
 @dataclass(frozen=True)
@@ -237,6 +236,11 @@ class PrivacyBudget:
     @property
     def is_private(self) -> bool:
         return not math.isinf(self.epsilon_total)
+
+    @property
+    def spent(self) -> tuple:
+        """The (epsilon, delta) a private optimizer run reports."""
+        return self.epsilon_opt, self.delta if self.is_private else 0.0
 
 
 def non_private(delta: float = 0.01) -> PrivacyBudget:

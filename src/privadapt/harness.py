@@ -9,11 +9,13 @@ with the same master seed produce byte-identical record output.
 
 The sweep runs (n, trial) on the outside and epsilon on the inside: the
 data draw, the raw discrepancy and the reference fit are made once per
-(n, trial), and the convex cells that share a T run as one batched solve
-(``fit_convex_columns``), which the common random numbers make exact.  That
-solve holds one problem per epsilon and allocates its buffers once for all
-T steps; the squared-loss reference fit forms the Gram matrix of the
-target sample once and then steps in d x d.  Records still come out in
+(n, trial).  The convex and the non-convex cells then go through one
+grouped path: the cells that share T and a stream state run as one
+batched solve on the shared noisy-PGD engine (``fit_convex_columns`` or
+``fit_nonconvex_columns``), which the common random numbers make exact.
+That solve holds one problem per epsilon and allocates its buffers once;
+the squared-loss reference fit forms the Gram matrix of the target sample
+once and then steps in d x d.  Records still come out in
 (epsilon, n, trial) order.
 """
 
@@ -37,7 +39,6 @@ from .core import (
     PrivacyBudget,
     RegularizerConfig,
     SQUARED,
-    non_private,
 )
 from .data_io import (
     DatasetManifest,
@@ -48,7 +49,7 @@ from .data_io import (
 )
 from .discrepancy import discrepancy_dca, discrepancy_grid
 from .mechanisms import derive_rng, privatize_discrepancy
-from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex
+from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex_columns
 
 CONVEX = "convex"
 NONCONVEX = "nonconvex"
@@ -86,9 +87,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if not self.epsilons or not self.target_sizes:
             raise ValueError("epsilons and target_sizes must be non-empty")
-        for eps in self.epsilons:
-            if eps <= 0:
-                raise ValueError("epsilons must be positive (inf allowed)")
+        if min(self.epsilons) <= 0:
+            raise ValueError("epsilons must be positive (inf allowed)")
         if min(self.target_sizes) < 1:
             raise ValueError("target_sizes must be >= 1")
         for name in ("test_size", "m", "baseline_T", "T"):
@@ -171,12 +171,6 @@ def convex_T(T: int | None, budget: PrivacyBudget, data: AdaptDataset,
                             budget.delta, model.B, reg.b_bar(model.B))
 
 
-def _budget(spec: SweepSpec, eps: float) -> PrivacyBudget:
-    if math.isinf(eps):
-        return non_private(spec.delta)
-    return PrivacyBudget(eps, spec.delta, spec.disc_fraction)
-
-
 def _per_cell(spec: SweepSpec, n: int, trial: int, fn, *columns) -> list:
     """fn applied to each epsilon cell's arguments; a failure names its cell."""
     out = []
@@ -188,25 +182,33 @@ def _per_cell(spec: SweepSpec, n: int, trial: int, fn, *columns) -> list:
     return out
 
 
-def _convex_results(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
-                    budgets: list, d_dps: list, rngs: list) -> list:
-    """One engine run per distinct T over the epsilon cells that share it.
+def _solve_grouped(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
+                   budgets: list, d_dps: list, rngs: list) -> list:
+    """The fits of every epsilon cell, one engine run per group of cells
+    that share T and a stream state; a failed run names its first cell.
 
-    Every finite-epsilon stream is keyed alike and has taken one Laplace
-    draw, so all of them stand in the same state: the last one serves as
-    the shared stream of its group.  A failed run names its first cell.
+    Every finite-epsilon stream has taken one Laplace draw, so all stand in
+    the same state and the last serves its group.  An epsilon = inf column
+    draws no noise, so it joins a convex group; a non-convex run draws t*
+    first, so there it runs alone.  With T = None the non-convex T of a
+    cell depends on its epsilon only, so those cells group by epsilon.
     """
-    by_T: dict = {}
+    convex = spec.algorithm == CONVEX
+    fit = fit_convex_columns if convex else fit_nonconvex_columns
+    groups: dict = {}
     for i, budget in enumerate(budgets):
-        by_T.setdefault(convex_T(spec.T, budget, train, spec.reg, spec.model),
-                        []).append(i)
+        if convex:
+            key = convex_T(spec.T, budget, train, spec.reg, spec.model)
+        else:
+            key = budget.is_private if spec.T is not None else budget.epsilon_opt
+        groups.setdefault(key, []).append(i)
     results = [None] * len(budgets)
-    for T, idx in by_T.items():
+    for key, idx in groups.items():
         finite = [i for i in idx if budgets[i].is_private]
+        run = ConvexRunConfig(T=key) if convex else NonConvexRunConfig(T=spec.T)
         try:
-            group = fit_convex_columns(train, [(budgets[i], d_dps[i]) for i in idx],
-                                       spec.reg, ConvexRunConfig(T=T), spec.model,
-                                       rng=rngs[finite[-1] if finite else idx[0]])
+            group = fit(train, [(budgets[i], d_dps[i]) for i in idx], spec.reg, run,
+                        spec.model, rng=rngs[finite[-1] if finite else idx[0]])
         except Exception as exc:
             raise SweepCellError(spec.epsilons[idx[0]], n, trial, exc) from exc
         for i, result in zip(idx, group):
@@ -221,19 +223,14 @@ def _run_group(spec: SweepSpec, base, n: int, n_idx: int, trial: int) -> list[di
     (n, trial) only, so they are made once and shared by every epsilon.
     """
     train, test_x, test_y = _cell_data(spec, base, n, n_idx, trial)
-    budgets = [_budget(spec, eps) for eps in spec.epsilons]
+    budgets = [PrivacyBudget(eps, spec.delta, spec.disc_fraction) for eps in spec.epsilons]
     rngs = [derive_rng(spec.master_seed, "noise", n_idx, trial) for _ in budgets]
 
     if spec.algorithm in (CONVEX, NONCONVEX):
         d_hat = raw_d_hat(spec.d_hat, train, spec.model)
         d_dps = _per_cell(spec, n, trial, lambda budget, rng: privatize_discrepancy(
             d_hat, spec.model.B, budget.epsilon_disc, train.n, rng), budgets, rngs)
-        if spec.algorithm == CONVEX:
-            results = _convex_results(spec, train, n, trial, budgets, d_dps, rngs)
-        else:
-            results = _per_cell(spec, n, trial, lambda budget, d_dp, rng: fit_nonconvex(
-                train, budget, spec.reg, NonConvexRunConfig(T=spec.T), spec.model,
-                d_dp=d_dp, rng=rng), budgets, d_dps, rngs)
+        results = _solve_grouped(spec, train, n, trial, budgets, d_dps, rngs)
     elif spec.algorithm == baselines.TARGET_ONLY:
         # same fit as the relative-MSE denominator, so the ratio is exactly 1
         results = [_reference_fit(spec, train, n_idx, trial)] * len(budgets)
@@ -278,9 +275,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     records come out in (epsilon, n, trial) order.
     """
     t0 = time.perf_counter()
-    base = None
-    if isinstance(spec.dataset, DatasetManifest):
-        base = load_dataset(spec.dataset)
+    base = load_dataset(spec.dataset) if isinstance(spec.dataset, DatasetManifest) else None
 
     by_cell = {}
     for n_idx, n in enumerate(spec.target_sizes):

@@ -18,11 +18,10 @@ from .core import (
     FeasiblePoint,
     LossModel,
     RegularizerConfig,
-    is_feasible,
-    loss_and_slope,
     loss_values,
+    score_loss_and_slope,
 )
-from .convex_objective import project
+from .convex_objective import check_feasible, project
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,8 @@ class NonConvexContext:
     d_dp: float
     config: RegularizerConfig
     model: LossModel
-    beta: float | None = None  # smoothness of the per-example loss
 
     def __post_init__(self):
-        if self.beta is None:
-            object.__setattr__(self, "beta", self.model.beta)
         if not (0.0 <= self.d_dp <= self.model.B + 1e-9):
             raise ValueError("d_dp must lie in [0, B]")
         self.data.check_feature_bound(self.model.r)
@@ -53,11 +49,6 @@ class NonConvexContext:
         return self.config.softmax_mu(self.data.m, self.data.n)
 
 
-def _check_feasible(ctx, p: FeasiblePoint):
-    if not is_feasible(p, ctx.model.lam, ctx.config.alpha, ctx.data.m, ctx.data.n):
-        raise ValueError("point violates the feasible set")
-
-
 def softmax_of_reciprocals(u: np.ndarray, mu: float) -> float:
     """(1/mu) log sum exp(mu / u_i), computed in shifted form."""
     a = mu / u
@@ -66,7 +57,7 @@ def softmax_of_reciprocals(u: np.ndarray, mu: float) -> float:
 
 
 def eval_J(ctx: NonConvexContext, p: FeasiblePoint) -> float:
-    _check_feasible(ctx, p)
+    check_feasible(ctx, p)
     cfg = ctx.config
     num_pub = loss_values(ctx.model, p.w, ctx.data.public_x, ctx.data.public_y) + ctx.d_dp
     num_priv = loss_values(ctx.model, p.w, ctx.data.private_x, ctx.data.private_y)
@@ -82,29 +73,52 @@ def eval_J(ctx: NonConvexContext, p: FeasiblePoint) -> float:
     return val
 
 
-def grad_J(ctx: NonConvexContext, p: FeasiblePoint):
-    _check_feasible(ctx, p)
-    cfg = ctx.config
-    m = ctx.data.m
-    data = ctx.data
-    loss_pub, slope_pub = loss_and_slope(ctx.model, p.w, data.public_x, data.public_y)
-    num_priv, slope_priv = loss_and_slope(ctx.model, p.w, data.private_x, data.private_y)
-    num_pub = loss_pub + ctx.d_dp
-    g_w = data.public_x.T @ (slope_pub / p.u_pub) + data.private_x.T @ (slope_priv / p.u_priv)
+def block_grad_J(data: AdaptDataset, cfg: RegularizerConfig, model: LossModel,
+                 d_dp: np.ndarray, W: np.ndarray, U_pub: np.ndarray, U_priv: np.ndarray):
+    """Block gradients (g_w, g_u_pub, g_u_priv) of E smoothed objectives at
+    once, each shaped like its block: problem j is column j of W (d, E) and
+    row j of U_pub (E, m) and U_priv (E, n), with discrepancy d_dp[j].
 
-    u_all = np.concatenate([p.u_pub, p.u_priv])
-    g_u = np.concatenate([-num_pub / p.u_pub ** 2, -num_priv / p.u_priv ** 2])
-    if cfg.lambda1 > 0:
-        g_u = g_u + cfg.lambda1 / u_all ** 2
+    g_w = X^T (slope/u) and g_u = (lambda1 - numerator - lambda2 (1/u) / root
+    - lambda_inf softmax) / u^2, with the root and the softmax of 1/u taken
+    along each problem's (u_pub, u_priv) row.  The engine keeps the iterates
+    feasible, so nothing is checked here.
+    """
+    num_pub, slope_pub = score_loss_and_slope(model, (data.public_x @ W).T, data.public_y)
+    num_priv, slope_priv = score_loss_and_slope(model, (data.private_x @ W).T,
+                                                data.private_y)
+    num_pub += d_dp[:, None]
+    inv_pub, inv_priv = 1.0 / U_pub, 1.0 / U_priv
+    g_w = (data.public_x.T @ (slope_pub * inv_pub).T
+           + data.private_x.T @ (slope_priv * inv_priv).T)
+    g_pub = np.subtract(cfg.lambda1, num_pub, out=num_pub)
+    g_priv = np.subtract(cfg.lambda1, num_priv, out=num_priv)
+    sq_pub, sq_priv = inv_pub * inv_pub, inv_priv * inv_priv
     if cfg.lambda2 > 0:
-        root = math.sqrt(float(np.sum(1.0 / u_all ** 2)))
-        g_u = g_u - cfg.lambda2 / (u_all ** 3 * root)
+        scale = cfg.lambda2 / np.sqrt(sq_pub.sum(axis=1) + sq_priv.sum(axis=1))[:, None]
+        g_pub -= scale * inv_pub
+        g_priv -= scale * inv_priv
     if cfg.lambda_inf > 0:
-        a = ctx.mu / u_all
-        weights = np.exp(a - a.max())
-        weights /= weights.sum()
-        g_u = g_u - cfg.lambda_inf * weights / u_all ** 2
-    return g_w, g_u[:m], g_u[m:]
+        mu = cfg.softmax_mu(data.m, data.n)
+        a_pub, a_priv = mu * inv_pub, mu * inv_priv
+        top = np.maximum(a_pub.max(axis=1), a_priv.max(axis=1))[:, None]
+        w_pub, w_priv = np.exp(a_pub - top), np.exp(a_priv - top)
+        scale = cfg.lambda_inf / (w_pub.sum(axis=1) + w_priv.sum(axis=1))[:, None]
+        g_pub -= scale * w_pub
+        g_priv -= scale * w_priv
+    g_pub *= sq_pub
+    g_priv *= sq_priv
+    return g_w, g_pub, g_priv
+
+
+def grad_J(ctx: NonConvexContext, p: FeasiblePoint):
+    """Block gradients (g_w, g_u_pub, g_u_priv) at one feasible point: the
+    single problem case of ``block_grad_J``."""
+    check_feasible(ctx, p)
+    g_w, g_pub, g_priv = block_grad_J(
+        ctx.data, ctx.config, ctx.model, np.array([ctx.d_dp]),
+        p.w[:, None], p.u_pub[None, :], p.u_priv[None, :])
+    return g_w[:, 0], g_pub[0], g_priv[0]
 
 
 def smoothness_beta_bar(ctx: NonConvexContext) -> float:
@@ -125,7 +139,7 @@ def smoothness_beta_bar(ctx: NonConvexContext) -> float:
         + li * mu * om ** 4 * (1.0 / n ** 3 + 1.0 / n ** 3.5)
         + 2.0 * li * mu * a ** 2 * om ** 2 / (m ** 1.5 * n ** 1.5)
     )
-    return ctx.beta + beta_prime + G * (a ** 2 / m ** 1.5 + om ** 2 / n ** 1.5)
+    return ctx.model.beta + beta_prime + G * (a ** 2 / m ** 1.5 + om ** 2 / n ** 1.5)
 
 
 def uniform_bound_M(ctx: NonConvexContext) -> float:

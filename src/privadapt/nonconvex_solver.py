@@ -1,8 +1,12 @@
 """Noisy projected gradient descent on the smoothed non-convex objective.
 
-Same noise placement and calibration as the convex solver, a single step
-size 1/beta_bar for all blocks, and the output is one iterate sampled
-uniformly from the trajectory.
+The solver runs on the convex solver's engine (``convex_solver.noisy_pgd``)
+with the same noise placement and calibration and one step size 1/beta_bar
+for all blocks.  Its output is one iterate sampled uniformly from the
+trajectory: t* is drawn from {1, ..., T} first, and the engine stops after
+t* steps.  ``fit_nonconvex_columns`` runs one objective per (budget, d_dp)
+column on one stream, so every column draws the same t*;
+``fit_nonconvex`` is the one-column case.
 """
 
 from __future__ import annotations
@@ -19,21 +23,18 @@ from .core import (
     LossModel,
     PrivacyBudget,
     RegularizerConfig,
-    is_feasible,
     reference_point,
 )
-from .convex_objective import project
-from .mechanisms import calibrate, derive_rng, gaussian_vector
+from .convex_solver import DEFAULT_T_CEILING, noisy_pgd
+from .mechanisms import calibrate, derive_rng
 from .nonconvex_objective import (
     NonConvexContext,
+    block_grad_J,
     eval_J,
-    grad_J,
     gradient_mapping_norm,
     smoothness_beta_bar,
     uniform_bound_M,
 )
-
-DEFAULT_T_CEILING = 200_000
 
 
 @dataclass
@@ -60,58 +61,53 @@ def default_T_nonconvex(n: int, d: int, alpha: float, eps_opt: float,
     return int(min(max(round(t), 1), ceiling))
 
 
-def _run_steps(ctx: NonConvexContext, p: FeasiblePoint, steps: int, eta: float,
-               schedule, rng) -> FeasiblePoint:
-    lam, alpha = ctx.model.lam, ctx.config.alpha
-    m, n, d = ctx.data.m, ctx.data.n, ctx.data.d
-    for _ in range(steps):
-        g_w, g_pub, g_priv = grad_J(ctx, p)
-        z = gaussian_vector(d, schedule.sigma1, rng)
-        z2 = gaussian_vector(n, schedule.sigma2, rng)
-        p = project(
-            p.w - eta * (g_w + z),
-            p.u_pub - eta * g_pub,
-            p.u_priv - eta * (g_priv + z2),
-            lam, alpha, m, n,
-        )
-    return p
+def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],
+                          reg: RegularizerConfig, run: NonConvexRunConfig,
+                          model: LossModel,
+                          rng: np.random.Generator | None = None) -> list[AdaptationResult]:
+    """Draw t* uniformly from {1, ..., T}, run t* noisy projected gradient
+    steps on one smoothed objective per (budget, d_dp) column, all on one
+    noise stream, and return each column's last iterate: the iterate at a
+    uniformly sampled index of a T-step run.
+
+    t* is the first draw of the stream, so the trajectory does not depend
+    on its value.  T = None takes the analytic default_T_nonconvex of each
+    column's budget; the columns must agree on it.
+    """
+    if not columns:
+        raise ValueError("at least one (budget, d_dp) column is required")
+    ctxs = [NonConvexContext(data, d_dp, reg, model) for _, d_dp in columns]
+    m, n, d = data.m, data.n, data.d
+    beta_bar = smoothness_beta_bar(ctxs[0])  # beta_bar and M do not depend on d_dp
+    Ts = {run.T} if run.T is not None else {default_T_nonconvex(
+        n, d, reg.alpha, budget.epsilon_opt, budget.delta, model.G, model.B, beta_bar,
+        uniform_bound_M(ctxs[0])) for budget, _ in columns}
+    if len(Ts) > 1:
+        raise ValueError(f"the columns resolve to different T: {sorted(Ts)}")
+    T = Ts.pop()
+
+    p0 = run.init if run.init is not None else reference_point(reg.alpha, m, n, d)
+    if rng is None:
+        rng = derive_rng(run.seed, "fit-nonconvex")
+    schedules = [calibrate(budget, reg.alpha, model.G, model.B, n, T) for budget, _ in columns]
+    t_star = int(rng.integers(1, T + 1))
+    d_dp = np.array([d_dp for _, d_dp in columns])
+    outs = noisy_pgd(
+        lambda W, U_pub, U_priv: block_grad_J(data, reg, model, d_dp, W, U_pub, U_priv),
+        p0, np.full((len(columns), 3), 1.0 / beta_bar),
+        np.array([s.sigma1 for s in schedules]), np.array([s.sigma2 for s in schedules]),
+        t_star, model.lam, reg.alpha, rng, average=False)
+    return [AdaptationResult(point=out, objective_value=eval_J(ctx, out),
+                             privacy_spent=budget.spent, T_used=T,
+                             grad_mapping_norm=gradient_mapping_norm(ctx, out, beta_bar),
+                             t_star=t_star)
+            for (budget, _), ctx, out in zip(columns, ctxs, outs)]
 
 
 def fit_nonconvex(data: AdaptDataset, budget: PrivacyBudget,
                   reg: RegularizerConfig, run: NonConvexRunConfig,
                   model: LossModel, d_dp: float = 0.0,
                   rng: np.random.Generator | None = None) -> AdaptationResult:
-    """Draw t* uniformly from {1, ..., T}, run t* noisy projected gradient
-    steps and return the last iterate: the iterate at a uniformly sampled
-    index of a T-step run.
-
-    t* is the first draw of the stream, so the trajectory does not depend
-    on its value.  T = None takes the analytic default_T_nonconvex.
-    """
-    ctx = NonConvexContext(data, d_dp, reg, model)
-    m, n, d = data.m, data.n, data.d
-    beta_bar = smoothness_beta_bar(ctx)
-    T = run.T if run.T is not None else default_T_nonconvex(
-        n, d, reg.alpha, budget.epsilon_opt, budget.delta, model.G, model.B,
-        beta_bar, uniform_bound_M(ctx))
-    if T < 1:
-        raise ValueError("T must be >= 1")
-
-    p0 = run.init if run.init is not None else reference_point(reg.alpha, m, n, d)
-    if not is_feasible(p0, model.lam, reg.alpha, m, n):
-        raise ValueError("initial point is infeasible")
-    if rng is None:
-        rng = derive_rng(run.seed, "fit-nonconvex")
-
-    schedule = calibrate(budget, reg.alpha, model.G, model.B, n, T)
-    t_star = int(rng.integers(1, T + 1))
-    out = _run_steps(ctx, p0, t_star, 1.0 / beta_bar, schedule, rng)
-
-    return AdaptationResult(
-        point=out,
-        objective_value=eval_J(ctx, out),
-        privacy_spent=(budget.epsilon_opt, budget.delta if budget.is_private else 0.0),
-        T_used=T,
-        grad_mapping_norm=gradient_mapping_norm(ctx, out, beta_bar),
-        t_star=t_star,
-    )
+    """Run t* noisy projected gradient steps on the smoothed objective and
+    return the last iterate: the one-column case of fit_nonconvex_columns."""
+    return fit_nonconvex_columns(data, [(budget, d_dp)], reg, run, model, rng)[0]

@@ -11,14 +11,24 @@ from privadapt.core import (
     PrivacyBudget,
     RegularizerConfig,
     is_feasible,
-    loss_grad_w,
-    loss_value,
+    loss_grads,
+    loss_values,
     non_private,
     reference_point,
 )
 
 SQ = LossModel("squared", r=1.0, lam=1.0)
 LG = LossModel("logistic", r=1.0, lam=1.0)
+
+
+def loss_value(model, w, x, y):
+    """The loss of one example (x, y)."""
+    return float(loss_values(model, w, np.atleast_2d(np.asarray(x, dtype=float)), [y])[0])
+
+
+def loss_grad_w(model, w, x, y):
+    """The loss gradient in w of one example (x, y)."""
+    return loss_grads(model, w, np.atleast_2d(np.asarray(x, dtype=float)), [y])[0]
 
 
 class TestDataset:

@@ -49,6 +49,16 @@ def small_spec(**overrides):
     return SweepSpec(**base)
 
 
+NONCONVEX = {
+    "algorithm": "nonconvex",
+    "dataset": SyntheticShiftSpec(d=2, label_rule="linear_classification"),
+    "model": LossModel("logistic", r=1.0, lam=1.0),
+    "reg": RegularizerConfig(alpha=0.5, lambda1=0.5, lambda2=0.5, lambda_inf=0.5),
+    "metric": "accuracy",
+    "d_hat": 0.1,
+}
+
+
 class TestRunSweep:
     def test_grid_cardinality(self):
         res = run_sweep(small_spec())
@@ -176,6 +186,9 @@ class TestRunSweep:
          "reg": RegularizerConfig(alpha=0.5, kappa1=4.0, kappa2=0.5, kappa_inf=0.5)},
         # T = None: the analytic T differs per epsilon, so cells group by T
         {"epsilons": [0.05, 0.1, 0.1, 0.4], "T": None},
+        # non-convex: the finite cells share one run and t*, epsilon = inf runs alone
+        NONCONVEX | {"epsilons": [0.5, 1.0, 5.0, math.inf]},
+        NONCONVEX | {"epsilons": [5.0, 10.0, 10.0, 20.0], "T": None},
     ])
     def test_batched_cells_match_single_epsilon_sweeps(self, overrides):
         spec = small_spec(**overrides)
@@ -420,6 +433,15 @@ class TestCli:
                          "--d-hat", "0.0"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert 1 <= out["t_star"] <= out["T_used"]
+
+    def test_value_error_is_one_line_and_exit_code_2(self, tmp_path, capsys):
+        # the exact d_hat solve supports the squared loss only
+        path, _ = self._gen(tmp_path, capsys,
+                            label_rule="linear_classification", noise_std=0.0)
+        assert cli.main(["fit-nonconvex", "--data", str(path), "--loss", "logistic",
+                         "--T", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err == "privadapt: error: the exact solver supports the squared loss only\n"
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = {

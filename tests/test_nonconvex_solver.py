@@ -55,16 +55,17 @@ class TestSingleStep:
 
 
     def test_stops_at_t_star(self, monkeypatch):
-        # t* gradient steps plus one for the gradient-mapping norm; no replay
+        # t* gradient steps in the engine plus one for the gradient-mapping
+        # norm; no replay
         from privadapt import nonconvex_objective, nonconvex_solver
         calls = []
-        original = nonconvex_objective.grad_J
+        original = nonconvex_objective.block_grad_J
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
-        monkeypatch.setattr(nonconvex_solver, "grad_J", counted)
-        monkeypatch.setattr(nonconvex_objective, "grad_J", counted)
+        monkeypatch.setattr(nonconvex_solver, "block_grad_J", counted)
+        monkeypatch.setattr(nonconvex_objective, "block_grad_J", counted)
         res = fit_nonconvex(TINY, PrivacyBudget(1.0, 0.05), RegularizerConfig(),
                             NonConvexRunConfig(T=40, seed=2), LG)
         assert res.t_star < 40
@@ -106,11 +107,11 @@ class TestDeterminism:
 class TestDescent:
     def test_noiseless_objective_non_increasing(self):
         # with sigma = 0 and step 1/beta_bar, projected GD on a smooth
-        # function never increases the objective; walk the solver's own
-        # stepping code along the trajectory
-        from privadapt.nonconvex_solver import _run_steps
-        from privadapt.mechanisms import calibrate
+        # function never increases the objective; step the solver's own
+        # engine one step at a time along the trajectory
+        from privadapt.convex_solver import noisy_pgd
         from privadapt.core import reference_point
+        from privadapt.nonconvex_objective import block_grad_J
 
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -124,12 +125,15 @@ class TestDescent:
                                 xt, np.sign(rng.standard_normal(n) + 1e-9))
             reg = RegularizerConfig(lambda1=0.5, lambda2=0.2, lambda_inf=0.1)
             ctx = NonConvexContext(data, 0.1, reg, LG)
-            eta = 1.0 / smoothness_beta_bar(ctx)
-            schedule = calibrate(non_private(), reg.alpha, LG.G, LG.B, n, 20)
+            eta = np.full((1, 3), 1.0 / smoothness_beta_bar(ctx))
+
+            def grad(W, U_pub, U_priv):
+                return block_grad_J(data, reg, LG, np.array([0.1]), W, U_pub, U_priv)
             p = reference_point(reg.alpha, m, n, d)
             js = [eval_J(ctx, p)]
             for _ in range(20):
-                p = _run_steps(ctx, p, 1, eta, schedule, derive_rng(0))
+                p, = noisy_pgd(grad, p, eta, np.zeros(1), np.zeros(1), 1, LG.lam,
+                               reg.alpha, derive_rng(0), average=False)
                 js.append(eval_J(ctx, p))
             assert np.all(np.diff(js) <= 1e-9)
 
