@@ -112,9 +112,9 @@ def cmd_sweep(args) -> int:
     with open(args.spec) as fh:
         cfg = json.load(fh)
     spec = spec_from_config(cfg)
-    try:
+    try:  # a bad spec or CSV raises ValueError or OSError before any cell runs
         result = run_sweep(spec)
-    except Exception as exc:
+    except RuntimeError as exc:  # a failed cell, or a dead worker (BrokenProcessPool)
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
     emit_results(result, args.out)
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad input: one line and argparse's usage-error code
+    except (ValueError, OSError) as exc:  # bad input: one line and argparse's usage-error code
         print(f"privadapt: error: {exc}", file=sys.stderr)
         return 2
 

@@ -184,12 +184,14 @@ def load_dataset(manifest: DatasetManifest) -> AdaptDataset:
         raise ValueError(f"{path}: need at least one source and one target row")
     xs, ys = num[src, :-1], num[src, -1]
     xt, yt = num[~src, :-1], num[~src, -1]
+    del num, domains  # free the parsed rows before the passes below (peak memory)
     top = max(np.linalg.norm(xs, axis=1).max(), np.linalg.norm(xt, axis=1).max())
     if top == 0:
         raise ValueError(f"{path}: every feature row is zero, so no rescaling "
                          "can meet the feature-norm bound")
     scale = manifest.r_target / top
-    xs, xt = xs * scale, xt * scale
+    xs *= scale  # both are copies made by the indexing above
+    xt *= scale
     clipped = int((np.abs(ys) > 1).sum() + (np.abs(yt) > 1).sum())
     if clipped:
         warnings.warn(f"{clipped} label(s) outside [-1, 1] were clipped")

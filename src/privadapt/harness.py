@@ -17,13 +17,29 @@ That solve holds one problem per epsilon and allocates its buffers once;
 the squared-loss reference fit forms the Gram matrix of the target sample
 once and then steps in d x d.  Records still come out in
 (epsilon, n, trial) order.
+
+Each (n, trial) group is a pure function of its keyed streams, so the
+groups of one sweep run on forked worker processes, one pool per sweep.
+The workers inherit the spec and a loaded CSV dataset through fork; each
+task returns only its records and the warnings it raised, which the
+caller re-emits in (n, trial) order.  The pool has min(groups, CPUs //
+BLAS threads) workers, the BLAS threads read from OPENBLAS_NUM_THREADS,
+then OMP_NUM_THREADS, else OpenBLAS's own default of one per CPU, so
+processes x BLAS threads never exceed the CPUs.  A sweep runs in process
+when that count is 1 (so with neither variable set), when it has one
+group, off Linux, or in a daemonic process.  Either way the records are
+the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +126,9 @@ class SweepCellError(RuntimeError):
                          f"failed: {cause}")
         self.key = (epsilon, n, trial)
         self.cause = cause
+
+    def __reduce__(self):  # so a worker process can raise it to the caller
+        return type(self), (*self.key, self.cause)
 
 
 def _cell_data(spec: SweepSpec, base: AdaptDataset | None, n: int,
@@ -267,27 +286,90 @@ def _run_group(spec: SweepSpec, base, n: int, n_idx: int, trial: int) -> list[di
     return records
 
 
+def _group(spec: SweepSpec, base, key: tuple) -> tuple[list[dict], list[tuple]]:
+    """The records of one (n_idx, n, trial) group and the warnings it raised,
+    as (message, category, filename, lineno); a failure names its cell."""
+    n_idx, n, trial = key
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            records = _run_group(spec, base, n, n_idx, trial)
+        except SweepCellError:
+            raise
+        except Exception as exc:
+            raise SweepCellError(spec.epsilons[0], n, trial, exc) from exc
+    return records, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+_inherited: tuple = ()  # (spec, base) in a forked worker
+
+
+def _inherit(spec: SweepSpec, base) -> None:
+    global _inherited
+    _inherited = (spec, base)
+
+
+def _inherited_group(key: tuple):
+    return _group(*_inherited, key)
+
+
+def _worker_count(groups: int) -> int:
+    """Worker processes for a sweep of this many groups: min(groups, CPUs //
+    BLAS threads), or 1 (run in process) off Linux, where fork is
+    unavailable or unsafe, and in a daemonic process (a multiprocessing.Pool
+    worker, say), which may not start children."""
+    if sys.platform != "linux":
+        return 1
+    mp = sys.modules.get("multiprocessing")  # loaded in any such daemon
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS", "")
+    # unset or invalid: OpenBLAS starts one thread per CPU
+    threads = int(setting) if setting.isdigit() and int(setting) > 0 else cpus
+    return max(1, min(groups, cpus // threads))
+
+
+# Re-emitted worker warnings share one registry, so the "default" action
+# shows each once per process, as for a warning raised in process.
+_warning_registry: dict = {}
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (epsilon, n, trial) cell and aggregate per (epsilon, n).
 
     Deterministic given the master seed.  Cells are keyed, so the execution
-    order (n and trial outside, epsilon inside) does not change any record;
-    records come out in (epsilon, n, trial) order.
+    order (n and trial outside, epsilon inside) and the process a group runs
+    in do not change any record; records come out in (epsilon, n, trial)
+    order.  The first failing group in (n, trial) order raises its
+    SweepCellError, and groups not yet started are cancelled.
     """
     t0 = time.perf_counter()
     base = load_dataset(spec.dataset) if isinstance(spec.dataset, DatasetManifest) else None
-
+    keys = [(n_idx, n, trial) for n_idx, n in enumerate(spec.target_sizes)
+            for trial in range(spec.trials)]
+    workers = _worker_count(len(keys))
+    pool = None
+    if workers > 1:
+        # imported here: the pool's modules add about 1.3 MB to the peak
+        # memory of a process that only ever runs sweeps in process
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_inherit, initargs=(spec, base))
     by_cell = {}
-    for n_idx, n in enumerate(spec.target_sizes):
-        for trial in range(spec.trials):
-            try:
-                group = _run_group(spec, base, n, n_idx, trial)
-            except SweepCellError:
-                raise
-            except Exception as exc:
-                raise SweepCellError(spec.epsilons[0], n, trial, exc) from exc
-            for eps_idx, rec in enumerate(group):
+    try:
+        groups = (pool.map(_inherited_group, keys) if pool
+                  else map(functools.partial(_group, spec, base), keys))
+        for (n_idx, _, trial), (records, caught) in zip(keys, groups):
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno,
+                                       registry=_warning_registry)
+            for eps_idx, rec in enumerate(records):
                 by_cell[eps_idx, n_idx, trial] = rec
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     records = [by_cell[key] for key in sorted(by_cell)]
     aggregates = []
     for eps in spec.epsilons:
@@ -336,6 +418,10 @@ def read_results(path: str) -> SweepResult:
 
 def spec_from_config(cfg: dict) -> SweepSpec:
     """Build a SweepSpec from a plain JSON-style mapping (the CLI config)."""
+    missing = [k for k in ("algorithm", "epsilons", "target_sizes", "trials", "master_seed")
+               if k not in cfg]
+    if missing:
+        raise ValueError(f"config needs {', '.join(missing)}")
     if "synthetic" in cfg:
         dataset = SyntheticShiftSpec(**cfg["synthetic"])
     elif "csv" in cfg:

@@ -2,12 +2,16 @@
 
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from privadapt import cli
+from privadapt import cli, harness
 from privadapt.baselines import fit_baseline
 from privadapt.core import LossModel, RegularizerConfig
 from privadapt.data_io import (
@@ -27,6 +31,10 @@ from privadapt.harness import (
 )
 from privadapt.discrepancy import discrepancy_dca, discrepancy_grid
 from privadapt.mechanisms import derive_rng
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux",
+                                reason="sweeps fork workers on Linux only")
 
 
 def small_spec(**overrides):
@@ -57,6 +65,13 @@ NONCONVEX = {
     "metric": "accuracy",
     "d_hat": 0.1,
 }
+
+# mu = 50 exceeds (m + n)^(2/3) = 200^(2/3), so each cell warns
+MU_WARNS = dict(algorithm="nonconvex", epsilons=[1.0], target_sizes=[100], m=100, T=None,
+                metric="accuracy",
+                dataset=SyntheticShiftSpec(d=2, label_rule="linear_classification"),
+                model=LossModel("logistic", r=1.0, lam=1.0),
+                reg=RegularizerConfig(alpha=0.5, lambda_inf=0.1, mu=50.0))
 
 
 class TestRunSweep:
@@ -141,11 +156,7 @@ class TestRunSweep:
     def test_smoothness_warning_once_per_cell(self):
         # mu = 50 exceeds (m + n)^(2/3) = 200^(2/3); T = None resolves the
         # analytic T from the solver's own context, which warns once
-        spec = small_spec(algorithm="nonconvex", epsilons=[1.0], trials=1,
-                          target_sizes=[100], m=100, T=None, metric="accuracy",
-                          dataset=SyntheticShiftSpec(d=2, label_rule="linear_classification"),
-                          model=LossModel("logistic", r=1.0, lam=1.0),
-                          reg=RegularizerConfig(alpha=0.5, lambda_inf=0.1, mu=50.0))
+        spec = small_spec(**MU_WARNS | {"trials": 1})
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             run_sweep(spec)
@@ -166,20 +177,23 @@ class TestRunSweep:
         assert "test split" in str(err.cause)
 
     def test_shared_work_once_per_n_and_trial(self, monkeypatch):
-        from privadapt import harness
-        calls = {"discrepancy_dca": 0, "generate_synthetic": 0}
-        for name in calls:
+        # shared-memory counters, so calls made in forked workers count too
+        calls = {"discrepancy_dca": multiprocessing.Value("i", 0),
+                 "generate_synthetic": multiprocessing.Value("i", 0)}
+        for name, counter in calls.items():
             original = getattr(harness, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+            def counted(*args, _counter=counter, _original=original, **kwargs):
+                with _counter.get_lock():
+                    _counter.value += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(harness, name, counted)
         res = run_sweep(small_spec(epsilons=[0.5, 1.0, 5.0, math.inf],
                                    target_sizes=[30, 40], d_hat="dca"))
         assert len(res.records) == 16
         # 2 target sizes x 2 trials, whatever the number of epsilons
-        assert calls == {"discrepancy_dca": 4, "generate_synthetic": 4}
+        assert {k: v.value for k, v in calls.items()} == \
+            {"discrepancy_dca": 4, "generate_synthetic": 4}
 
     @pytest.mark.parametrize("overrides", [
         {"epsilons": [0.5, 1.0, 5.0, math.inf], "d_hat": "dca",
@@ -235,6 +249,137 @@ class TestRunSweep:
         res = run_sweep(spec)
         assert len(res.records) == 1
         assert np.isfinite(res.records[0]["metric_value"])
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """force(k) fixes the sweep's worker count (1 runs in process, 2 on a
+    forked pool) and returns a counter of groups run outside this process."""
+    parent, outside = os.getpid(), multiprocessing.Value("i", 0)
+    original = harness._run_group
+
+    def spied(*args, **kwargs):
+        if os.getpid() != parent:
+            with outside.get_lock():
+                outside.value += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(harness, "_run_group", spied)
+
+    def force(count):
+        monkeypatch.setattr(harness, "_worker_count", lambda groups: count)
+        return outside
+    return force
+
+
+def _csv_dataset(tmp_path):
+    data, _ = generate_synthetic(SyntheticShiftSpec(d=2, noise_std=0.1),
+                                 40, 80, derive_rng(4, "csv2"))
+    path = tmp_path / "shift.csv"
+    write_csv(data, str(path))
+    return DatasetManifest(path=str(path))
+
+
+def _record_count(spec):
+    return len(run_sweep(spec).records)
+
+
+@linux_only
+class TestWorkerPool:
+    @pytest.mark.parametrize("overrides", [
+        {"epsilons": [0.5, 1.0, math.inf], "d_hat": "dca"},
+        NONCONVEX | {"epsilons": [0.5, 1.0, math.inf]},
+        NONCONVEX | {"epsilons": [5.0, 10.0, 20.0], "T": None},
+        {"csv": True, "epsilons": [1.0, math.inf], "target_sizes": [25, 30],
+         "test_size": 20},
+    ], ids=["convex", "nonconvex", "nonconvex-T-None", "csv"])
+    def test_pooled_records_equal_in_process(self, overrides, workers, tmp_path):
+        if overrides.pop("csv", False):
+            overrides["dataset"] = _csv_dataset(tmp_path)
+        spec = small_spec(**overrides | {"trials": 3})
+        groups = len(spec.target_sizes) * spec.trials
+        lines = {}
+        for count in (1, 2):
+            outside = workers(count)
+            lines[count] = [json.dumps(r) for r in run_sweep(spec).records]
+            assert outside.value == (groups if count > 1 else 0)
+        assert lines[2] == lines[1]
+
+    def test_worker_warnings_reach_caller(self, workers):
+        # two groups, each raising the mu warning once, as in
+        # test_smoothness_warning_once_per_cell
+        seen = {}
+        for count in (1, 2):
+            workers(count)
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                run_sweep(small_spec(**MU_WARNS | {"trials": 2}))
+            seen[count] = [(w.category, w.filename, w.lineno) for w in record
+                           if "mu exceeds" in str(w.message)]
+            assert len(seen[count]) == 2
+        assert seen[2] == seen[1]
+        assert seen[1][0][1].endswith("nonconvex_solver.py")  # the solver's call site
+
+    def test_sweep_in_a_daemonic_worker_runs_in_process(self):
+        # a multiprocessing.Pool worker may not start children
+        with multiprocessing.get_context("fork").Pool(1) as outer:
+            assert outer.apply(_record_count, (small_spec(trials=3),)) == 6
+
+    def test_failing_group_names_its_cell(self, workers, monkeypatch):
+        workers(2)
+        original = harness._run_group
+
+        def fail_second_trial(spec, base, n, n_idx, trial):
+            if trial >= 1:
+                raise ArithmeticError(f"boom {trial}")
+            return original(spec, base, n, n_idx, trial)
+        monkeypatch.setattr(harness, "_run_group", fail_second_trial)
+        with pytest.raises(SweepCellError) as exc_info:
+            run_sweep(small_spec(trials=4))
+        # the first failing group in (n, trial) order, with its cause
+        assert exc_info.value.key == (1.0, 30, 1)
+        assert isinstance(exc_info.value.cause, ArithmeticError)
+        assert str(exc_info.value.cause) == "boom 1"
+
+
+class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness.sys, "platform", "linux")
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+
+    @pytest.mark.parametrize("env, groups, expected", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 45, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 45, 2),
+        ({"OMP_NUM_THREADS": "2"}, 45, 2),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 45, 1),
+        ({}, 45, 1),  # OpenBLAS's default: one thread per CPU
+        ({"OPENBLAS_NUM_THREADS": "many"}, 45, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 45, 1),
+    ])
+    def test_processes_times_blas_threads_fit_the_cpus(self, monkeypatch, env, groups,
+                                                       expected):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert harness._worker_count(groups) == expected
+
+    def test_in_process_off_linux(self, monkeypatch):
+        monkeypatch.setattr(harness.sys, "platform", "darwin")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert harness._worker_count(45) == 1
+
+
+def test_sweep_cell_error_pickles():
+    err = SweepCellError(math.inf, 30, 2, ValueError("bad cell"))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is SweepCellError
+    assert back.key == (math.inf, 30, 2)
+    assert type(back.cause) is ValueError and str(back.cause) == "bad cell"
+    assert str(back) == str(err)
 
 
 class TestRawDHat:
@@ -467,12 +612,52 @@ class TestCli:
         parsed = read_results(str(out_path))
         assert len(parsed.records) == 2
 
-    def test_sweep_command_failure(self, tmp_path, capsys):
-        cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": [5],
-               "trials": 1, "master_seed": 0,
-               "csv": {"path": str(tmp_path / "missing.csv")}}
+    def _sweep(self, tmp_path, cfg):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(cfg))
-        assert cli.main(["sweep", "--spec", str(spec_path),
-                         "--out", str(tmp_path / "o.jsonl")]) == 1
-        assert "sweep failed" in capsys.readouterr().err
+        return cli.main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.jsonl")])
+
+    def test_sweep_command_failure(self, tmp_path, capsys):
+        # a failing cell: the CSV pool is smaller than the held-out test split
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 20, 25, derive_rng(3, "csv"))
+        write_csv(data, str(tmp_path / "tiny.csv"))
+        cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": [10],
+               "trials": 2, "master_seed": 0, "T": 5, "test_size": 30,
+               "csv": {"path": str(tmp_path / "tiny.csv")}}
+        assert self._sweep(tmp_path, cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sweep failed: sweep cell (epsilon=1.0, n=10, trial=0)")
+        assert "test split" in err
+
+    @pytest.mark.parametrize("cfg", [
+        {"csv": {"path": "missing.csv"}},  # relative to tmp_path below
+        {"csv": {"path": "empty.csv"}},
+        {"synthetic": {"d": 2}, "epsilons": [0.0]},
+        {"synthetic": {"d": 2}, "trials": None},
+    ], ids=["missing-csv", "empty-csv", "bad-epsilon", "missing-key"])
+    def test_sweep_input_errors_exit_2(self, tmp_path, capsys, cfg):
+        (tmp_path / "empty.csv").write_text("")
+        cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": [5], "trials": 1,
+               "master_seed": 0} | cfg
+        if "csv" in cfg:
+            cfg["csv"] = {"path": str(tmp_path / cfg["csv"]["path"])}
+        if cfg["trials"] is None:
+            del cfg["trials"]
+        assert self._sweep(tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("privadapt: error: ") and err.count("\n") == 1
+
+    @linux_only
+    def test_sweep_dead_worker_exits_1(self, tmp_path, capsys, workers, monkeypatch):
+        workers(2)
+        parent = os.getpid()
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+        monkeypatch.setattr(harness, "_run_group", die_in_worker)
+        cfg = {"synthetic": {"d": 2}, "algorithm": "convex", "epsilons": [1.0],
+               "target_sizes": [30], "trials": 2, "master_seed": 0, "T": 5, "m": 40,
+               "test_size": 20}
+        assert self._sweep(tmp_path, cfg) == 1
+        assert capsys.readouterr().err.startswith("sweep failed: ")
