@@ -37,30 +37,4 @@ from .data_io import DatasetManifest, SyntheticShiftSpec, generate_synthetic, lo
 from .harness import SweepSpec, run_sweep, emit_results
 from .mechanisms import derive_rng, privatize_discrepancy
 
-__all__ = [
-    "AdaptDataset",
-    "AdaptationResult",
-    "FeasiblePoint",
-    "LossModel",
-    "PrivacyBudget",
-    "RegularizerConfig",
-    "non_private",
-    "ConvexRunConfig",
-    "fit_convex",
-    "NonConvexRunConfig",
-    "fit_nonconvex",
-    "fit_baseline",
-    "discrepancy_dca",
-    "discrepancy_grid",
-    "DatasetManifest",
-    "SyntheticShiftSpec",
-    "generate_synthetic",
-    "load_dataset",
-    "SweepSpec",
-    "run_sweep",
-    "emit_results",
-    "derive_rng",
-    "privatize_discrepancy",
-]
-
 __version__ = "0.1.0"

@@ -99,13 +99,10 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
     u_pub = np.full(data.m, data.m / alpha) if alpha > 0 else np.full(data.m, np.inf)
     point = FeasiblePoint(w, u_pub,
                           np.full(data.n, data.n / (1.0 - alpha)))
-    eps_spent = budget.epsilon_opt if (budget and kind == TARGET_ONLY_DP) else math.inf
-    delta_spent = budget.delta if (budget and kind == TARGET_ONLY_DP
-                                   and budget.is_private) else 0.0
     return AdaptationResult(
         point=point,
         objective_value=weighted_loss(model, data, w, np.full(data.m, c_pub),
                                       np.full(data.n, c_priv)),
-        privacy_spent=(eps_spent, delta_spent),
+        privacy_spent=budget.spent if kind == TARGET_ONLY_DP else (math.inf, 0.0),
         T_used=T,
     )

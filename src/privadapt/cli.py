@@ -28,9 +28,7 @@ from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex
 
 
 def _parse_epsilon(s: str) -> float:
-    if s in ("inf", "Infinity"):
-        return math.inf
-    v = float(s)
+    v = float(s)  # reads "inf" and "Infinity" too
     if v <= 0:
         raise argparse.ArgumentTypeError("epsilon must be positive or 'inf'")
     return v

@@ -23,34 +23,46 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class ConvexObjectiveContext:
+class ObjectiveContext:
+    """The data, released discrepancy, hyperparameters and loss of one
+    adaptation objective, convex or non-convex."""
+
     data: AdaptDataset
     d_dp: float
     config: RegularizerConfig
     model: LossModel
 
     def __post_init__(self):
-        if self.model.kind != SQUARED:
-            raise ValueError("the convex objective requires the squared loss")
         if not (0.0 <= self.d_dp <= self.model.B + 1e-9):
             raise ValueError("d_dp must lie in [0, B]")
         self.data.check_feature_bound(self.model.r)
 
 
-def check_feasible(ctx, p: FeasiblePoint):
-    """Raise ValueError unless p lies in the feasible set of the objective
-    context ``ctx`` (convex or non-convex)."""
+class ConvexObjectiveContext(ObjectiveContext):
+    def __post_init__(self):
+        if self.model.kind != SQUARED:
+            raise ValueError("the convex objective requires the squared loss")
+        super().__post_init__()
+
+
+def check_feasible(ctx: ObjectiveContext, p: FeasiblePoint):
+    """Raise ValueError unless p lies in the feasible set of ``ctx``."""
     if not is_feasible(p, ctx.model.lam, ctx.config.alpha, ctx.data.m, ctx.data.n):
         raise ValueError("point violates the feasible set")
 
 
-def eval_F(ctx: ConvexObjectiveContext, p: FeasiblePoint) -> float:
+def weighted_loss_term(ctx: ObjectiveContext, p: FeasiblePoint) -> float:
+    """sum (loss + d_dp)/u (public) + sum loss/u (private) at a feasible p."""
     check_feasible(ctx, p)
-    cfg = ctx.config
-    m, n = ctx.data.m, ctx.data.n
     num_pub = loss_values(ctx.model, p.w, ctx.data.public_x, ctx.data.public_y) + ctx.d_dp
     num_priv = loss_values(ctx.model, p.w, ctx.data.private_x, ctx.data.private_y)
-    val = float(np.sum(num_pub / p.u_pub) + np.sum(num_priv / p.u_priv))
+    return float(np.sum(num_pub / p.u_pub) + np.sum(num_priv / p.u_priv))
+
+
+def eval_F(ctx: ConvexObjectiveContext, p: FeasiblePoint) -> float:
+    val = weighted_loss_term(ctx, p)
+    cfg = ctx.config
+    m, n = ctx.data.m, ctx.data.n
     if cfg.kappa1 > 0:
         bracket = ((cfg.alpha / m) ** 2 * p.u_pub.sum()
                    + ((1.0 - cfg.alpha) / n) ** 2 * p.u_priv.sum() - 1.0)
@@ -68,20 +80,20 @@ class GradientWorkspace:
     once and overwritten by every call.
 
     The u-blocks are laid out (E, rows), one row per problem, so the
-    elementwise passes run along the long axis; the products X @ W land
-    in (rows, E) buffers, the layout a plain BLAS call writes fastest.
+    elementwise passes run along the long axis.  The forward product
+    W^T X^T, read from the dataset's row-contiguous X^T, writes straight
+    into them: there is no product buffer and no transposing pass.
     """
 
     def __init__(self, d: int, m: int, n: int, E: int):
-        self.prod_pub, self.prod_priv = np.empty((m, E)), np.empty((n, E))
         self.g_pub, self.g_priv = np.empty((E, m)), np.empty((E, n))
         self.g_w, self.g_w_priv = np.empty((d, E)), np.empty((d, E))
 
 
-def _residual_over_u(X, y, W, U, prod, out):
+def _residual_over_u(X, y, W, U, out):
     """(x.w - y) / u for every problem, into ``out`` (E, rows)."""
-    np.matmul(X, W, out=prod)
-    np.subtract(prod.T, y, out=out)  # the transpose rides on the residual pass
+    np.matmul(W.T, X.T, out=out)
+    out -= y
     out /= U
     return out
 
@@ -96,25 +108,26 @@ def block_gradient(data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray,
     U_priv (E, n), with discrepancy d_dp[j]; each result has the shape of
     its block.  With q = (x.w - y)/u, g_w = 2 X^T q and
     g_u = -(q^2 + d_dp/u^2) on the public block, -q^2 on the private one,
-    plus the regularizer terms.  The kappa_inf subgradient puts full mass
+    plus the regularizer terms.  Every pass over a u-block runs on a
+    C-contiguous (E, rows) array.  The kappa_inf subgradient puts full mass
     on the lowest-index minimizer of u over the concatenated (u_pub, u_priv)
     row.
     """
     m, n = data.m, data.n
     if ws is None:
         ws = GradientWorkspace(data.d, m, n, W.shape[1])
-    q_pub = _residual_over_u(data.public_x, data.public_y, W, U_pub, ws.prod_pub, ws.g_pub)
-    q_priv = _residual_over_u(data.private_x, data.private_y, W, U_priv,
-                              ws.prod_priv, ws.g_priv)
+    q_pub = _residual_over_u(data.public_x, data.public_y, W, U_pub, ws.g_pub)
+    q_priv = _residual_over_u(data.private_x, data.private_y, W, U_priv, ws.g_priv)
     g_w = np.matmul(data.public_x.T, q_pub.T, out=ws.g_w)
     g_w += np.matmul(data.private_x.T, q_priv.T, out=ws.g_w_priv)
     g_w *= 2.0
 
-    # the product buffer is free once the residual is taken
-    dp = np.divide(d_dp[:, None], U_pub, out=ws.prod_pub.reshape(U_pub.shape))
-    dp /= U_pub
+    # q^2 + d_dp/u^2 = ((q u)^2 + d_dp) / u^2, formed in place
+    q_pub *= U_pub
     q_pub *= q_pub
-    q_pub += dp
+    q_pub += d_dp[:, None]
+    q_pub /= U_pub
+    q_pub /= U_pub
     q_priv *= q_priv
     # g_u = kappa1 c - numerator / u^2, negated in the same pass
     g_pub = np.subtract(cfg.kappa1 * (cfg.alpha / m) ** 2, q_pub, out=q_pub)
@@ -165,16 +178,3 @@ def project(w: np.ndarray, u_pub: np.ndarray, u_priv: np.ndarray,
     project_columns(*cols, lam, alpha, m, n)
     return FeasiblePoint(*(c[:, 0] for c in cols))
 
-
-def gradient_bounds(ctx: ConvexObjectiveContext):
-    """Uniform bounds on the three block-gradient norms over the feasible
-    set: (G, alpha^2 (B + Bbar) / m^{3/2}, (1-alpha)^2 Bbar / n^{3/2})."""
-    cfg = ctx.config
-    B = ctx.model.B
-    b_bar = cfg.b_bar(B)
-    m, n = ctx.data.m, ctx.data.n
-    return (
-        ctx.model.G,
-        cfg.alpha ** 2 * (B + b_bar) / m ** 1.5,
-        (1.0 - cfg.alpha) ** 2 * b_bar / n ** 1.5,
-    )

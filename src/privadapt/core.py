@@ -20,12 +20,38 @@ def _as_matrix(x) -> np.ndarray:
     return a
 
 
+def sample_major(x: np.ndarray) -> np.ndarray:
+    """x in the ``AdaptDataset`` feature layout: itself, or one copy."""
+    return x if x.strides[0] == x.itemsize else np.ascontiguousarray(x.T).T
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each row of x, with the same bits in either layout."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, order="C"), axis=1))
+
+
+def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x[rows] for an index array, gathered column by column straight into
+    the ``AdaptDataset`` feature layout; x, in any layout, is never copied
+    whole, so a strided view of a parsed file costs no extra copy."""
+    out = np.empty((x.shape[1], len(rows)))
+    for column, row in zip(x.T, out):
+        row[...] = column[rows]
+    return out.T
+
+
 @dataclass(frozen=True)
 class AdaptDataset:
     """A labeled public sample of size m and a labeled private sample of size n.
 
     Feature rows share dimension d and labels lie in [-1, 1]
     (classification labels are encoded as -1/+1).
+
+    Features are stored sample-major: each (rows, d) array has unit stride
+    along the sample axis, so X.T is a row-contiguous (d, rows) view that
+    the gradient products read without a transpose.  Other input is copied
+    once into that layout here; the constructors in ``data_io`` and
+    ``harness`` build it with ``sample_major`` and ``take_rows`` instead.
     """
 
     public_x: np.ndarray
@@ -34,8 +60,8 @@ class AdaptDataset:
     private_y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "public_x", _as_matrix(self.public_x))
-        object.__setattr__(self, "private_x", _as_matrix(self.private_x))
+        object.__setattr__(self, "public_x", sample_major(_as_matrix(self.public_x)))
+        object.__setattr__(self, "private_x", sample_major(_as_matrix(self.private_x)))
         object.__setattr__(self, "public_y", np.asarray(self.public_y, dtype=float).ravel())
         object.__setattr__(self, "private_y", np.asarray(self.private_y, dtype=float).ravel())
         if self.public_x.shape[0] < 1 or self.private_x.shape[0] < 1:
@@ -66,12 +92,7 @@ class AdaptDataset:
         return self.public_x.shape[1]
 
     def max_feature_norm(self) -> float:
-        return float(
-            max(
-                np.linalg.norm(self.public_x, axis=1).max(),
-                np.linalg.norm(self.private_x, axis=1).max(),
-            )
-        )
+        return float(max(row_norms(self.public_x).max(), row_norms(self.private_x).max()))
 
     def check_feature_bound(self, r: float, tol: float = 1e-9):
         if self.max_feature_norm() > r + tol:
@@ -175,11 +196,6 @@ class FeasiblePoint:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.w, self.u_pub, self.u_priv])
 
-    @staticmethod
-    def from_vector(v: np.ndarray, d: int, m: int, n: int) -> "FeasiblePoint":
-        v = np.asarray(v, dtype=float).ravel()
-        return FeasiblePoint(v[:d], v[d:d + m], v[d + m:d + m + n])
-
 
 def is_feasible(p: FeasiblePoint, lam: float, alpha: float, m: int, n: int,
                 tol: float = 1e-9) -> bool:
@@ -223,14 +239,10 @@ class PrivacyBudget:
 
     @property
     def epsilon_disc(self) -> float:
-        if math.isinf(self.epsilon_total):
-            return math.inf
-        return self.disc_fraction * self.epsilon_total
+        return self.disc_fraction * self.epsilon_total  # inf stays inf
 
     @property
     def epsilon_opt(self) -> float:
-        if math.isinf(self.epsilon_total):
-            return math.inf
         return (1.0 - self.disc_fraction) * self.epsilon_total
 
     @property

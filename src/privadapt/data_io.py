@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdaptDataset
+from .core import AdaptDataset, row_norms, sample_major, take_rows
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,13 @@ def generate_synthetic(spec: SyntheticShiftSpec, m: int, n: int,
     # Rescale globally so every row respects the bounded-norm geometry.
     top = max(np.linalg.norm(xs, axis=1).max(), np.linalg.norm(xt, axis=1).max())
     if top > spec.r:
-        xs = xs * (spec.r / top)
-        xt = xt * (spec.r / top)
+        xs *= spec.r / top  # both are fresh draws
+        xt *= spec.r / top
+    # each draw is labelled, then copied into the dataset layout and freed
     ys = _labels(spec, xs, w_star, rng)
+    xs = sample_major(xs)
     yt = _labels(spec, xt, w_star, rng)
+    xt = sample_major(xt)
     return AdaptDataset(xs, ys, xt, yt), w_star
 
 
@@ -182,15 +185,16 @@ def load_dataset(manifest: DatasetManifest) -> AdaptDataset:
     src = domains == "source"
     if not src.any() or src.all():
         raise ValueError(f"{path}: need at least one source and one target row")
-    xs, ys = num[src, :-1], num[src, -1]
-    xt, yt = num[~src, :-1], num[~src, -1]
+    src, tgt = np.flatnonzero(src), np.flatnonzero(~src)
+    xs, ys = take_rows(num[:, :-1], src), num[src, -1]
+    xt, yt = take_rows(num[:, :-1], tgt), num[tgt, -1]
     del num, domains  # free the parsed rows before the passes below (peak memory)
-    top = max(np.linalg.norm(xs, axis=1).max(), np.linalg.norm(xt, axis=1).max())
+    top = max(row_norms(xs).max(), row_norms(xt).max())
     if top == 0:
         raise ValueError(f"{path}: every feature row is zero, so no rescaling "
                          "can meet the feature-norm bound")
     scale = manifest.r_target / top
-    xs *= scale  # both are copies made by the indexing above
+    xs *= scale  # both are copies made by take_rows
     xt *= scale
     clipped = int((np.abs(ys) > 1).sum() + (np.abs(yt) > 1).sum())
     if clipped:
@@ -206,7 +210,7 @@ def resample_target(data: AdaptDataset, n_new: int,
         raise ValueError("n_new must be >= 1")
     idx = rng.integers(0, data.n, size=n_new)
     return AdaptDataset(data.public_x, data.public_y,
-                        data.private_x[idx], data.private_y[idx])
+                        take_rows(data.private_x, idx), data.private_y[idx])
 
 
 def write_csv(data: AdaptDataset, path: str) -> None:

@@ -13,22 +13,14 @@ data draw, the raw discrepancy and the reference fit are made once per
 grouped path: the cells that share T and a stream state run as one
 batched solve on the shared noisy-PGD engine (``fit_convex_columns`` or
 ``fit_nonconvex_columns``), which the common random numbers make exact.
-That solve holds one problem per epsilon and allocates its buffers once;
-the squared-loss reference fit forms the Gram matrix of the target sample
-once and then steps in d x d.  Records still come out in
-(epsilon, n, trial) order.
+Records still come out in (epsilon, n, trial) order.
 
 Each (n, trial) group is a pure function of its keyed streams, so the
-groups of one sweep run on forked worker processes, one pool per sweep.
-The workers inherit the spec and a loaded CSV dataset through fork; each
-task returns only its records and the warnings it raised, which the
-caller re-emits in (n, trial) order.  The pool has min(groups, CPUs //
-BLAS threads) workers, the BLAS threads read from OPENBLAS_NUM_THREADS,
-then OMP_NUM_THREADS, else OpenBLAS's own default of one per CPU, so
-processes x BLAS threads never exceed the CPUs.  A sweep runs in process
-when that count is 1 (so with neither variable set), when it has one
-group, off Linux, or in a daemonic process.  Either way the records are
-the same bytes.
+groups of one sweep run on forked worker processes, one pool per sweep
+(``_worker_count`` sizes it, or runs the sweep in process).  The workers
+inherit the spec and a loaded CSV dataset through fork; each task returns
+only its records and the warnings it raised, which the caller re-emits in
+(n, trial) order.  Either way the records are the same bytes.
 """
 
 from __future__ import annotations
@@ -55,6 +47,7 @@ from .core import (
     PrivacyBudget,
     RegularizerConfig,
     SQUARED,
+    take_rows,
 )
 from .data_io import (
     DatasetManifest,
@@ -146,9 +139,9 @@ def _cell_data(spec: SweepSpec, base: AdaptDataset | None, n: int,
         perm = rng.permutation(base.n)
         test_idx, pool_idx = perm[:spec.test_size], perm[spec.test_size:]
         pool = AdaptDataset(base.public_x, base.public_y,
-                            base.private_x[pool_idx], base.private_y[pool_idx])
+                            take_rows(base.private_x, pool_idx), base.private_y[pool_idx])
         train = resample_target(pool, n, rng)
-        test_x, test_y = base.private_x[test_idx], base.private_y[test_idx]
+        test_x, test_y = take_rows(base.private_x, test_idx), base.private_y[test_idx]
     return train, test_x, test_y
 
 
@@ -209,22 +202,18 @@ def _solve_grouped(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
     Every finite-epsilon stream has taken one Laplace draw, so all stand in
     the same state and the last serves its group.  An epsilon = inf column
     draws no noise, so it joins a convex group; a non-convex run draws t*
-    first, so there it runs alone.  With T = None the non-convex T of a
-    cell depends on its epsilon only, so those cells group by epsilon.
+    first, so there it runs alone.  With T = None a finite cell takes its
+    analytic T (a non-convex one's depends on its epsilon only, so those
+    cells group by epsilon), and an epsilon = inf cell the largest T of its
+    finite cells: only a sweep without one takes the analytic ceiling.
     """
     convex = spec.algorithm == CONVEX
     fit = fit_convex_columns if convex else fit_nonconvex_columns
-    groups: dict = {}
-    for i, budget in enumerate(budgets):
-        if convex:
-            key = convex_T(spec.T, budget, train, spec.reg, spec.model)
-        else:
-            key = budget.is_private if spec.T is not None else budget.epsilon_opt
-        groups.setdefault(key, []).append(i)
     results = [None] * len(budgets)
-    for key, idx in groups.items():
+
+    def solve(idx: list, T: int | None):
         finite = [i for i in idx if budgets[i].is_private]
-        run = ConvexRunConfig(T=key) if convex else NonConvexRunConfig(T=spec.T)
+        run = ConvexRunConfig(T=T) if convex else NonConvexRunConfig(T=T)
         try:
             group = fit(train, [(budgets[i], d_dps[i]) for i in idx], spec.reg, run,
                         spec.model, rng=rngs[finite[-1] if finite else idx[0]])
@@ -232,6 +221,25 @@ def _solve_grouped(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
             raise SweepCellError(spec.epsilons[idx[0]], n, trial, exc) from exc
         for i, result in zip(idx, group):
             results[i] = result
+
+    private = [i for i, budget in enumerate(budgets) if budget.is_private]
+    public = [i for i, budget in enumerate(budgets) if not budget.is_private]
+    groups: dict = {}
+    for i in private:
+        if convex:
+            key = convex_T(spec.T, budgets[i], train, spec.reg, spec.model)
+        else:  # fit_nonconvex_columns resolves T = None from the epsilon
+            key = spec.T or budgets[i].epsilon_opt
+        groups.setdefault(key, []).append(i)
+    if convex and public:
+        T = max(groups) if groups and spec.T is None else convex_T(
+            spec.T, budgets[public[0]], train, spec.reg, spec.model)
+        groups[T] = sorted(groups.get(T, []) + public)
+    for key, idx in groups.items():
+        solve(idx, key if convex else spec.T)
+    if public and not convex:
+        solve(public, spec.T if spec.T is not None or not private
+              else max(results[i].T_used for i in private))
     return results
 
 
@@ -315,9 +323,11 @@ def _inherited_group(key: tuple):
 
 def _worker_count(groups: int) -> int:
     """Worker processes for a sweep of this many groups: min(groups, CPUs //
-    BLAS threads), or 1 (run in process) off Linux, where fork is
-    unavailable or unsafe, and in a daemonic process (a multiprocessing.Pool
-    worker, say), which may not start children."""
+    BLAS threads), so processes x BLAS threads never exceed the CPUs, or 1
+    (run in process) off Linux, where fork is unavailable or unsafe, and in
+    a daemonic process (a multiprocessing.Pool worker, say), which may not
+    start children.  The BLAS threads are read from OPENBLAS_NUM_THREADS,
+    then OMP_NUM_THREADS."""
     if sys.platform != "linux":
         return 1
     mp = sys.modules.get("multiprocessing")  # loaded in any such daemon
@@ -433,8 +443,7 @@ def spec_from_config(cfg: dict) -> SweepSpec:
                       r=model_cfg.get("r", 1.0),
                       lam=model_cfg.get("lam", 1.0))
     reg = RegularizerConfig(**cfg.get("reg", {}))
-    epsilons = [math.inf if e in ("inf", "Infinity") else float(e)
-                for e in cfg["epsilons"]]
+    epsilons = [float(e) for e in cfg["epsilons"]]  # float reads "inf" and "Infinity"
     kwargs = {k: cfg[k] for k in ("metric", "delta", "disc_fraction", "T",
                                   "baseline_T", "d_hat", "m", "test_size")
               if k in cfg}

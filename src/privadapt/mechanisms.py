@@ -68,8 +68,8 @@ def calibrate(budget: PrivacyBudget, alpha: float, G: float, B: float,
         raise ValueError("T must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("alpha must lie in [0, 1)")
+    if not (0.0 < alpha < 1.0):  # the bound RegularizerConfig enforces
+        raise ValueError("alpha must lie in (0, 1)")
     if budget.delta >= 3.0:
         raise ValueError("delta must satisfy ln(3/delta) > 0")
     s1 = 2.0 * (1.0 - alpha) * G / n

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,23 +17,14 @@ from .core import (
     FeasiblePoint,
     LossModel,
     RegularizerConfig,
-    loss_values,
     score_loss_and_slope,
 )
-from .convex_objective import check_feasible, project
+from .convex_objective import ObjectiveContext, check_feasible, project, weighted_loss_term
 
 
-@dataclass(frozen=True)
-class NonConvexContext:
-    data: AdaptDataset
-    d_dp: float
-    config: RegularizerConfig
-    model: LossModel
-
+class NonConvexContext(ObjectiveContext):
     def __post_init__(self):
-        if not (0.0 <= self.d_dp <= self.model.B + 1e-9):
-            raise ValueError("d_dp must lie in [0, B]")
-        self.data.check_feature_bound(self.model.r)
+        super().__post_init__()
         m, n = self.data.m, self.data.n
         mu = self.config.softmax_mu(m, n)
         if mu > (m + n) ** (2.0 / 3.0):
@@ -57,12 +47,9 @@ def softmax_of_reciprocals(u: np.ndarray, mu: float) -> float:
 
 
 def eval_J(ctx: NonConvexContext, p: FeasiblePoint) -> float:
-    check_feasible(ctx, p)
+    val = weighted_loss_term(ctx, p)
     cfg = ctx.config
-    num_pub = loss_values(ctx.model, p.w, ctx.data.public_x, ctx.data.public_y) + ctx.d_dp
-    num_priv = loss_values(ctx.model, p.w, ctx.data.private_x, ctx.data.private_y)
     inv_u = np.concatenate([1.0 / p.u_pub, 1.0 / p.u_priv])
-    val = float(np.sum(num_pub / p.u_pub) + np.sum(num_priv / p.u_priv))
     if cfg.lambda1 > 0:
         val += cfg.lambda1 * (1.0 - inv_u.sum())
     if cfg.lambda2 > 0:
@@ -81,11 +68,13 @@ def block_grad_J(data: AdaptDataset, cfg: RegularizerConfig, model: LossModel,
 
     g_w = X^T (slope/u) and g_u = (lambda1 - numerator - lambda2 (1/u) / root
     - lambda_inf softmax) / u^2, with the root and the softmax of 1/u taken
-    along each problem's (u_pub, u_priv) row.  The engine keeps the iterates
-    feasible, so nothing is checked here.
+    along each problem's (u_pub, u_priv) row.  The scores W^T X^T are
+    formed from the dataset's contiguous X^T, so the loss, the slope and
+    every later pass run on C-contiguous (E, rows) arrays.  The engine keeps
+    the iterates feasible, so nothing is checked here.
     """
-    num_pub, slope_pub = score_loss_and_slope(model, (data.public_x @ W).T, data.public_y)
-    num_priv, slope_priv = score_loss_and_slope(model, (data.private_x @ W).T,
+    num_pub, slope_pub = score_loss_and_slope(model, W.T @ data.public_x.T, data.public_y)
+    num_priv, slope_priv = score_loss_and_slope(model, W.T @ data.private_x.T,
                                                 data.private_y)
     num_pub += d_dp[:, None]
     inv_pub, inv_priv = 1.0 / U_pub, 1.0 / U_priv

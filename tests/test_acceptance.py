@@ -21,7 +21,6 @@ from privadapt.convex_objective import (
     ConvexObjectiveContext,
     eval_F,
     grad_F,
-    gradient_bounds,
 )
 from privadapt.convex_solver import ConvexRunConfig, fit_convex
 from privadapt.core import (
@@ -49,7 +48,9 @@ from privadapt.nonconvex_objective import (
 )
 from privadapt.nonconvex_solver import NonConvexRunConfig, fit_nonconvex
 from tests.test_convex_objective import (
+    gradient_bounds,
     numeric_grad,
+    point_from_vector,
     random_dataset,
     random_feasible_point,
 )
@@ -86,7 +87,7 @@ def test_gradients_match_finite_differences_at_scale():
             continue
         g = np.concatenate(grad_F(ctx, p))
         fd = numeric_grad(
-            lambda v: eval_F(ctx, FeasiblePoint.from_vector(v, d, m, n)),
+            lambda v: eval_F(ctx, point_from_vector(v, d, m, n)),
             p.as_vector())
         assert np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-8) <= 1e-5
         checked += 1
@@ -110,7 +111,7 @@ def test_gradients_match_finite_differences_at_scale():
             continue
         g = np.concatenate(grad_J(ctx, p))
         fd = numeric_grad(
-            lambda v: eval_J(ctx, FeasiblePoint.from_vector(v, d, m, n)),
+            lambda v: eval_J(ctx, point_from_vector(v, d, m, n)),
             p.as_vector())
         assert np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-8) <= 1e-5
         checked += 1
@@ -180,7 +181,7 @@ def test_weighted_objective_midpoint_convex():
         ctx = ConvexObjectiveContext(data, rng.uniform(0, 2), cfg, SQ)
         p1 = random_feasible_point(rng, SQ, cfg.alpha, m, n, d)
         p2 = random_feasible_point(rng, SQ, cfg.alpha, m, n, d)
-        mid = FeasiblePoint.from_vector((p1.as_vector() + p2.as_vector()) / 2,
+        mid = point_from_vector((p1.as_vector() + p2.as_vector()) / 2,
                                         d, m, n)
         assert eval_F(ctx, mid) <= (eval_F(ctx, p1) + eval_F(ctx, p2)) / 2 + 1e-9
 

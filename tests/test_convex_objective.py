@@ -14,7 +14,6 @@ from privadapt.convex_objective import (
     ConvexObjectiveContext,
     eval_F,
     grad_F,
-    gradient_bounds,
     project,
 )
 
@@ -157,6 +156,27 @@ def random_feasible_point(rng, model, alpha, m, n, d, spread=10.0):
     return FeasiblePoint(w, u_pub, u_priv)
 
 
+def point_from_vector(v, d, m, n):
+    """The FeasiblePoint whose as_vector() is v."""
+    v = np.asarray(v, dtype=float).ravel()
+    return FeasiblePoint(v[:d], v[d:d + m], v[d + m:d + m + n])
+
+
+def gradient_bounds(ctx):
+    """Uniform bounds on the three block-gradient norms of the convex
+    objective over the feasible set: (G, alpha^2 (B + Bbar) / m^{3/2},
+    (1-alpha)^2 Bbar / n^{3/2})."""
+    cfg = ctx.config
+    B = ctx.model.B
+    b_bar = cfg.b_bar(B)
+    m, n = ctx.data.m, ctx.data.n
+    return (
+        ctx.model.G,
+        cfg.alpha ** 2 * (B + b_bar) / m ** 1.5,
+        (1.0 - cfg.alpha) ** 2 * b_bar / n ** 1.5,
+    )
+
+
 def numeric_grad(f, v, h=1e-6):
     out = np.zeros_like(v)
     for j in range(v.size):
@@ -188,7 +208,7 @@ def test_grad_matches_finite_differences():
         g = np.concatenate(grad_F(ctx, p))
 
         def f(v):
-            return eval_F(ctx, FeasiblePoint.from_vector(v, d, m, n))
+            return eval_F(ctx, point_from_vector(v, d, m, n))
 
         fd = numeric_grad(f, p.as_vector())
         assert np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-8) <= 1e-5
@@ -207,7 +227,7 @@ def test_midpoint_convexity():
         ctx = ConvexObjectiveContext(data, rng.uniform(0, 2), cfg, model)
         p1 = random_feasible_point(rng, model, cfg.alpha, m, n, d)
         p2 = random_feasible_point(rng, model, cfg.alpha, m, n, d)
-        mid = FeasiblePoint.from_vector((p1.as_vector() + p2.as_vector()) / 2, d, m, n)
+        mid = point_from_vector((p1.as_vector() + p2.as_vector()) / 2, d, m, n)
         assert eval_F(ctx, mid) <= (eval_F(ctx, p1) + eval_F(ctx, p2)) / 2 + 1e-9
 
 

@@ -16,6 +16,7 @@ from privadapt.core import (
     non_private,
     reference_point,
 )
+from tests.test_convex_objective import point_from_vector
 
 SQ = LossModel("squared", r=1.0, lam=1.0)
 LG = LossModel("logistic", r=1.0, lam=1.0)
@@ -223,7 +224,7 @@ class TestFeasibility:
 
     def test_vector_round_trip(self):
         p = FeasiblePoint([0.1, -0.2], [6.0, 7.0], [8.0])
-        q = FeasiblePoint.from_vector(p.as_vector(), 2, 2, 1)
+        q = point_from_vector(p.as_vector(), 2, 2, 1)
         assert q.w == pytest.approx(p.w)
         assert q.u_pub == pytest.approx(p.u_pub)
         assert q.u_priv == pytest.approx(p.u_priv)

@@ -13,6 +13,7 @@ import pytest
 
 from privadapt import cli, harness
 from privadapt.baselines import fit_baseline
+from privadapt.convex_solver import DEFAULT_T_CEILING
 from privadapt.core import LossModel, RegularizerConfig
 from privadapt.data_io import (
     DatasetManifest,
@@ -216,6 +217,25 @@ class TestRunSweep:
         for got, want in zip(batched, alone):
             assert got["metric_value"] == pytest.approx(want["metric_value"], rel=1e-10)
             assert got["objective_value"] == pytest.approx(want["objective_value"], rel=1e-10)
+
+    @pytest.mark.parametrize("overrides", [{}, NONCONVEX])
+    def test_infinite_epsilon_takes_the_finite_cells_T(self, overrides):
+        # with T = None an epsilon = inf cell used to take the 200 000-step
+        # ceiling; it now takes the T of the finite cells of its (n, trial)
+        records = run_sweep(small_spec(**overrides | {"T": None, "trials": 1})).records
+        assert [r["epsilon"] for r in records] == [1.0, math.inf]
+        assert records[0]["T_used"] == records[1]["T_used"] < DEFAULT_T_CEILING
+
+    def test_without_finite_epsilon_inf_keeps_the_ceiling(self, monkeypatch):
+        steps = []
+
+        def record_T(data, columns, reg, run, model, rng=None):
+            steps.append(run.T)
+            raise ArithmeticError("stop before the ceiling's steps")
+        monkeypatch.setattr(harness, "fit_convex_columns", record_T)
+        with pytest.raises(SweepCellError):
+            run_sweep(small_spec(epsilons=[math.inf], T=None, trials=1))
+        assert steps == [DEFAULT_T_CEILING]
 
     def test_cell_error_names_the_failing_epsilon(self, monkeypatch):
         from privadapt import harness

@@ -110,6 +110,13 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(PrivacyBudget(1.0, 0.99), 0.5, 1.0, 1.0, 10, 0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_rejects_alpha_outside_open_interval(self, alpha):
+        # the open interval RegularizerConfig requires; alpha = 0 would put
+        # no weight on the public sample
+        with pytest.raises(ValueError, match="alpha"):
+            calibrate(PrivacyBudget(1.0, 0.1), alpha, 1.0, 1.0, 10, 4)
+
     def test_rejects_delta_ge_3(self):
         # delta >= 3 cannot be built via PrivacyBudget; exercise via a stub
         class FakeBudget:

@@ -21,6 +21,7 @@ from privadapt.nonconvex_objective import (
 )
 from tests.test_convex_objective import (
     numeric_grad,
+    point_from_vector,
     random_dataset,
     random_feasible_point,
 )
@@ -141,7 +142,7 @@ class TestGradJ:
             g = np.concatenate(grad_J(ctx, p))
 
             def f(v):
-                return eval_J(ctx, FeasiblePoint.from_vector(v, d, m, n))
+                return eval_J(ctx, point_from_vector(v, d, m, n))
 
             fd = numeric_grad(f, p.as_vector())
             assert np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-8) <= 1e-5
