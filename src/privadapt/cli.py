@@ -22,7 +22,14 @@ from .data_io import (
     write_csv,
 )
 from .discrepancy import discrepancy_dca, discrepancy_grid
-from .harness import convex_T, emit_results, raw_d_hat, run_sweep, spec_from_config
+from .harness import (
+    convex_T,
+    emit_results,
+    lane_count,
+    raw_d_hat,
+    run_sweep,
+    spec_from_config,
+)
 from .mechanisms import derive_rng, privatize_discrepancy
 from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex
 
@@ -90,7 +97,7 @@ def cmd_fit_convex(args) -> int:
                             kappa2=args.kappa2, kappa_inf=args.kappa_inf)
     T = convex_T(args.T, budget, data, reg, model)
     result = fit_convex(data, budget, reg, ConvexRunConfig(T=T, seed=args.seed),
-                        model, d_dp=d_dp, rng=rng)
+                        model, d_dp=d_dp, rng=rng, lanes=lane_count(1))
     print(json.dumps(result.to_dict() | {"d_dp": d_dp}))
     return 0
 
@@ -101,7 +108,7 @@ def cmd_fit_nonconvex(args) -> int:
                             lambda2=args.lambda2, lambda_inf=args.lambda_inf,
                             mu=args.mu)
     result = fit_nonconvex(data, budget, reg, NonConvexRunConfig(T=args.T, seed=args.seed),
-                           model, d_dp=d_dp, rng=rng)
+                           model, d_dp=d_dp, rng=rng, lanes=lane_count(1))
     print(json.dumps(result.to_dict() | {"d_dp": d_dp}))
     return 0
 

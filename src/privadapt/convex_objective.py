@@ -75,19 +75,37 @@ def eval_F(ctx: ConvexObjectiveContext, p: FeasiblePoint) -> float:
     return val
 
 
-class GradientWorkspace:
-    """Buffers for ``block_gradient`` at one (d, m, n, E) shape, allocated
-    once and overwritten by every call.
+class BlockGradient:
+    """The gradient of E objectives, split by u-block so that the public and
+    the private block can step on two processes.
 
-    The u-blocks are laid out (E, rows), one row per problem, so the
-    elementwise passes run along the long axis.  The forward product
-    W^T X^T, read from the dataset's row-contiguous X^T, writes straight
-    into them: there is no product buffer and no transposing pass.
+    Lane 0 is the public block, lane 1 the private one.  Problem j is column
+    j of W (d, E) and row j of each u-block (E, rows), with discrepancy
+    d_dp[j] on its public losses.  ``part(lane, W, U, out)`` does what the
+    lane can alone: it writes the lane's share of the w-gradient into
+    ``out[:d]`` and its per-problem reductions of U into the ``REDUCTIONS``
+    rows below, and returns its state for the finish.  Once both lanes'
+    rows are filled (``parts``, shaped (2, d + REDUCTIONS, E)), ``combine``
+    forms g_w and the cross-block terms, once a step in each process, and
+    ``finish`` the lane's u-gradient.  Every pass over a u-block runs on a
+    C-contiguous (E, rows) array.
     """
 
-    def __init__(self, d: int, m: int, n: int, E: int):
-        self.g_pub, self.g_priv = np.empty((E, m)), np.empty((E, n))
-        self.g_w, self.g_w_priv = np.empty((d, E)), np.empty((d, E))
+    REDUCTIONS = 3
+
+    def __init__(self, data: AdaptDataset, d_dp: np.ndarray):
+        self.d = data.d
+        self.blocks = ((data.public_x, data.public_y, d_dp[:, None]),
+                       (data.private_x, data.private_y, None))
+
+    def __call__(self, W: np.ndarray, U_pub: np.ndarray, U_priv: np.ndarray):
+        """(g_w, g_u_pub, g_u_priv): both lanes' parts, then their finishes."""
+        parts = np.empty((2, self.d + self.REDUCTIONS, W.shape[1]))
+        us = (U_pub, U_priv)
+        states = [self.part(lane, W, U, parts[lane]) for lane, U in enumerate(us)]
+        g_w = np.empty_like(W)
+        shared = self.combine(parts, g_w)
+        return g_w, *(self.finish(lane, us[lane], shared, states[lane]) for lane in (0, 1))
 
 
 def _residual_over_u(X, y, W, U, out):
@@ -98,83 +116,93 @@ def _residual_over_u(X, y, W, U, out):
     return out
 
 
-def block_gradient(data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray,
-                   W: np.ndarray, U_pub: np.ndarray, U_priv: np.ndarray,
-                   ws: GradientWorkspace | None = None):
-    """Block gradients (g_w, g_u_pub, g_u_priv) of E squared-loss objectives
-    at once, written into the workspace ``ws`` (a fresh one if None).
+class ConvexGradient(BlockGradient):
+    """Block gradients of E squared-loss objectives.
 
-    Problem j is column j of W (d, E) and row j of U_pub (E, m) and
-    U_priv (E, n), with discrepancy d_dp[j]; each result has the shape of
-    its block.  With q = (x.w - y)/u, g_w = 2 X^T q and
-    g_u = -(q^2 + d_dp/u^2) on the public block, -q^2 on the private one,
-    plus the regularizer terms.  Every pass over a u-block runs on a
-    C-contiguous (E, rows) array.  The kappa_inf subgradient puts full mass
-    on the lowest-index minimizer of u over the concatenated (u_pub, u_priv)
-    row.
+    With q = (x.w - y)/u, g_w = 2 X^T q and g_u = kappa1 c - (q^2 + d_dp/u^2)
+    on the public block, kappa1 c - q^2 on the private one, plus the kappa2
+    term, whose root sums 1/u^2 over both blocks, and the kappa_inf
+    subgradient, which puts full mass on the lowest-index minimizer of u
+    over the concatenated (u_pub, u_priv) row.  A lane's reductions are, per
+    problem, its sum of 1/u^2, its min u and that minimizer's index.  The
+    forward product W^T X^T, read from the dataset's row-contiguous X^T,
+    writes straight into the lane's gradient buffer, made at its first
+    step in the process that runs the lane and overwritten by every step.
     """
-    m, n = data.m, data.n
-    if ws is None:
-        ws = GradientWorkspace(data.d, m, n, W.shape[1])
-    q_pub = _residual_over_u(data.public_x, data.public_y, W, U_pub, ws.g_pub)
-    q_priv = _residual_over_u(data.private_x, data.private_y, W, U_priv, ws.g_priv)
-    g_w = np.matmul(data.public_x.T, q_pub.T, out=ws.g_w)
-    g_w += np.matmul(data.private_x.T, q_priv.T, out=ws.g_w_priv)
-    g_w *= 2.0
 
-    # q^2 + d_dp/u^2 = ((q u)^2 + d_dp) / u^2, formed in place
-    q_pub *= U_pub
-    q_pub *= q_pub
-    q_pub += d_dp[:, None]
-    q_pub /= U_pub
-    q_pub /= U_pub
-    q_priv *= q_priv
-    # g_u = kappa1 c - numerator / u^2, negated in the same pass
-    g_pub = np.subtract(cfg.kappa1 * (cfg.alpha / m) ** 2, q_pub, out=q_pub)
-    g_priv = np.subtract(cfg.kappa1 * ((1.0 - cfg.alpha) / n) ** 2, q_priv, out=q_priv)
-    if cfg.kappa2 > 0:
-        root = np.sqrt(np.sum(1.0 / U_pub ** 2, axis=1)
-                       + np.sum(1.0 / U_priv ** 2, axis=1))[:, None]
-        g_pub -= cfg.kappa2 / (U_pub ** 3 * root)
-        g_priv -= cfg.kappa2 / (U_priv ** 3 * root)
-    if cfg.kappa_inf > 0:
-        rows = np.arange(W.shape[1])
-        i_pub, i_priv = U_pub.argmin(axis=1), U_priv.argmin(axis=1)
-        min_pub, min_priv = U_pub[rows, i_pub], U_priv[rows, i_priv]
-        on_pub = min_pub <= min_priv  # ties go to the public block, which comes first
-        g_pub[rows[on_pub], i_pub[on_pub]] -= cfg.kappa_inf / min_pub[on_pub] ** 2
-        on_priv = ~on_pub
-        g_priv[rows[on_priv], i_priv[on_priv]] -= cfg.kappa_inf / min_priv[on_priv] ** 2
-    return g_w, g_pub, g_priv
+    def __init__(self, data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray):
+        super().__init__(data, d_dp)
+        self.cfg = cfg
+        self.c = (cfg.kappa1 * (cfg.alpha / data.m) ** 2,
+                  cfg.kappa1 * ((1.0 - cfg.alpha) / data.n) ** 2)
+        self.g = [None, None]
+
+    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray):
+        X, y, shift = self.blocks[lane]
+        if self.g[lane] is None:
+            self.g[lane] = np.empty(U.shape)
+        q = _residual_over_u(X, y, W, U, self.g[lane])
+        d = self.d
+        np.matmul(X.T, q.T, out=out[:d])
+        if shift is None:
+            q *= q
+        else:  # q^2 + d_dp/u^2 = ((q u)^2 + d_dp) / u^2, formed in place
+            q *= U
+            q *= q
+            q += shift
+            q /= U
+            q /= U
+        # g_u = kappa1 c - numerator / u^2, negated in the same pass
+        np.subtract(self.c[lane], q, out=q)
+        if self.cfg.kappa2 > 0:
+            np.sum(1.0 / U ** 2, axis=1, out=out[d])
+        if self.cfg.kappa_inf > 0:
+            i = U.argmin(axis=1)
+            out[d + 1] = U[np.arange(i.size), i]
+            out[d + 2] = i
+        return q
+
+    def combine(self, parts: np.ndarray, g_w: np.ndarray):
+        cfg, d = self.cfg, self.d
+        np.add(parts[0, :d], parts[1, :d], out=g_w)
+        g_w *= 2.0
+        root = np.sqrt(parts[0, d] + parts[1, d])[:, None] if cfg.kappa2 > 0 else None
+        # ties go to the public block, which comes first
+        on_pub = parts[0, d + 1] <= parts[1, d + 1] if cfg.kappa_inf > 0 else None
+        return parts, root, on_pub
+
+    def finish(self, lane: int, U: np.ndarray, shared, g: np.ndarray):
+        parts, root, on_pub = shared
+        if root is not None:
+            g -= self.cfg.kappa2 / (U ** 3 * root)
+        if on_pub is not None:
+            here = np.flatnonzero(on_pub if lane == 0 else ~on_pub)  # problems whose min is here
+            mins, cols = parts[lane, self.d + 1:][:, here]
+            g[here, cols.astype(np.intp)] -= self.cfg.kappa_inf / mins ** 2
+        return g
 
 
 def grad_F(ctx: ConvexObjectiveContext, p: FeasiblePoint):
     """Block gradients (g_w, g_u_pub, g_u_priv) at one point: the single
-    problem case of ``block_gradient``."""
+    problem case of ``ConvexGradient``."""
     check_feasible(ctx, p)
-    g_w, g_pub, g_priv = block_gradient(
-        ctx.data, ctx.config, np.array([ctx.d_dp]),
+    g_w, g_pub, g_priv = ConvexGradient(ctx.data, ctx.config, np.array([ctx.d_dp]))(
         p.w[:, None], p.u_pub[None, :], p.u_priv[None, :])
     return g_w[:, 0], g_pub[0], g_priv[0]
 
 
-def project_columns(W: np.ndarray, U_pub: np.ndarray, U_priv: np.ndarray,
-                    lam: float, alpha: float, m: int, n: int) -> None:
-    """Euclidean projection of batched points, in place: rescale each
-    column of W (d, E) to the ball, clamp the u-blocks (any layout) to
-    the box."""
+def project_ball(W: np.ndarray, lam: float) -> None:
+    """Rescale each column of W (d, E) onto the lam-ball, in place."""
     nrm = np.linalg.norm(W, axis=0)
     over = nrm > lam
     if over.any():
         W[:, over] *= lam / nrm[over]
-    np.maximum(U_pub, m / alpha, out=U_pub)
-    np.maximum(U_priv, n / (1.0 - alpha), out=U_priv)
 
 
 def project(w: np.ndarray, u_pub: np.ndarray, u_priv: np.ndarray,
             lam: float, alpha: float, m: int, n: int) -> FeasiblePoint:
     """Euclidean projection: rescale w to the ball, clamp u to the box."""
-    cols = [np.array(v, dtype=float).reshape(-1, 1) for v in (w, u_pub, u_priv)]
-    project_columns(*cols, lam, alpha, m, n)
-    return FeasiblePoint(*(c[:, 0] for c in cols))
-
+    W = np.array(w, dtype=float).reshape(-1, 1)
+    project_ball(W, lam)
+    return FeasiblePoint(W[:, 0], np.maximum(u_pub, m / alpha),
+                         np.maximum(u_priv, n / (1.0 - alpha)))

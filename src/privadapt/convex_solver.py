@@ -11,11 +11,25 @@ single run on a stream in the same state.  The two solvers differ in the
 gradient, the step sizes and the output rule: ``fit_convex_columns``
 returns the average of the iterates (``fit_convex`` is its one-problem
 case), ``nonconvex_solver`` the iterate at a random stop t*.
+
+The gradient comes split by u-block (``convex_objective.BlockGradient``):
+the blocks meet only through the w-gradient and a few per-problem
+reductions.  So a run granted two lanes, and long enough to repay a fork,
+steps the private block on a child process while this one steps the
+public block, each with its own copy of W; the in-process run calls the
+same per-block code in sequence, and both return the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +45,21 @@ from .core import (
     reference_point,
 )
 from .convex_objective import (
+    BlockGradient,
+    ConvexGradient,
     ConvexObjectiveContext,
-    GradientWorkspace,
-    block_gradient,
     eval_F,
-    project_columns,
+    project_ball,
 )
-from .mechanisms import NoiseSchedule, calibrate, derive_rng, gaussian_vector
+from .mechanisms import NoiseSchedule, calibrate, derive_rng
 
 DEFAULT_T_CEILING = 200_000
+# A run takes the two lanes it is granted once min(m, n) x steps reaches
+# this.  Forking the private lane costs about 4 ms a run; on 2 CPUs with one
+# BLAS thread (d = 20, one problem) two lanes took 0.97x the time of one
+# process at 2 000 rows x 200 steps, 0.81-0.90x at 10^6 row-steps (from
+# 200 rows x 5 000 steps to 2 000 x 500) and 0.73x at 10 000 x 100.
+LANE_MIN_ROW_STEPS = 1_000_000
 
 
 @dataclass
@@ -86,65 +106,234 @@ def default_T_convex(n: int, m: int, d: int, alpha: float, eps_opt: float,
     return int(min(math.ceil(max(terms)), ceiling))
 
 
-def noisy_pgd(grad, p: FeasiblePoint, eta: np.ndarray, sigma1: np.ndarray,
+def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np.ndarray,
               sigma2: np.ndarray, steps: int, lam: float, alpha: float,
-              rng: np.random.Generator, average: bool):
+              rng: np.random.Generator, average: bool, lanes: int = 1):
     """Run ``steps`` noisy projected gradient steps on E problems from the
     feasible point p and return one point per problem: the projected
     average of its iterates if ``average``, else its last iterate.
 
-    ``grad(W, U_pub, U_priv)`` returns the block gradients of every problem,
-    shaped like their blocks; the engine overwrites them.  Row j of eta
-    (E, 3) holds problem j's step sizes for w, u_pub and u_priv, and
-    sigma1[j], sigma2[j] scale its noise on w and u_priv.  A problem with
-    zero sigmas takes no noise, and a run whose sigmas are all zero draws
-    nothing from the stream.
+    ``grad`` computes the block gradients of every problem, split by
+    u-block.  Row j of eta (E, 3) holds problem j's step sizes for w, u_pub
+    and u_priv, and sigma1[j], sigma2[j] scale its noise on w and u_priv.
+    A problem with zero sigmas takes no noise, and a run whose sigmas are
+    all zero draws nothing from the stream.  With lanes = 2 a run of at
+    least LANE_MIN_ROW_STEPS steps the private block on a forked process
+    (``_two_lanes``); the points are the same bits either way.
     """
     m, n, d = p.u_pub.size, p.u_priv.size, p.w.size
     if not is_feasible(p, lam, alpha, m, n):
         raise ValueError("initial point is infeasible")
     E = eta.shape[0]
-    # per-problem scalars, shaped to broadcast over W's columns or the u-rows
-    etas = eta[:, 0], eta[:, 1, None], eta[:, 2, None]
-    sigma2 = sigma2[:, None]
-    W = np.repeat(p.w[:, None], E, axis=1)
-    U_pub = np.repeat(p.u_pub[None, :], E, axis=0)
-    U_priv = np.repeat(p.u_priv[None, :], E, axis=0)
-    if average:
-        sums = np.zeros_like(W), np.zeros_like(U_pub), np.zeros_like(U_priv)
-    noise_priv = np.empty((E, n))
+    run = functools.partial(_lane_steps, grad, p, eta, sigma1, sigma2, steps, lam, alpha,
+                            rng, average)
+    # both lanes' rows of two steps, and the noise of three steps
+    shapes = [(2, 2, d + grad.REDUCTIONS, E), (3, d + n)]
+    if lanes == 1 or min(m, n) * steps < LANE_MIN_ROW_STEPS:
+        W, U = run((0, 1), *map(np.empty, shapes), None)
+        U_pub, U_priv = U[0], U[1]
+    else:
+        W, U_pub, U_priv = _two_lanes(run, shapes, (E, n))
+    return [FeasiblePoint(W[:, j], U_pub[j], U_priv[j]) for j in range(E)]
+
+
+def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np.ndarray,
+                sigma2: np.ndarray, steps: int, lam: float, alpha: float,
+                rng: np.random.Generator, average: bool, lanes: tuple, parts: np.ndarray,
+                ring: np.ndarray, link):
+    """The steps of the u-blocks ``lanes`` (0 public, 1 private) and of a
+    replica of W; returns W and {lane: u-block}, averaged if ``average``.
+
+    Step t writes its lanes' rows into parts[t % 2] and takes its noise
+    from ring[t % 3].  Across two processes, ``link`` holds step t until
+    the other lane's rows are in; a lane reads them, and the noise, only
+    between its step t wait and its step t + 1 signal, so two row slots
+    and three noise slots keep every read ahead of the next write.  The
+    public lane draws all the noise, d values then n values a step, the
+    stream's order: step t + 1's while the other lane computes step t.
+    """
+    m, n, d = p.u_pub.size, p.u_priv.size, p.w.size
+    E = eta.shape[0]
     noisy_w, noisy_u = sigma1.any(), sigma2.any()
-    for _ in range(steps):
-        g_w, g_pub, g_priv = grads = grad(W, U_pub, U_priv)
+    draws = 0 in lanes and (noisy_w or noisy_u)
+    sigma2 = sigma2[:, None]
+    lower = m / alpha, n / (1.0 - alpha)
+    W = np.repeat(p.w[:, None], E, axis=1)
+    U = {lane: np.repeat(u[None, :], E, axis=0)
+         for lane, u in enumerate((p.u_pub, p.u_priv)) if lane in lanes}
+    g_w = np.empty((d, E))
+    if 1 in lanes and noisy_u:
+        noise_priv = np.empty((E, n))
+    blocks = ([W] if 0 in lanes else []) + [U[lane] for lane in lanes]
+    if average:
+        sums = [np.zeros_like(block) for block in blocks]
+
+    def draw(z):
         if noisy_w:
-            g_w += np.outer(gaussian_vector(d, 1.0, rng), sigma1)
+            rng.standard_normal(out=z[:d])
         if noisy_u:
-            g_priv += np.multiply(sigma2, gaussian_vector(n, 1.0, rng), out=noise_priv)
-        for block, g, eta_b in zip((W, U_pub, U_priv), grads, etas):
-            g *= eta_b
-            block -= g
-        project_columns(W, U_pub, U_priv, lam, alpha, m, n)
+            rng.standard_normal(out=z[d:])
+
+    if draws:
+        draw(ring[0])
+    for t in range(steps):
+        part = parts[t % 2]
+        states = {lane: grad.part(lane, W, U[lane], part[lane]) for lane in lanes}
+        if link:
+            link.signal()
+        if draws and t + 1 < steps:
+            draw(ring[(t + 1) % 3])
+        if link:
+            link.wait()
+        z = ring[t % 3]
+        shared = grad.combine(part, g_w)
+        if noisy_w:
+            g_w += np.outer(z[:d], sigma1)
+        g_w *= eta[:, 0]
+        W -= g_w
+        project_ball(W, lam)
+        for lane in lanes:
+            g = grad.finish(lane, U[lane], shared, states[lane])
+            if lane == 1 and noisy_u:
+                g += np.multiply(sigma2, z[d:], out=noise_priv)
+            g *= eta[:, 1 + lane, None]
+            U[lane] -= g
+            np.maximum(U[lane], lower[lane], out=U[lane])
         if average:
-            for total, block in zip(sums, (W, U_pub, U_priv)):
+            for total, block in zip(sums, blocks):
                 total += block
     if average:
         for total in sums:
             total /= steps
-        project_columns(*sums, lam, alpha, m, n)
-        W, U_pub, U_priv = sums
-    return [FeasiblePoint(W[:, j], U_pub[j], U_priv[j]) for j in range(E)]
+        if 0 in lanes:
+            W = sums[0]
+            project_ball(W, lam)
+        for lane, total in zip(lanes, sums[-len(lanes):]):
+            U[lane] = np.maximum(total, lower[lane], out=total)
+    return W, U
+
+
+_STEP, _DONE, _FAILED = b"s", b"d", b"e"
+
+
+class _Link:
+    """One lane's ends of the pipe pair between the two lanes."""
+
+    def __init__(self, read_fd: int, write_fd: int):
+        self.read_fd, self.write_fd = read_fd, write_fd
+
+    def signal(self, message: bytes = _STEP):
+        os.write(self.write_fd, message)
+
+    def wait(self, expect: bytes = _STEP):
+        """Block until the other lane sends ``expect``; raise the exception
+        it failed with, or RuntimeError if it exited."""
+        got = os.read(self.read_fd, 1)
+        if got == expect:
+            return
+        if got != _FAILED:
+            raise RuntimeError("the other lane of a two-lane engine run exited")
+        payload = b""  # the failed lane writes it, then exits
+        while chunk := os.read(self.read_fd, 1 << 16):
+            payload += chunk
+        try:  # bytes written by this program's own fork
+            exc = pickle.loads(payload)
+        except Exception:  # cut short, or of a class that does not unpickle
+            exc = RuntimeError("the other lane of a two-lane engine run failed")
+        raise exc
+
+    def send(self, data):
+        """Write all of ``data``, bytes or a C-contiguous array."""
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(self.write_fd, view):]
+
+    def receive(self, array: np.ndarray) -> np.ndarray:
+        """Fill the C-contiguous ``array`` from the other lane's ``send``."""
+        view = memoryview(array).cast("B")
+        while view:
+            got = os.readv(self.read_fd, [view])
+            if not got:
+                raise RuntimeError("the other lane of a two-lane engine run exited")
+            view = view[got:]
+        return array
+
+    def fail(self, exc: BaseException):
+        """Send ``exc`` to the other lane, with where it was raised."""
+        import traceback  # only a failing lane needs it
+
+        where = "".join(traceback.format_tb(exc.__traceback__))
+        exc.add_note(f"raised in the private lane of a two-lane run:\n{where}")
+        try:
+            payload = pickle.dumps(exc)
+        except Exception:  # an exception that does not pickle goes as its text
+            payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}\n{where}"))
+        self.send(_FAILED + payload)
+
+
+def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
+    """``run`` with its public lane here and its private lane on a process
+    forked for this run; returns (W, U_pub, U_priv).
+
+    The lanes share one anonymous mmap holding the rows and the noise ring
+    of ``run``, and signal each other through a pipe pair once a step; the
+    private lane sends its output, of ``private_shape``, through the pipe.
+    An exception in the private lane is raised here; a private lane that
+    exits early raises RuntimeError.  The child is always reaped, and its
+    pipe ends closed, before this returns.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    shared = mmap.mmap(-1, 8 * sum(sizes))
+    offsets = itertools.accumulate([0] + sizes)
+    parts, ring = (np.frombuffer(shared, float, size, 8 * offset).reshape(shape)
+                   for shape, size, offset in zip(shapes, sizes, offsets))
+    (from_child, to_parent), (from_parent, to_child) = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the private lane: reports to the parent and never returns
+        status, link = 1, _Link(from_parent, to_parent)
+        try:
+            os.close(from_child)
+            os.close(to_child)
+            _, U = run((1,), parts, ring, link)
+            link.signal(_DONE)
+            link.send(U[1])
+            status = 0
+        except BaseException as exc:  # sent to the parent; the finally ends this process
+            with contextlib.suppress(OSError):
+                link.fail(exc)
+        finally:
+            os._exit(status)
+    os.close(to_parent)
+    os.close(from_parent)
+    done = False
+    try:
+        link = _Link(from_child, to_child)
+        W, U = run((0,), parts, ring, link)
+        link.wait(_DONE)
+        U_priv = link.receive(np.empty(private_shape))
+        done = True
+        return W, U[0], U_priv
+    finally:
+        os.close(from_child)
+        os.close(to_child)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],
                        reg: RegularizerConfig, run: ConvexRunConfig, model: LossModel,
-                       rng: np.random.Generator | None = None) -> list[AdaptationResult]:
+                       rng: np.random.Generator | None = None,
+                       lanes: int = 1) -> list[AdaptationResult]:
     """Run T noisy projected gradient steps on one convex objective per
     (budget, d_dp) column, all on one noise stream, and return each
     column's averaged iterate.
 
     Every column gets its own sigma and step sizes from its budget; a
     column with epsilon = inf takes no noise, and a run with no finite
-    epsilon draws nothing from the stream.
+    epsilon draws nothing from the stream.  ``lanes`` is the engine's: 2
+    lets a long enough run step the private block on a second process,
+    with the same results.
     """
     if not columns:
         raise ValueError("at least one (budget, d_dp) column is required")
@@ -160,13 +349,10 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
     for j, step in enumerate((run.step_w, run.step_u_pub, run.step_u_priv)):
         if step is not None:
             eta[:, j] = step
-    d_dp = np.array([d_dp for _, d_dp in columns])
-    ws = GradientWorkspace(d, m, n, len(columns))
     averages = noisy_pgd(
-        lambda W, U_pub, U_priv: block_gradient(data, reg, d_dp, W, U_pub, U_priv, ws),
-        p, eta, np.array([s.sigma1 for s in schedules]),
-        np.array([s.sigma2 for s in schedules]), run.T, model.lam, reg.alpha, rng,
-        average=True)
+        ConvexGradient(data, reg, np.array([d_dp for _, d_dp in columns])), p, eta,
+        np.array([s.sigma1 for s in schedules]), np.array([s.sigma2 for s in schedules]),
+        run.T, model.lam, reg.alpha, rng, average=True, lanes=lanes)
     return [AdaptationResult(point=avg, objective_value=eval_F(ctx, avg),
                              privacy_spent=budget.spent, T_used=run.T)
             for (budget, _), ctx, avg in zip(columns, ctxs, averages)]
@@ -174,7 +360,7 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
 
 def fit_convex(data: AdaptDataset, budget: PrivacyBudget, reg: RegularizerConfig,
                run: ConvexRunConfig, model: LossModel, d_dp: float = 0.0,
-               rng: np.random.Generator | None = None) -> AdaptationResult:
+               rng: np.random.Generator | None = None, lanes: int = 1) -> AdaptationResult:
     """Run T noisy projected gradient steps on the convex objective and
     return the averaged iterate."""
-    return fit_convex_columns(data, [(budget, d_dp)], reg, run, model, rng)[0]
+    return fit_convex_columns(data, [(budget, d_dp)], reg, run, model, rng, lanes)[0]

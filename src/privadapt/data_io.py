@@ -113,16 +113,17 @@ def generate_synthetic(spec: SyntheticShiftSpec, m: int, n: int,
     return AdaptDataset(xs, ys, xt, yt), w_star
 
 
-DOMAINS = ("source", "target")
+DOMAINS = (b"source", b"target")  # as the fast parse reads them
 
 
 def _parse_fast(fh, header: list[str], cols: list[str], domain_col: str):
     """Numeric columns ``cols`` and the domain column of every data row, in
-    one pass of numpy's parser; raises ValueError on any row it rejects."""
+    one pass of numpy's parser; raises ValueError on any row it rejects,
+    which includes a domain value that latin-1 cannot encode."""
     index = {c: i for i, c in enumerate(header)}  # last of a repeated name, as csv.DictReader
-    # "U7" holds either domain value plus one character, so a longer value
-    # is cut to 7 characters and can never read as a valid one
-    dtype = np.dtype([("num", float, (len(cols),)), ("domain", "U7")])
+    # "S7" holds either domain value plus one byte, so a longer value is cut
+    # to 7 bytes and can never read as a valid one
+    dtype = np.dtype([("num", float, (len(cols),)), ("domain", "S7")])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows, or blank lines
         rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
@@ -140,11 +141,11 @@ def _parse_rows(path: str, reader: csv.DictReader, cols: list[str], domain_col: 
             num.append([float(row[c]) for c in cols])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: non-numeric cell in row {i}: {exc}")
-        if row[domain_col] not in DOMAINS:
+        if row[domain_col] not in ("source", "target"):
             raise ValueError(
                 f"{path}: row {i}: domain must be 'source' or "
                 f"'target', got {row[domain_col]!r}")
-        domains.append(row[domain_col])
+        domains.append(row[domain_col].encode())
     return np.array(num, dtype=float).reshape(len(num), len(cols)), np.array(domains)
 
 
@@ -182,7 +183,7 @@ def load_dataset(manifest: DatasetManifest) -> AdaptDataset:
             num, domains = _parse_rows(path, csv.DictReader(fh), cols, manifest.domain_column)
     if not np.all(np.isfinite(num)):
         raise ValueError(f"{path}: features and labels must be finite")
-    src = domains == "source"
+    src = domains == DOMAINS[0]
     if not src.any() or src.all():
         raise ValueError(f"{path}: need at least one source and one target row")
     src, tgt = np.flatnonzero(src), np.flatnonzero(~src)

@@ -21,6 +21,10 @@ groups of one sweep run on forked worker processes, one pool per sweep
 inherit the spec and a loaded CSV dataset through fork; each task returns
 only its records and the warnings it raised, which the caller re-emits in
 (n, trial) order.  Either way the records are the same bytes.
+
+A sweep whose processes leave CPUs idle (one group on two CPUs, say) grants
+its engine runs two lanes (``lane_count``): a long enough run steps its
+private block on a process of its own, again with the same records.
 """
 
 from __future__ import annotations
@@ -98,6 +102,8 @@ class SweepSpec:
             raise ValueError("epsilons and target_sizes must be non-empty")
         if min(self.epsilons) <= 0:
             raise ValueError("epsilons must be positive (inf allowed)")
+        PrivacyBudget(math.inf, self.delta, self.disc_fraction)  # checks both bounds
+        d_hat_policy(self.d_hat)
         if min(self.target_sizes) < 1:
             raise ValueError("target_sizes must be >= 1")
         for name in ("test_size", "m", "baseline_T", "T"):
@@ -111,6 +117,8 @@ class SweepResult:
     records: list[dict]
     aggregates: list[dict]
     wall_time: float
+    workers: int = 1  # processes the (n, trial) groups ran on
+    lanes: int = 1  # lanes granted to each engine run
 
 
 class SweepCellError(RuntimeError):
@@ -157,20 +165,30 @@ def _reference_fit(spec: SweepSpec, train: AdaptDataset, n_idx: int, trial: int)
                         T=spec.baseline_T, rng=rng)
 
 
+def d_hat_policy(policy: float | str) -> float | str:
+    """The d_hat policy ``policy``: "dca" (the exact solve), "grid" (the
+    d <= 2 oracle) or a finite fixed number, returned as a float; raises
+    ValueError for anything else."""
+    if policy in ("dca", "grid"):
+        return policy
+    try:
+        value = float(policy)
+    except (TypeError, ValueError):
+        raise ValueError(f"unknown d_hat policy {policy!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"d_hat must be finite, got {policy!r}")
+    return value
+
+
 def raw_d_hat(policy: float | str, data: AdaptDataset, model: LossModel) -> float:
-    """The non-private discrepancy under a d_hat policy, clamped to [0, B]:
-    "dca" (the exact solve), "grid" (the d <= 2 oracle) or a fixed number."""
+    """The non-private discrepancy under a d_hat policy, clamped to [0, B]."""
+    policy = d_hat_policy(policy)
     if policy == "dca":
         raw = discrepancy_dca(data, model).d_hat
     elif policy == "grid":
         raw = discrepancy_grid(data, model).d_hat
     else:
-        try:
-            raw = float(policy)
-        except (TypeError, ValueError):
-            raise ValueError(f"unknown d_hat policy {policy!r}") from None
-        if not math.isfinite(raw):
-            raise ValueError(f"d_hat must be finite, got {policy!r}")
+        raw = policy
     return min(max(raw, 0.0), model.B)
 
 
@@ -195,7 +213,7 @@ def _per_cell(spec: SweepSpec, n: int, trial: int, fn, *columns) -> list:
 
 
 def _solve_grouped(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
-                   budgets: list, d_dps: list, rngs: list) -> list:
+                   budgets: list, d_dps: list, rngs: list, lanes: int) -> list:
     """The fits of every epsilon cell, one engine run per group of cells
     that share T and a stream state; a failed run names its first cell.
 
@@ -216,7 +234,7 @@ def _solve_grouped(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
         run = ConvexRunConfig(T=T) if convex else NonConvexRunConfig(T=T)
         try:
             group = fit(train, [(budgets[i], d_dps[i]) for i in idx], spec.reg, run,
-                        spec.model, rng=rngs[finite[-1] if finite else idx[0]])
+                        spec.model, rng=rngs[finite[-1] if finite else idx[0]], lanes=lanes)
         except Exception as exc:
             raise SweepCellError(spec.epsilons[idx[0]], n, trial, exc) from exc
         for i, result in zip(idx, group):
@@ -243,13 +261,23 @@ def _solve_grouped(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
     return results
 
 
-def _run_group(spec: SweepSpec, base, n: int, n_idx: int, trial: int) -> list[dict]:
+@dataclass(frozen=True)
+class _Shared:
+    """What every (n, trial) group of a sweep gets: the loaded CSV dataset
+    (None for a synthetic one) and the lanes granted to its engine runs."""
+
+    dataset: AdaptDataset | None
+    lanes: int
+
+
+def _run_group(spec: SweepSpec, shared: _Shared, n: int, n_idx: int,
+               trial: int) -> list[dict]:
     """Every epsilon cell of one (n, trial), in the order of spec.epsilons.
 
     The data draw, the raw discrepancy and the reference fit depend on
     (n, trial) only, so they are made once and shared by every epsilon.
     """
-    train, test_x, test_y = _cell_data(spec, base, n, n_idx, trial)
+    train, test_x, test_y = _cell_data(spec, shared.dataset, n, n_idx, trial)
     budgets = [PrivacyBudget(eps, spec.delta, spec.disc_fraction) for eps in spec.epsilons]
     rngs = [derive_rng(spec.master_seed, "noise", n_idx, trial) for _ in budgets]
 
@@ -257,7 +285,7 @@ def _run_group(spec: SweepSpec, base, n: int, n_idx: int, trial: int) -> list[di
         d_hat = raw_d_hat(spec.d_hat, train, spec.model)
         d_dps = _per_cell(spec, n, trial, lambda budget, rng: privatize_discrepancy(
             d_hat, spec.model.B, budget.epsilon_disc, train.n, rng), budgets, rngs)
-        results = _solve_grouped(spec, train, n, trial, budgets, d_dps, rngs)
+        results = _solve_grouped(spec, train, n, trial, budgets, d_dps, rngs, shared.lanes)
     elif spec.algorithm == baselines.TARGET_ONLY:
         # same fit as the relative-MSE denominator, so the ratio is exactly 1
         results = [_reference_fit(spec, train, n_idx, trial)] * len(budgets)
@@ -294,14 +322,14 @@ def _run_group(spec: SweepSpec, base, n: int, n_idx: int, trial: int) -> list[di
     return records
 
 
-def _group(spec: SweepSpec, base, key: tuple) -> tuple[list[dict], list[tuple]]:
+def _group(spec: SweepSpec, shared: _Shared, key: tuple) -> tuple[list[dict], list[tuple]]:
     """The records of one (n_idx, n, trial) group and the warnings it raised,
     as (message, category, filename, lineno); a failure names its cell."""
     n_idx, n, trial = key
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            records = _run_group(spec, base, n, n_idx, trial)
+            records = _run_group(spec, shared, n, n_idx, trial)
         except SweepCellError:
             raise
         except Exception as exc:
@@ -309,25 +337,24 @@ def _group(spec: SweepSpec, base, key: tuple) -> tuple[list[dict], list[tuple]]:
     return records, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-_inherited: tuple = ()  # (spec, base) in a forked worker
+_inherited: tuple = ()  # (spec, shared) in a forked worker
 
 
-def _inherit(spec: SweepSpec, base) -> None:
+def _inherit(spec: SweepSpec, shared: _Shared) -> None:
     global _inherited
-    _inherited = (spec, base)
+    _inherited = (spec, shared)
 
 
 def _inherited_group(key: tuple):
     return _group(*_inherited, key)
 
 
-def _worker_count(groups: int) -> int:
-    """Worker processes for a sweep of this many groups: min(groups, CPUs //
-    BLAS threads), so processes x BLAS threads never exceed the CPUs, or 1
-    (run in process) off Linux, where fork is unavailable or unsafe, and in
-    a daemonic process (a multiprocessing.Pool worker, say), which may not
-    start children.  The BLAS threads are read from OPENBLAS_NUM_THREADS,
-    then OMP_NUM_THREADS."""
+def _process_slots() -> int:
+    """How many processes may compute at once: CPUs // BLAS threads, so
+    processes x BLAS threads never exceed the CPUs, or 1 off Linux, where
+    fork is unavailable or unsafe, and in a daemonic process (a
+    multiprocessing.Pool worker, say), which may not start children.  The
+    BLAS threads are read from OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS."""
     if sys.platform != "linux":
         return 1
     mp = sys.modules.get("multiprocessing")  # loaded in any such daemon
@@ -337,7 +364,21 @@ def _worker_count(groups: int) -> int:
     setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS", "")
     # unset or invalid: OpenBLAS starts one thread per CPU
     threads = int(setting) if setting.isdigit() and int(setting) > 0 else cpus
-    return max(1, min(groups, cpus // threads))
+    return cpus // threads
+
+
+def _worker_count(groups: int) -> int:
+    """Worker processes for a sweep of this many groups: min(groups,
+    process slots), or 1 to run it in process."""
+    return max(1, min(groups, _process_slots()))
+
+
+def lane_count(workers: int) -> int:
+    """Engine lanes to grant each run of a sweep on ``workers`` processes:
+    2 when each of them can have two process slots, else 1.  The engine
+    takes them only for a run long enough to repay the fork
+    (``convex_solver.LANE_MIN_ROW_STEPS``)."""
+    return 2 if _process_slots() // workers >= 2 else 1
 
 
 # Re-emitted worker warnings share one registry, so the "default" action
@@ -359,6 +400,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     keys = [(n_idx, n, trial) for n_idx, n in enumerate(spec.target_sizes)
             for trial in range(spec.trials)]
     workers = _worker_count(len(keys))
+    shared = _Shared(base, lane_count(workers))
     pool = None
     if workers > 1:
         # imported here: the pool's modules add about 1.3 MB to the peak
@@ -366,11 +408,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_inherit, initargs=(spec, base))
+                                   initializer=_inherit, initargs=(spec, shared))
     by_cell = {}
     try:
         groups = (pool.map(_inherited_group, keys) if pool
-                  else map(functools.partial(_group, spec, base), keys))
+                  else map(functools.partial(_group, spec, shared), keys))
         for (n_idx, _, trial), (records, caught) in zip(keys, groups):
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno,
@@ -393,21 +435,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 "metric_mean": float(vals.mean()),
                 "metric_std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
             })
-    return SweepResult(records, aggregates, time.perf_counter() - t0)
+    return SweepResult(records, aggregates, time.perf_counter() - t0, workers, shared.lanes)
 
 
 def emit_results(result: SweepResult, path: str) -> None:
     """JSON lines: one record per line, then a trailing aggregate object.
 
-    Timing lives only in the trailing object so the records section is
-    byte-identical across reruns.  A CSV projection of the aggregates is
+    Timing, and the workers and lanes the sweep ran on, live only in the
+    trailing object so the records section is byte-identical across reruns
+    and across machines.  A CSV projection of the aggregates is
     written next to the JSONL file for plotting.
     """
     with open(path, "w") as fh:
         for rec in result.records:
             fh.write(json.dumps(rec) + "\n")
-        fh.write(json.dumps({"aggregates": result.aggregates,
-                             "wall_time": result.wall_time}) + "\n")
+        fh.write(json.dumps({"aggregates": result.aggregates, "wall_time": result.wall_time,
+                             "workers": result.workers, "lanes": result.lanes}) + "\n")
     csv_path = path + ".csv"
     with open(csv_path, "w") as fh:
         fh.write("epsilon,n,count,metric_mean,metric_std\n")
@@ -423,7 +466,8 @@ def read_results(path: str) -> SweepResult:
     if not lines or "aggregates" not in lines[-1]:
         raise ValueError(f"{path}: missing trailing aggregate object")
     tail = lines[-1]
-    return SweepResult(lines[:-1], tail["aggregates"], tail.get("wall_time", 0.0))
+    return SweepResult(lines[:-1], tail["aggregates"], tail.get("wall_time", 0.0),
+                       tail.get("workers", 1), tail.get("lanes", 1))
 
 
 def spec_from_config(cfg: dict) -> SweepSpec:

@@ -19,7 +19,13 @@ from .core import (
     RegularizerConfig,
     score_loss_and_slope,
 )
-from .convex_objective import ObjectiveContext, check_feasible, project, weighted_loss_term
+from .convex_objective import (
+    BlockGradient,
+    ObjectiveContext,
+    check_feasible,
+    project,
+    weighted_loss_term,
+)
 
 
 class NonConvexContext(ObjectiveContext):
@@ -60,52 +66,77 @@ def eval_J(ctx: NonConvexContext, p: FeasiblePoint) -> float:
     return val
 
 
-def block_grad_J(data: AdaptDataset, cfg: RegularizerConfig, model: LossModel,
-                 d_dp: np.ndarray, W: np.ndarray, U_pub: np.ndarray, U_priv: np.ndarray):
-    """Block gradients (g_w, g_u_pub, g_u_priv) of E smoothed objectives at
-    once, each shaped like its block: problem j is column j of W (d, E) and
-    row j of U_pub (E, m) and U_priv (E, n), with discrepancy d_dp[j].
+class SmoothGradient(BlockGradient):
+    """Block gradients of E smoothed objectives.
 
     g_w = X^T (slope/u) and g_u = (lambda1 - numerator - lambda2 (1/u) / root
-    - lambda_inf softmax) / u^2, with the root and the softmax of 1/u taken
-    along each problem's (u_pub, u_priv) row.  The scores W^T X^T are
-    formed from the dataset's contiguous X^T, so the loss, the slope and
-    every later pass run on C-contiguous (E, rows) arrays.  The engine keeps
-    the iterates feasible, so nothing is checked here.
+    - lambda_inf softmax) / u^2, with the root and the softmax of mu/u taken
+    along each problem's (u_pub, u_priv) row.  A lane's reductions are, per
+    problem, its sum of 1/u^2, its max of mu/u and its sum of exp(mu/u -
+    that max); the finish rescales the two sums to the larger max.  The
+    scores W^T X^T are formed from the dataset's contiguous X^T, so the
+    loss, the slope and every later pass run on C-contiguous (E, rows)
+    arrays.  The engine keeps the iterates feasible, so nothing is checked
+    here.
     """
-    num_pub, slope_pub = score_loss_and_slope(model, W.T @ data.public_x.T, data.public_y)
-    num_priv, slope_priv = score_loss_and_slope(model, W.T @ data.private_x.T,
-                                                data.private_y)
-    num_pub += d_dp[:, None]
-    inv_pub, inv_priv = 1.0 / U_pub, 1.0 / U_priv
-    g_w = (data.public_x.T @ (slope_pub * inv_pub).T
-           + data.private_x.T @ (slope_priv * inv_priv).T)
-    g_pub = np.subtract(cfg.lambda1, num_pub, out=num_pub)
-    g_priv = np.subtract(cfg.lambda1, num_priv, out=num_priv)
-    sq_pub, sq_priv = inv_pub * inv_pub, inv_priv * inv_priv
-    if cfg.lambda2 > 0:
-        scale = cfg.lambda2 / np.sqrt(sq_pub.sum(axis=1) + sq_priv.sum(axis=1))[:, None]
-        g_pub -= scale * inv_pub
-        g_priv -= scale * inv_priv
-    if cfg.lambda_inf > 0:
-        mu = cfg.softmax_mu(data.m, data.n)
-        a_pub, a_priv = mu * inv_pub, mu * inv_priv
-        top = np.maximum(a_pub.max(axis=1), a_priv.max(axis=1))[:, None]
-        w_pub, w_priv = np.exp(a_pub - top), np.exp(a_priv - top)
-        scale = cfg.lambda_inf / (w_pub.sum(axis=1) + w_priv.sum(axis=1))[:, None]
-        g_pub -= scale * w_pub
-        g_priv -= scale * w_priv
-    g_pub *= sq_pub
-    g_priv *= sq_priv
-    return g_w, g_pub, g_priv
+
+    def __init__(self, data: AdaptDataset, cfg: RegularizerConfig, model: LossModel,
+                 d_dp: np.ndarray):
+        super().__init__(data, d_dp)
+        self.cfg, self.model = cfg, model
+        self.mu = cfg.softmax_mu(data.m, data.n)
+
+    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray):
+        X, y, shift = self.blocks[lane]
+        cfg, d = self.cfg, self.d
+        num, slope = score_loss_and_slope(self.model, W.T @ X.T, y)
+        if shift is not None:
+            num += shift
+        inv = 1.0 / U
+        slope *= inv
+        np.matmul(X.T, slope.T, out=out[:d])
+        g = np.subtract(cfg.lambda1, num, out=num)
+        sq = inv * inv
+        if cfg.lambda2 > 0:
+            sq.sum(axis=1, out=out[d])
+        soft = None
+        if cfg.lambda_inf > 0:
+            soft = np.multiply(self.mu, inv)
+            top = soft.max(axis=1, out=out[d + 1])
+            soft -= top[:, None]
+            np.exp(soft, out=soft)
+            soft.sum(axis=1, out=out[d + 2])
+        return g, inv, sq, soft
+
+    def combine(self, parts: np.ndarray, g_w: np.ndarray):
+        cfg, d = self.cfg, self.d
+        np.add(parts[0, :d], parts[1, :d], out=g_w)
+        l2 = linf = None
+        if cfg.lambda2 > 0:
+            l2 = (cfg.lambda2 / np.sqrt(parts[0, d] + parts[1, d]))[:, None]
+        if cfg.lambda_inf > 0:
+            tops = parts[:, d + 1]
+            rescale = np.exp(tops - tops.max(axis=0))  # 1 for the block holding the max
+            sums = parts[:, d + 2] * rescale
+            linf = cfg.lambda_inf * rescale / (sums[0] + sums[1])  # each block's share
+        return l2, linf
+
+    def finish(self, lane: int, U: np.ndarray, shared, state):
+        g, inv, sq, soft = state
+        l2, linf = shared
+        if l2 is not None:
+            g -= l2 * inv
+        if linf is not None:
+            g -= linf[lane][:, None] * soft
+        g *= sq
+        return g
 
 
 def grad_J(ctx: NonConvexContext, p: FeasiblePoint):
     """Block gradients (g_w, g_u_pub, g_u_priv) at one feasible point: the
-    single problem case of ``block_grad_J``."""
+    single problem case of ``SmoothGradient``."""
     check_feasible(ctx, p)
-    g_w, g_pub, g_priv = block_grad_J(
-        ctx.data, ctx.config, ctx.model, np.array([ctx.d_dp]),
+    g_w, g_pub, g_priv = SmoothGradient(ctx.data, ctx.config, ctx.model, np.array([ctx.d_dp]))(
         p.w[:, None], p.u_pub[None, :], p.u_priv[None, :])
     return g_w[:, 0], g_pub[0], g_priv[0]
 

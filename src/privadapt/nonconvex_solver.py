@@ -29,7 +29,7 @@ from .convex_solver import DEFAULT_T_CEILING, noisy_pgd
 from .mechanisms import calibrate, derive_rng
 from .nonconvex_objective import (
     NonConvexContext,
-    block_grad_J,
+    SmoothGradient,
     eval_J,
     gradient_mapping_norm,
     smoothness_beta_bar,
@@ -63,8 +63,8 @@ def default_T_nonconvex(n: int, d: int, alpha: float, eps_opt: float,
 
 def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],
                           reg: RegularizerConfig, run: NonConvexRunConfig,
-                          model: LossModel,
-                          rng: np.random.Generator | None = None) -> list[AdaptationResult]:
+                          model: LossModel, rng: np.random.Generator | None = None,
+                          lanes: int = 1) -> list[AdaptationResult]:
     """Draw t* uniformly from {1, ..., T}, run t* noisy projected gradient
     steps on one smoothed objective per (budget, d_dp) column, all on one
     noise stream, and return each column's last iterate: the iterate at a
@@ -72,7 +72,9 @@ def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget,
 
     t* is the first draw of the stream, so the trajectory does not depend
     on its value.  T = None takes the analytic default_T_nonconvex of each
-    column's budget; the columns must agree on it.
+    column's budget; the columns must agree on it.  ``lanes`` is the
+    engine's: 2 lets a long enough run step the private block on a second
+    process, with the same results.
     """
     if not columns:
         raise ValueError("at least one (budget, d_dp) column is required")
@@ -91,12 +93,11 @@ def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget,
         rng = derive_rng(run.seed, "fit-nonconvex")
     schedules = [calibrate(budget, reg.alpha, model.G, model.B, n, T) for budget, _ in columns]
     t_star = int(rng.integers(1, T + 1))
-    d_dp = np.array([d_dp for _, d_dp in columns])
     outs = noisy_pgd(
-        lambda W, U_pub, U_priv: block_grad_J(data, reg, model, d_dp, W, U_pub, U_priv),
-        p0, np.full((len(columns), 3), 1.0 / beta_bar),
+        SmoothGradient(data, reg, model, np.array([d_dp for _, d_dp in columns])), p0,
+        np.full((len(columns), 3), 1.0 / beta_bar),
         np.array([s.sigma1 for s in schedules]), np.array([s.sigma2 for s in schedules]),
-        t_star, model.lam, reg.alpha, rng, average=False)
+        t_star, model.lam, reg.alpha, rng, average=False, lanes=lanes)
     return [AdaptationResult(point=out, objective_value=eval_J(ctx, out),
                              privacy_spent=budget.spent, T_used=T,
                              grad_mapping_norm=gradient_mapping_norm(ctx, out, beta_bar),
@@ -107,7 +108,7 @@ def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget,
 def fit_nonconvex(data: AdaptDataset, budget: PrivacyBudget,
                   reg: RegularizerConfig, run: NonConvexRunConfig,
                   model: LossModel, d_dp: float = 0.0,
-                  rng: np.random.Generator | None = None) -> AdaptationResult:
+                  rng: np.random.Generator | None = None, lanes: int = 1) -> AdaptationResult:
     """Run t* noisy projected gradient steps on the smoothed objective and
     return the last iterate: the one-column case of fit_nonconvex_columns."""
-    return fit_nonconvex_columns(data, [(budget, d_dp)], reg, run, model, rng)[0]
+    return fit_nonconvex_columns(data, [(budget, d_dp)], reg, run, model, rng, lanes)[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from privadapt import data_io
 from privadapt.core import AdaptDataset, LossModel
 from privadapt.data_io import (
     DatasetManifest,
@@ -106,6 +107,34 @@ class TestLoad:
         path = _write(tmp_path, ["1,0,0.5,source", "0,1,0.2,sourcetarget"])
         with pytest.raises(ValueError, match="row 1: domain .* got 'sourcetarget'"):
             load_dataset(DatasetManifest(path=path))
+
+    @pytest.mark.parametrize("value, loads", [
+        ('"source"', True), ("sourcex", False), ("targetxy", False), ("tärget", False),
+        ("源", False), (" source", False)])
+    def test_domain_values(self, tmp_path, value, loads):
+        # quoted values read as their content; anything else that is not
+        # source/target, cut to 7 bytes or not latin-1, names its row
+        path = _write(tmp_path, ["0,1,0.2,target", f"1,0,0.5,{value}"])
+        if loads:
+            data = load_dataset(DatasetManifest(path=path))
+            assert data.public_x.tolist() == [[1.0, 0.0]]
+        else:
+            with pytest.raises(ValueError, match=f"row 1: domain .* got '{value}'"):
+                load_dataset(DatasetManifest(path=path))
+
+    def test_fast_parse_matches_row_parse(self, tmp_path, monkeypatch):
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=3, noise_std=0.1), 40, 60,
+                                     derive_rng(2, "parse"))
+        path = str(tmp_path / "d.csv")
+        write_csv(data, path)
+        fast = load_dataset(DatasetManifest(path=path))
+
+        def reject(*args):
+            raise ValueError("row by row")
+        monkeypatch.setattr(data_io, "_parse_fast", reject)
+        slow = load_dataset(DatasetManifest(path=path))
+        for name in ("public_x", "public_y", "private_x", "private_y"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
 
     def test_feature_column_subset(self, tmp_path):
         path = _write(tmp_path, ["x,3,0.5,source", "0,4,0.2,target"])

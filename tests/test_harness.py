@@ -229,7 +229,7 @@ class TestRunSweep:
     def test_without_finite_epsilon_inf_keeps_the_ceiling(self, monkeypatch):
         steps = []
 
-        def record_T(data, columns, reg, run, model, rng=None):
+        def record_T(data, columns, reg, run, model, rng=None, lanes=1):
             steps.append(run.T)
             raise ArithmeticError("stop before the ceiling's steps")
         monkeypatch.setattr(harness, "fit_convex_columns", record_T)
@@ -453,6 +453,15 @@ class TestSweepSpecValidation:
     def test_T_none_allowed(self):
         assert small_spec(T=None).T is None
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"delta": 2.0}, "delta"), ({"delta": 0.0}, "delta"),
+        ({"disc_fraction": 1.5}, "disc_fraction"), ({"d_hat": "bogus"}, "d_hat"),
+        ({"d_hat": math.nan}, "d_hat")])
+    def test_rejects_budget_and_d_hat_before_any_cell(self, overrides, match):
+        # each once drew the data and failed in the first cell
+        with pytest.raises(ValueError, match=match):
+            small_spec(**overrides)
+
 
 class TestEmitRead:
     def test_round_trip_exact(self, tmp_path):
@@ -464,6 +473,7 @@ class TestEmitRead:
         assert back.records == res.records
         assert back.aggregates == res.aggregates
         assert back.wall_time == res.wall_time
+        assert (back.workers, back.lanes) == (res.workers, res.lanes)
 
     def test_infinite_epsilon_serializes(self, tmp_path):
         res = run_sweep(small_spec(epsilons=[math.inf], trials=1))
@@ -654,7 +664,11 @@ class TestCli:
         {"csv": {"path": "empty.csv"}},
         {"synthetic": {"d": 2}, "epsilons": [0.0]},
         {"synthetic": {"d": 2}, "trials": None},
-    ], ids=["missing-csv", "empty-csv", "bad-epsilon", "missing-key"])
+        {"synthetic": {"d": 2}, "delta": 2.0},
+        {"synthetic": {"d": 2}, "disc_fraction": 1.5},
+        {"synthetic": {"d": 2}, "d_hat": "bogus"},
+    ], ids=["missing-csv", "empty-csv", "bad-epsilon", "missing-key", "bad-delta",
+            "bad-disc-fraction", "bad-d-hat"])
     def test_sweep_input_errors_exit_2(self, tmp_path, capsys, cfg):
         (tmp_path / "empty.csv").write_text("")
         cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": [5], "trials": 1,
@@ -666,6 +680,7 @@ class TestCli:
         assert self._sweep(tmp_path, cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("privadapt: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.jsonl").exists()
 
     @linux_only
     def test_sweep_dead_worker_exits_1(self, tmp_path, capsys, workers, monkeypatch):

@@ -56,20 +56,19 @@ class TestSingleStep:
 
     def test_stops_at_t_star(self, monkeypatch):
         # t* gradient steps in the engine plus one for the gradient-mapping
-        # norm; no replay
-        from privadapt import nonconvex_objective, nonconvex_solver
+        # norm, each one part per u-block; no replay
+        from privadapt.nonconvex_objective import SmoothGradient
         calls = []
-        original = nonconvex_objective.block_grad_J
+        original = SmoothGradient.part
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
-        monkeypatch.setattr(nonconvex_solver, "block_grad_J", counted)
-        monkeypatch.setattr(nonconvex_objective, "block_grad_J", counted)
+        monkeypatch.setattr(SmoothGradient, "part", counted)
         res = fit_nonconvex(TINY, PrivacyBudget(1.0, 0.05), RegularizerConfig(),
                             NonConvexRunConfig(T=40, seed=2), LG)
         assert res.t_star < 40
-        assert len(calls) == res.t_star + 1
+        assert len(calls) == 2 * (res.t_star + 1)
 
     def test_T_none_takes_analytic_default(self):
         reg, budget = RegularizerConfig(), PrivacyBudget(1.0, 0.05)
@@ -111,7 +110,7 @@ class TestDescent:
         # engine one step at a time along the trajectory
         from privadapt.convex_solver import noisy_pgd
         from privadapt.core import reference_point
-        from privadapt.nonconvex_objective import block_grad_J
+        from privadapt.nonconvex_objective import SmoothGradient
 
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -126,9 +125,7 @@ class TestDescent:
             reg = RegularizerConfig(lambda1=0.5, lambda2=0.2, lambda_inf=0.1)
             ctx = NonConvexContext(data, 0.1, reg, LG)
             eta = np.full((1, 3), 1.0 / smoothness_beta_bar(ctx))
-
-            def grad(W, U_pub, U_priv):
-                return block_grad_J(data, reg, LG, np.array([0.1]), W, U_pub, U_priv)
+            grad = SmoothGradient(data, reg, LG, np.array([0.1]))
             p = reference_point(reg.alpha, m, n, d)
             js = [eval_J(ctx, p)]
             for _ in range(20):
