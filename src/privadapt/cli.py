@@ -34,6 +34,9 @@ from .mechanisms import derive_rng, privatize_discrepancy
 from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex
 
 
+FIT_NON_PRIVATE = ("objective_value", "grad_mapping_norm")
+
+
 def _parse_epsilon(s: str) -> float:
     v = float(s)  # reads "inf" and "Infinity" too
     if v <= 0:
@@ -55,13 +58,25 @@ def _add_fit_args(sub):
 
 
 def _fit_common(args, kind: str):
-    data = load_dataset(DatasetManifest(path=args.data))
-    model = LossModel(kind=kind, r=data.max_feature_norm(), lam=args.lam)
+    manifest = DatasetManifest(path=args.data)
+    data = load_dataset(manifest)
+    model = LossModel(kind=kind, r=manifest.r_target, lam=args.lam)
     budget = PrivacyBudget(args.epsilon, args.delta, args.disc_fraction)
     rng = derive_rng(args.seed, "cli-fit")
     d_dp = privatize_discrepancy(raw_d_hat(args.d_hat, data, model), model.B,
                                  budget.epsilon_disc, data.n, rng)
     return data, model, budget, d_dp, rng
+
+
+def _print_result(out: dict, epsilon: float, non_private: tuple) -> None:
+    """Print ``out`` as JSON, with a list of its keys computed from the
+    target data without noise, and for a finite epsilon a note on stderr."""
+    out["non_private"] = [key for key in non_private if key in out]
+    print(json.dumps(out))
+    if math.isfinite(epsilon):
+        print("privadapt: note: the values listed in non_private are computed from the "
+              "target data without noise; the privacy guarantee does not cover them",
+              file=sys.stderr)
 
 
 def cmd_gen_synth(args) -> int:
@@ -81,13 +96,14 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
-    data = load_dataset(DatasetManifest(path=args.data))
-    model = LossModel(kind=SQUARED, r=data.max_feature_norm(), lam=args.lam)
+    manifest = DatasetManifest(path=args.data)
+    data = load_dataset(manifest)
+    model = LossModel(kind=SQUARED, r=manifest.r_target, lam=args.lam)
     est = (discrepancy_grid if args.solver == "grid" else discrepancy_dca)(data, model)
     d_dp = privatize_discrepancy(est.d_hat, model.B, args.epsilon, data.n,
                                  derive_rng(args.seed, "cli-discrepancy"))
-    print(json.dumps({"d_hat": est.d_hat, "d_dp": d_dp, "solver": est.solver,
-                      "witness_w": est.witness_w.tolist()}))
+    _print_result({"d_hat": est.d_hat, "d_dp": d_dp, "solver": est.solver,
+                   "witness_w": est.witness_w.tolist()}, args.epsilon, ("d_hat", "witness_w"))
     return 0
 
 
@@ -98,7 +114,7 @@ def cmd_fit_convex(args) -> int:
     T = convex_T(args.T, budget, data, reg, model)
     result = fit_convex(data, budget, reg, ConvexRunConfig(T=T, seed=args.seed),
                         model, d_dp=d_dp, rng=rng, lanes=lane_count(1))
-    print(json.dumps(result.to_dict() | {"d_dp": d_dp}))
+    _print_result(result.to_dict() | {"d_dp": d_dp}, args.epsilon, FIT_NON_PRIVATE)
     return 0
 
 
@@ -109,7 +125,7 @@ def cmd_fit_nonconvex(args) -> int:
                             mu=args.mu)
     result = fit_nonconvex(data, budget, reg, NonConvexRunConfig(T=args.T, seed=args.seed),
                            model, d_dp=d_dp, rng=rng, lanes=lane_count(1))
-    print(json.dumps(result.to_dict() | {"d_dp": d_dp}))
+    _print_result(result.to_dict() | {"d_dp": d_dp}, args.epsilon, FIT_NON_PRIVATE)
     return 0
 
 

@@ -22,14 +22,10 @@ same per-block code in sequence, and both return the same bits.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
 import mmap
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +48,7 @@ from .convex_objective import (
     project_ball,
 )
 from .mechanisms import NoiseSchedule, calibrate, derive_rng
+from .processes import DONE, fork
 
 DEFAULT_T_CEILING = 200_000
 # A run takes the two lanes it is granted once min(m, n) x steps reaches
@@ -213,112 +210,31 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
     return W, U
 
 
-_STEP, _DONE, _FAILED = b"s", b"d", b"e"
-
-
-class _Link:
-    """One lane's ends of the pipe pair between the two lanes."""
-
-    def __init__(self, read_fd: int, write_fd: int):
-        self.read_fd, self.write_fd = read_fd, write_fd
-
-    def signal(self, message: bytes = _STEP):
-        os.write(self.write_fd, message)
-
-    def wait(self, expect: bytes = _STEP):
-        """Block until the other lane sends ``expect``; raise the exception
-        it failed with, or RuntimeError if it exited."""
-        got = os.read(self.read_fd, 1)
-        if got == expect:
-            return
-        if got != _FAILED:
-            raise RuntimeError("the other lane of a two-lane engine run exited")
-        payload = b""  # the failed lane writes it, then exits
-        while chunk := os.read(self.read_fd, 1 << 16):
-            payload += chunk
-        try:  # bytes written by this program's own fork
-            exc = pickle.loads(payload)
-        except Exception:  # cut short, or of a class that does not unpickle
-            exc = RuntimeError("the other lane of a two-lane engine run failed")
-        raise exc
-
-    def send(self, data):
-        """Write all of ``data``, bytes or a C-contiguous array."""
-        view = memoryview(data).cast("B")
-        while view:
-            view = view[os.write(self.write_fd, view):]
-
-    def receive(self, array: np.ndarray) -> np.ndarray:
-        """Fill the C-contiguous ``array`` from the other lane's ``send``."""
-        view = memoryview(array).cast("B")
-        while view:
-            got = os.readv(self.read_fd, [view])
-            if not got:
-                raise RuntimeError("the other lane of a two-lane engine run exited")
-            view = view[got:]
-        return array
-
-    def fail(self, exc: BaseException):
-        """Send ``exc`` to the other lane, with where it was raised."""
-        import traceback  # only a failing lane needs it
-
-        where = "".join(traceback.format_tb(exc.__traceback__))
-        exc.add_note(f"raised in the private lane of a two-lane run:\n{where}")
-        try:
-            payload = pickle.dumps(exc)
-        except Exception:  # an exception that does not pickle goes as its text
-            payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}\n{where}"))
-        self.send(_FAILED + payload)
-
-
 def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
     """``run`` with its public lane here and its private lane on a process
-    forked for this run; returns (W, U_pub, U_priv).
+    forked for this run (``processes.fork``); returns (W, U_pub, U_priv).
 
     The lanes share one anonymous mmap holding the rows and the noise ring
-    of ``run``, and signal each other through a pipe pair once a step; the
-    private lane sends its output, of ``private_shape``, through the pipe.
-    An exception in the private lane is raised here; a private lane that
-    exits early raises RuntimeError.  The child is always reaped, and its
-    pipe ends closed, before this returns.
+    of ``run``, and signal each other through the fork's pipe pair once a
+    step; the private lane sends its output, of ``private_shape``, through
+    the pipe.  An exception in the private lane is raised here; a private
+    lane that exits early raises RuntimeError.
     """
     sizes = [math.prod(shape) for shape in shapes]
     shared = mmap.mmap(-1, 8 * sum(sizes))
     offsets = itertools.accumulate([0] + sizes)
     parts, ring = (np.frombuffer(shared, float, size, 8 * offset).reshape(shape)
                    for shape, size, offset in zip(shapes, sizes, offsets))
-    (from_child, to_parent), (from_parent, to_child) = os.pipe(), os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the private lane: reports to the parent and never returns
-        status, link = 1, _Link(from_parent, to_parent)
-        try:
-            os.close(from_child)
-            os.close(to_child)
-            _, U = run((1,), parts, ring, link)
-            link.signal(_DONE)
-            link.send(U[1])
-            status = 0
-        except BaseException as exc:  # sent to the parent; the finally ends this process
-            with contextlib.suppress(OSError):
-                link.fail(exc)
-        finally:
-            os._exit(status)
-    os.close(to_parent)
-    os.close(from_parent)
-    done = False
-    try:
-        link = _Link(from_child, to_child)
+
+    def private(link):
+        _, U = run((1,), parts, ring, link)
+        link.signal(DONE)
+        link.send(U[1])
+
+    with fork(private, "the private lane of a two-lane run") as link:
         W, U = run((0,), parts, ring, link)
-        link.wait(_DONE)
-        U_priv = link.receive(np.empty(private_shape))
-        done = True
-        return W, U[0], U_priv
-    finally:
-        os.close(from_child)
-        os.close(to_child)
-        if not done:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        link.wait(DONE)
+        return W, U[0], link.receive(np.empty(private_shape))
 
 
 def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],

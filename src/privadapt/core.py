@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,13 +31,17 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.multiply(x, x, order="C"), axis=1))
 
 
-def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def take_rows(x, rows) -> np.ndarray:
     """x[rows] for an index array, gathered column by column straight into
     the ``AdaptDataset`` feature layout; x, in any layout, is never copied
-    whole, so a strided view of a parsed file costs no extra copy."""
-    out = np.empty((x.shape[1], len(rows)))
-    for column, row in zip(x.T, out):
-        row[...] = column[rows]
+    whole, so a strided view of a parsed file costs no extra copy.  For a
+    list of arrays x with one index array each in rows, their selections
+    in order, gathered the same way without joining the arrays."""
+    if not isinstance(x, list):
+        x, rows = [x], [rows]
+    out = np.empty((x[0].shape[1], sum(map(len, rows))))
+    for row, *columns in zip(out, *(part.T for part in x)):
+        np.concatenate([column[pick] for column, pick in zip(columns, rows)], out=row)
     return out.T
 
 
@@ -92,6 +97,10 @@ class AdaptDataset:
         return self.public_x.shape[1]
 
     def max_feature_norm(self) -> float:
+        return self._max_feature_norm
+
+    @functools.cached_property
+    def _max_feature_norm(self) -> float:  # once a dataset: every objective context checks it
         return float(max(row_norms(self.public_x).max(), row_norms(self.private_x).max()))
 
     def check_feature_bound(self, r: float, tol: float = 1e-9):

@@ -32,8 +32,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -63,6 +61,8 @@ from .data_io import (
 from .discrepancy import discrepancy_dca, discrepancy_grid
 from .mechanisms import derive_rng, privatize_discrepancy
 from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex_columns
+# under this name, so that patching harness._process_slots changes the sweep rules
+from .processes import process_slots as _process_slots
 
 CONVEX = "convex"
 NONCONVEX = "nonconvex"
@@ -347,24 +347,6 @@ def _inherit(spec: SweepSpec, shared: _Shared) -> None:
 
 def _inherited_group(key: tuple):
     return _group(*_inherited, key)
-
-
-def _process_slots() -> int:
-    """How many processes may compute at once: CPUs // BLAS threads, so
-    processes x BLAS threads never exceed the CPUs, or 1 off Linux, where
-    fork is unavailable or unsafe, and in a daemonic process (a
-    multiprocessing.Pool worker, say), which may not start children.  The
-    BLAS threads are read from OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS."""
-    if sys.platform != "linux":
-        return 1
-    mp = sys.modules.get("multiprocessing")  # loaded in any such daemon
-    if mp is not None and mp.current_process().daemon:
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS", "")
-    # unset or invalid: OpenBLAS starts one thread per CPU
-    threads = int(setting) if setting.isdigit() and int(setting) > 0 else cpus
-    return cpus // threads
 
 
 def _worker_count(groups: int) -> int:

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privadapt import data_io
 from privadapt.core import AdaptDataset, LossModel
@@ -137,9 +140,9 @@ class TestLoad:
             assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
 
     def test_feature_column_subset(self, tmp_path):
-        path = _write(tmp_path, ["x,3,0.5,source", "0,4,0.2,target"])
+        path = _write(tmp_path, ["x,4,0.5,source", "0,3,0.2,target"])
         data = load_dataset(DatasetManifest(path=path, feature_columns=["f1"]))
-        assert data.public_x.tolist() == [[0.75]] and data.private_x.tolist() == [[1.0]]
+        assert data.public_x.tolist() == [[1.0]] and data.private_x.tolist() == [[0.75]]
 
     def test_reads_what_python_float_reads(self, tmp_path):
         # "1_0" is a float to Python but not to numpy's parser: the
@@ -147,6 +150,47 @@ class TestLoad:
         path = _write(tmp_path, ["1_0,0,0.5,source", "0,5,0.2,target"])
         data = load_dataset(DatasetManifest(path=path))
         assert data.public_x.tolist() == [[1.0, 0.0]] and data.private_x.tolist() == [[0.0, 0.5]]
+
+    def test_scale_comes_from_public_rows_and_target_rows_are_clipped(self, tmp_path):
+        path = _write(tmp_path, ["2,0,0.5,source", "0,4,0.2,target", "0.5,0,0.1,target"])
+        with pytest.warns(UserWarning, match="1 target feature row.*non-private"):
+            data = load_dataset(DatasetManifest(path=path, r_target=1.0))
+        assert data.public_x.tolist() == [[1.0, 0.0]]
+        assert data.private_x.tolist() == [[0.0, 1.0], [0.25, 0.0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(public=st.lists(st.tuples(st.floats(-8, 8), st.floats(-8, 8)), min_size=1,
+                           max_size=3),
+           private=st.lists(st.tuples(st.floats(-8, 8), st.floats(-8, 8)), min_size=2,
+                            max_size=4),
+           new=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), which=st.integers(0, 3))
+    def test_replacing_a_target_row_changes_no_other_row(self, tmp_path_factory, public,
+                                                          private, new, which):
+        # the replace-one adjacency of the privacy guarantee: the public
+        # rows, and every other target row, load to the same bits
+        path = tmp_path_factory.mktemp("adjacent") / "data.csv"
+
+        def load(target):
+            rows = [(*row, "source") for row in public] + [(*row, "target") for row in target]
+            path.write_text("f0,f1,label,domain\n"
+                            + "".join(f"{a!r},{b!r},0.5,{dom}\n" for a, b, dom in rows))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # clipped target rows
+                return load_dataset(DatasetManifest(path=str(path)))
+
+        which %= len(private)
+        adjacent = private[:which] + [new] + private[which + 1:]
+        try:
+            before = load(private)
+        except ValueError:  # no public row of positive norm sets the scale
+            with pytest.raises(ValueError, match="every source feature row is zero"):
+                load(adjacent)
+            return
+        after = load(adjacent)
+        assert before.public_x.tobytes() == after.public_x.tobytes()
+        keep = [i for i in range(len(private)) if i != which]
+        assert before.private_x[keep].tobytes() == after.private_x[keep].tobytes()
+        assert np.linalg.norm(after.private_x, axis=1).max() <= 1.0 + 1e-12
 
     def test_post_ingestion_norm_bound(self, tmp_path):
         rows = [f"{v},{w},0.1,{dom}" for v, w, dom in

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from privadapt import cli, harness
+from privadapt import cli, harness, processes
 from privadapt.baselines import fit_baseline
 from privadapt.convex_solver import DEFAULT_T_CEILING
 from privadapt.core import LossModel, RegularizerConfig
@@ -364,8 +364,8 @@ class TestWorkerPool:
 class TestWorkerCount:
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
-        monkeypatch.setattr(harness.sys, "platform", "linux")
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+        monkeypatch.setattr(processes.sys, "platform", "linux")
+        monkeypatch.setattr(processes.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
@@ -388,7 +388,7 @@ class TestWorkerCount:
         assert harness._worker_count(groups) == expected
 
     def test_in_process_off_linux(self, monkeypatch):
-        monkeypatch.setattr(harness.sys, "platform", "darwin")
+        monkeypatch.setattr(processes.sys, "platform", "darwin")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert harness._worker_count(45) == 1
 
@@ -608,6 +608,22 @@ class TestCli:
                          "--d-hat", "0.0"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert 1 <= out["t_star"] <= out["T_used"]
+
+    @pytest.mark.parametrize("argv, labelled", [
+        (["discrepancy", "--solver", "grid"], ["d_hat", "witness_w"]),
+        (["fit-convex", "--T", "20", "--d-hat", "0.1"], ["objective_value"]),
+        (["fit-nonconvex", "--loss", "squared", "--T", "20", "--d-hat", "0.1"],
+         ["objective_value", "grad_mapping_norm"]),
+    ], ids=["discrepancy", "fit-convex", "fit-nonconvex"])
+    @pytest.mark.parametrize("epsilon", ["1.0", "inf"])
+    def test_non_private_values_are_labelled(self, tmp_path, capsys, argv, labelled, epsilon):
+        path, _ = self._gen(tmp_path, capsys)
+        assert cli.main(argv[:1] + ["--data", str(path), "--epsilon", epsilon] + argv[1:]) == 0
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["non_private"] == labelled
+        notes = [line for line in captured.err.splitlines() if "non_private" in line]
+        assert len(notes) == (epsilon != "inf")
 
     def test_value_error_is_one_line_and_exit_code_2(self, tmp_path, capsys):
         # the exact d_hat solve supports the squared loss only

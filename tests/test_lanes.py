@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from privadapt import convex_solver, harness
+from privadapt import convex_solver, harness, processes
 from privadapt.convex_objective import ConvexGradient
 from privadapt.convex_solver import ConvexRunConfig, fit_convex_columns
 from privadapt.core import FeasiblePoint, LossModel, PrivacyBudget, RegularizerConfig
@@ -189,7 +189,7 @@ class TestLaneGrant:
         assert harness.lane_count(workers) == expected
 
     def test_one_lane_off_linux(self, monkeypatch):
-        monkeypatch.setattr(harness.sys, "platform", "darwin")
+        monkeypatch.setattr(processes.sys, "platform", "darwin")
         assert harness.lane_count(1) == 1
 
     @pytest.mark.parametrize("steps, forked", [(39, 0), (40, 1)])
