@@ -118,12 +118,13 @@ def generate_synthetic(spec: SyntheticShiftSpec, m: int, n: int,
 
 
 DOMAINS = (b"source", b"target")  # as the fast parse reads them
-# A data section of at least this many bytes is parsed in one byte range per
-# process slot.  On 2 CPUs with one BLAS thread (d = 100), two ranges took
-# 1.13x the time of one parse at 0.5 MB (the fork and the wait cost about
-# 7 ms), 0.83-0.92x at 0.8-1.3 MB, 0.76-0.79x at 1.6-3.1 MB and 0.69x at
-# 19.5 MB; the gate sits where the gain is clear of the noise.
-SPLIT_MIN_BYTES = 2 << 20
+# A data section is parsed in one byte range per process slot, but in no
+# range of fewer than this many bytes, so every fork is repaid.  On 2 CPUs
+# with one BLAS thread (d = 100), two ranges took 1.13x the time of one
+# parse at 0.5 MB (the fork and the wait cost about 7 ms), 0.83-0.92x at
+# 0.8-1.3 MB, 0.76-0.79x at 1.6-3.1 MB and 0.69x at 19.5 MB; ranges of
+# 1 MiB sit where the gain is clear of the noise.
+SPLIT_MIN_BYTES = 1 << 20
 
 
 def _parse_fast(lines, header: list[str], cols: list[str], domain_col: str) -> np.ndarray:
@@ -158,13 +159,14 @@ def _line_starts(raw, offsets: list[int]) -> list[int]:
 
 def _parse_parts(fh, path: str, parse) -> list[np.ndarray]:
     """``parse`` of the rest of the text file ``fh`` as arrays of rows, in
-    file order.  A rest of SPLIT_MIN_BYTES or more is cut at line starts
-    into one range per process slot: this process parses the first, and a
-    forked child each other one and sends its row count, then its rows,
-    through a pipe into an array made here.  A quote before the last range
-    could open a field across a cut, so such a file is not split."""
+    file order.  The rest is cut at line starts into one range per process
+    slot, or fewer, so that a range holds about SPLIT_MIN_BYTES or more:
+    this process parses the first, and a forked child each other one and
+    sends its row count, then its rows, through a pipe into an array made
+    here.  A quote before the last range could open a field across a cut,
+    so such a file is not split."""
     start, size = fh.tell(), os.fstat(fh.fileno()).st_size
-    slots = process_slots() if size - start >= SPLIT_MIN_BYTES else 1
+    slots = max(1, min(process_slots(), (size - start) // SPLIT_MIN_BYTES))
     with open(path, "rb") as raw:
         cuts = [start, *_line_starts(raw, [start + (size - start) * i // slots
                                            for i in range(1, slots)]), size]

@@ -73,7 +73,7 @@ def split(monkeypatch):
     """split(ranges, offsets): make load_dataset cut every file into
     ``ranges`` ranges at the line starts at or after ``offsets``."""
     original = data_io._line_starts
-    monkeypatch.setattr(data_io, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(data_io, "SPLIT_MIN_BYTES", 1)
 
     def set_cuts(ranges, offsets):
         assert len(offsets) == ranges - 1
@@ -148,24 +148,24 @@ def test_dead_child_raises(tmp_path, monkeypatch, split, bounded, leaves_nothing
         load_dataset(DatasetManifest(path=path))
 
 
-def test_large_file_splits_by_default(tmp_path, monkeypatch, bounded, leaves_nothing):
-    # with the gate at its own value and two slots, the parse forks once
+@pytest.mark.parametrize("slots, ranges", [(1, 1), (2, 2), (3, 2), (8, 2)])
+def test_ranges_follow_the_slots_and_the_range_size(slots, ranges, tmp_path, monkeypatch,
+                                                    bounded, leaves_nothing):
+    # a data section of between two and three SPLIT_MIN_BYTES: at most two ranges
     rows = [f"{i % 7},{i % 5},0.1,{'source' if i % 3 else 'target'}"
-            for i in range(data_io.SPLIT_MIN_BYTES // 14 + 1)]
+            for i in range(5 * data_io.SPLIT_MIN_BYTES // 28 + 1)]
     path = _write(tmp_path, "f0,f1,label,domain\n" + "\n".join(rows) + "\n")
-    assert os.path.getsize(path) >= data_io.SPLIT_MIN_BYTES
     forks, original = [], data_io.fork
 
     def counted(*args):
         forks.append(1)
         return original(*args)
-    monkeypatch.setattr(data_io, "process_slots", lambda: 2)
     monkeypatch.setattr(data_io, "fork", counted)
-    split_data = load_dataset(DatasetManifest(path=path))
-    assert len(forks) == 1
     monkeypatch.setattr(data_io, "process_slots", lambda: 1)
     one = load_dataset(DatasetManifest(path=path))
-    assert len(forks) == 1
+    monkeypatch.setattr(data_io, "process_slots", lambda: slots)
+    split_data = load_dataset(DatasetManifest(path=path))
+    assert len(forks) == ranges - 1
     for name in ("public_x", "public_y", "private_x", "private_y"):
         assert getattr(split_data, name).tobytes() == getattr(one, name).tobytes()
 
@@ -177,7 +177,7 @@ def test_split_parse_makes_no_second_copy(tmp_path, monkeypatch, bounded, leaves
     data, _ = generate_synthetic(SyntheticShiftSpec(d=20), 1500, 2500, np.random.default_rng(0))
     path = str(tmp_path / "data.csv")
     write_csv(data, path)
-    monkeypatch.setattr(data_io, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(data_io, "SPLIT_MIN_BYTES", 1)
     monkeypatch.setattr(data_io, "process_slots", lambda: 2)
     load_dataset(DatasetManifest(path))  # first-call set-up stays out of the peak
     tracemalloc.start()
