@@ -19,6 +19,7 @@ from .core import (
     SQUARED,
     is_feasible,
     loss_values,
+    row_norms,
 )
 
 
@@ -81,10 +82,12 @@ class BlockGradient:
 
     Lane 0 is the public block, lane 1 the private one.  Problem j is column
     j of W (d, E) and row j of each u-block (E, rows), with discrepancy
-    d_dp[j] on its public losses.  ``part(lane, W, U, out)`` does what the
-    lane can alone: it writes the lane's share of the w-gradient into
-    ``out[:d]`` and its per-problem reductions of U into the ``REDUCTIONS``
-    rows below, and returns its state for the finish.  Once both lanes'
+    d_dp[j] on its public losses.  ``part(lane, W, U, out, held)`` does
+    what the lane can alone: it writes the lane's share of the w-gradient
+    into ``out[:d]`` and its per-problem reductions of U into the
+    ``REDUCTIONS`` rows below, and returns its state for the finish, or
+    None if ``held`` (the block is at its lower bound and takes no noise)
+    and the step leaves the block there: it takes no u-step.  Once both lanes'
     rows are filled (``parts``, shaped (2, d + REDUCTIONS, E)), ``combine``
     forms g_w and the cross-block terms, once a step in each process, and
     ``finish`` the lane's u-gradient.  Every pass over a u-block runs on a
@@ -108,14 +111,6 @@ class BlockGradient:
         return g_w, *(self.finish(lane, us[lane], shared, states[lane]) for lane in (0, 1))
 
 
-def _residual_over_u(X, y, W, U, out):
-    """(x.w - y) / u for every problem, into ``out`` (E, rows)."""
-    np.matmul(W.T, X.T, out=out)
-    out -= y
-    out /= U
-    return out
-
-
 class ConvexGradient(BlockGradient):
     """Block gradients of E squared-loss objectives.
 
@@ -128,6 +123,8 @@ class ConvexGradient(BlockGradient):
     forward product W^T X^T, read from the dataset's row-contiguous X^T,
     writes straight into the lane's gradient buffer, made at its first
     step in the process that runs the lane and overwritten by every step.
+    With kappa2 = kappa_inf = 0, a held block that a bound keeps at lb forms
+    its share from A = X^T X and b = X^T y, made at its first held step.
     """
 
     def __init__(self, data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray):
@@ -135,14 +132,30 @@ class ConvexGradient(BlockGradient):
         self.cfg = cfg
         self.c = (cfg.kappa1 * (cfg.alpha / data.m) ** 2,
                   cfg.kappa1 * ((1.0 - cfg.alpha) / data.n) ** 2)
-        self.g = [None, None]
+        self.g, self.gram = [None, None], [None, None]
+        self.lower = data.m / cfg.alpha, data.n / (1.0 - cfg.alpha)
 
-    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray):
+    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray,
+             held: bool = False):
         X, y, shift = self.blocks[lane]
+        cfg, d = self.cfg, self.d
+        if held and cfg.kappa2 == cfg.kappa_inf == 0:
+            # at lb, g_u = kappa1 c - (r^2 + d_dp)/lb^2 with c lb^2 = 1 and |r| <=
+            # x_top ||w|| + y_top: if that keeps every g_u > 0, u stays at lb
+            if self.gram[lane] is None:
+                self.gram[lane] = X.T @ X, X.T @ y, row_norms(X).max(), np.abs(y).max()
+            A, b, x_top, y_top = self.gram[lane]
+            bound = (x_top * np.linalg.norm(W, axis=0)[:, None] + y_top) ** 2
+            if np.all(bound + (0.0 if shift is None else shift) <= cfg.kappa1 * (1.0 - 1e-9)):
+                np.matmul(A, W, out=out[:d])  # X^T (X W - y) / lb
+                out[:d] -= b[:, None]
+                out[:d] /= self.lower[lane]
+                return None
         if self.g[lane] is None:
             self.g[lane] = np.empty(U.shape)
-        q = _residual_over_u(X, y, W, U, self.g[lane])
-        d = self.d
+        q = np.matmul(W.T, X.T, out=self.g[lane])  # q = (x.w - y) / u
+        q -= y
+        q /= U
         np.matmul(X.T, q.T, out=out[:d])
         if shift is None:
             q *= q
@@ -154,9 +167,9 @@ class ConvexGradient(BlockGradient):
             q /= U
         # g_u = kappa1 c - numerator / u^2, negated in the same pass
         np.subtract(self.c[lane], q, out=q)
-        if self.cfg.kappa2 > 0:
+        if cfg.kappa2 > 0:
             np.sum(1.0 / U ** 2, axis=1, out=out[d])
-        if self.cfg.kappa_inf > 0:
+        if cfg.kappa_inf > 0:
             i = U.argmin(axis=1)
             out[d + 1] = U[np.arange(i.size), i]
             out[d + 2] = i

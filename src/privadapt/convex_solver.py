@@ -17,7 +17,9 @@ the blocks meet only through the w-gradient and a few per-problem
 reductions.  So a run granted two lanes, and long enough to repay a fork,
 steps the private block on a child process while this one steps the
 public block, each with its own copy of W; the in-process run calls the
-same per-block code in sequence, and both return the same bits.
+same per-block code in sequence, and both return the same bits.  A
+noise-free block at its lower bound is held while the gradient certifies
+that a step leaves it there: it takes no u-step and sums as one scalar.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ class ConvexRunConfig:
     init: FeasiblePoint | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        for step in (self.step_w, self.step_u_pub, self.step_u_priv):
+            if step is not None and not 0.0 < step < math.inf:
+                raise ValueError("step size overrides must be positive and finite")
+
 
 def default_step_sizes(model: LossModel, cfg: RegularizerConfig,
                        schedule: NoiseSchedule, m: int, n: int, d: int):
@@ -89,7 +96,7 @@ def default_T_convex(n: int, m: int, d: int, alpha: float, eps_opt: float,
     """Smallest iteration count satisfying the convergence analysis,
     capped by a configurable ceiling (the analytic lower bound grows like
     (eps*n)^2 and is impractical at desk scale)."""
-    if delta >= 1.0:
+    if not 0.0 < delta < 1.0:  # PrivacyBudget's rule
         raise ValueError("delta must lie in (0, 1)")
     if math.isinf(eps_opt):
         return ceiling
@@ -158,12 +165,15 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
     W = np.repeat(p.w[:, None], E, axis=1)
     U = {lane: np.repeat(u[None, :], E, axis=0)
          for lane, u in enumerate((p.u_pub, p.u_priv)) if lane in lanes}
+    # a noise-free block at its lower bound is held until a step moves it;
+    # each u-block's sum starts as the scalar 0.0 and stays one while held
+    held = {lane: not (lane == 1 and noisy_u) and bool((U[lane] == lower[lane]).all())
+            for lane in lanes}
     g_w = np.empty((d, E))
     if 1 in lanes and noisy_u:
         noise_priv = np.empty((E, n))
-    blocks = ([W] if 0 in lanes else []) + [U[lane] for lane in lanes]
     if average:
-        sums = [np.zeros_like(block) for block in blocks]
+        sum_w, sums = np.zeros_like(W), dict.fromkeys(lanes, 0.0)
 
     def draw(z):
         if noisy_w:
@@ -175,7 +185,7 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
         draw(ring[0])
     for t in range(steps):
         part = parts[t % 2]
-        states = {lane: grad.part(lane, W, U[lane], part[lane]) for lane in lanes}
+        states = {lane: grad.part(lane, W, U[lane], part[lane], held[lane]) for lane in lanes}
         if link:
             link.signal()
         if draws and t + 1 < steps:
@@ -190,6 +200,9 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
         W -= g_w
         project_ball(W, lam)
         for lane in lanes:
+            if states[lane] is None:  # the bound holds the block at lb
+                continue
+            held[lane] = False
             g = grad.finish(lane, U[lane], shared, states[lane])
             if lane == 1 and noisy_u:
                 g += np.multiply(sigma2, z[d:], out=noise_priv)
@@ -197,16 +210,14 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
             U[lane] -= g
             np.maximum(U[lane], lower[lane], out=U[lane])
         if average:
-            for total, block in zip(sums, blocks):
-                total += block
+            sum_w += W
+            for lane in lanes:
+                sums[lane] += lower[lane] if held[lane] else U[lane]
     if average:
-        for total in sums:
-            total /= steps
-        if 0 in lanes:
-            W = sums[0]
-            project_ball(W, lam)
-        for lane, total in zip(lanes, sums[-len(lanes):]):
-            U[lane] = np.maximum(total, lower[lane], out=total)
+        W = sum_w / steps
+        project_ball(W, lam)
+        for lane in lanes:
+            U[lane] = np.maximum(np.broadcast_to(sums[lane] / steps, U[lane].shape), lower[lane])
     return W, U
 
 

@@ -27,8 +27,17 @@ def sample_major(x: np.ndarray) -> np.ndarray:
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """The norm of each row of x, with the same bits in either layout."""
-    return np.sqrt(np.add.reduce(np.multiply(x, x, order="C"), axis=1))
+    """The norm of each row of a finite x, with the same bits in either
+    layout.  A row whose squares sum to zero, a subnormal or inf is first
+    divided by its largest |entry|, so tiny and huge rows keep their norm."""
+    with np.errstate(over="ignore"):  # such rows are rescaled below
+        sq = np.add.reduce(np.multiply(x, x, order="C"), axis=1)
+    norms = np.sqrt(sq)
+    if (odd := np.flatnonzero((sq < np.finfo(float).tiny) | (sq == np.inf))).size:
+        top = np.abs(x[odd]).max(axis=1, initial=0.0)
+        rows = x[odd] / np.where(top > 0.0, top, 1.0)[:, None]
+        norms[odd] = top * np.sqrt(np.add.reduce(np.multiply(rows, rows, order="C"), axis=1))
+    return norms
 
 
 def take_rows(x, rows) -> np.ndarray:
@@ -241,7 +250,7 @@ class PrivacyBudget:
     def __post_init__(self):
         if self.epsilon_total <= 0:
             raise ValueError("epsilon_total must be positive (may be inf)")
-        if not (0.0 < self.delta < 1.0):
+        if not (0.0 < self.delta < 1.0):  # the rule default_T_* apply too
             raise ValueError("delta must lie in (0, 1)")
         if not (0.0 < self.disc_fraction < 1.0):
             raise ValueError("disc_fraction must lie in (0, 1)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -256,12 +257,17 @@ def load_dataset(manifest: DatasetManifest) -> AdaptDataset:
     public, private = take_rows(nums, src), take_rows(nums, tgt)
     del parts, nums  # free the parsed rows before the passes below (peak memory)
     xs, ys, xt, yt = public[:, :-1], public[:, -1], private[:, :-1], private[:, -1]
-    top = row_norms(xs).max()
+    top = float(row_norms(xs).max())
     if top == 0:
         raise ValueError(f"{path}: every source feature row is zero, so no rescaling "
                          "can meet the feature-norm bound")
-    xs *= r / top  # both are views of the copies take_rows made
-    xt *= r / top
+    if (scale := r / top) == np.inf:
+        raise ValueError(f"{path}: the largest source feature row norm {top!r} is too small")
+    # a target row the scale would overflow goes to norm 2 top, then to the ball
+    big = np.abs(xt).max(axis=1, initial=0.0) > sys.float_info.max / scale
+    xt[big] = xt[big] / row_norms(xt[big])[:, None] * (2.0 * top)
+    xs *= scale  # both are views of the copies take_rows made
+    xt *= scale
     norms = row_norms(xt)
     if (over := norms > r).any():
         xt[over] *= (r / norms[over])[:, None]

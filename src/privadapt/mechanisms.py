@@ -70,8 +70,6 @@ def calibrate(budget: PrivacyBudget, alpha: float, G: float, B: float,
         raise ValueError("n must be >= 1")
     if not (0.0 < alpha < 1.0):  # the bound RegularizerConfig enforces
         raise ValueError("alpha must lie in (0, 1)")
-    if budget.delta >= 3.0:
-        raise ValueError("delta must satisfy ln(3/delta) > 0")
     s1 = 2.0 * (1.0 - alpha) * G / n
     s2 = (1.0 - alpha) ** 2 * B / n ** 2
     eps = budget.epsilon_opt

@@ -86,7 +86,8 @@ class SmoothGradient(BlockGradient):
         self.cfg, self.model = cfg, model
         self.mu = cfg.softmax_mu(data.m, data.n)
 
-    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray):
+    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray,
+             held: bool = False):
         X, y, shift = self.blocks[lane]
         cfg, d = self.cfg, self.d
         num, slope = score_loss_and_slope(self.model, W.T @ X.T, y)

@@ -50,7 +50,7 @@ def default_T_nonconvex(n: int, d: int, alpha: float, eps_opt: float,
     """Iteration count balancing descent progress against injected noise:
     sqrt(beta_bar*M) * eps * n^{3/2} / ((1-a) sqrt(ln(2/delta)) *
     sqrt(40 G^2 d n + (1-a)^2 B^2)), at least 1, capped."""
-    if delta >= 1.0:
+    if not 0.0 < delta < 1.0:  # PrivacyBudget's rule
         raise ValueError("delta must lie in (0, 1)")
     if math.isinf(eps_opt):
         return ceiling

@@ -178,3 +178,12 @@ class TestDefaultT:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             default_T_convex(10, 10, 3, 0.5, 1.0, 1.5, 4.0, 4.0)
+
+
+@pytest.mark.parametrize("name", ["step_w", "step_u_pub", "step_u_priv"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_run_config_rejects_non_positive_or_non_finite_steps(name, value):
+    # a negative u-step would make the weights ascend
+    with pytest.raises(ValueError, match="positive and finite"):
+        ConvexRunConfig(T=5, **{name: value})
+    assert getattr(ConvexRunConfig(T=5, **{name: 1e-3}), name) == 1e-3

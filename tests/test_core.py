@@ -15,6 +15,7 @@ from privadapt.core import (
     loss_values,
     non_private,
     reference_point,
+    row_norms,
 )
 from tests.test_convex_objective import point_from_vector
 
@@ -245,3 +246,28 @@ def test_constants_formulas_hypothesis(r, lam):
     assert sq.G == pytest.approx(2 * r * (lam * r + 1))
     assert lg.G == r and lg.beta == pytest.approx(r * r / 4)
     assert lg.B == pytest.approx(r * lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3), min_size=1,
+                     max_size=6),
+       exponent=st.sampled_from([0, -160, -300, -320, 150, 300]))
+def test_row_norms_of_tiny_and_huge_rows(rows, exponent):
+    # a row whose squares sum outside the normal range is rescaled, so its
+    # norm is right to a few ulps; every other row keeps the plain formula's
+    # bits, in either layout
+    with np.errstate(over="ignore"):
+        x = np.array(rows) * 10.0 ** exponent
+    x[~np.isfinite(x)] = 1.0
+    got = row_norms(x)
+    assert got.tobytes() == row_norms(np.asfortranarray(x)).tobytes()
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(x * x, axis=1)
+    normal = (sq >= np.finfo(float).tiny) & (sq < np.inf)
+    plain = np.sqrt(sq)
+    assert got[normal].tobytes() == plain[normal].tobytes()
+    top = np.abs(x).max(axis=1)
+    scaled = x / np.where(top > 0, top, 1.0)[:, None]
+    want = top * np.sqrt((scaled * scaled).sum(axis=1))
+    np.testing.assert_allclose(got, want, rtol=1e-15)
+    assert ((got > 0) == (top > 0)).all()

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -182,8 +183,10 @@ class TestLoad:
         adjacent = private[:which] + [new] + private[which + 1:]
         try:
             before = load(private)
-        except ValueError:  # no public row of positive norm sets the scale
-            with pytest.raises(ValueError, match="every source feature row is zero"):
+        except ValueError as exc:  # no public row norm sets a finite scale
+            assert re.search("every source feature row is zero|too small",
+                             str(exc))
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
                 load(adjacent)
             return
         after = load(adjacent)
@@ -191,6 +194,22 @@ class TestLoad:
         keep = [i for i in range(len(private)) if i != which]
         assert before.private_x[keep].tobytes() == after.private_x[keep].tobytes()
         assert np.linalg.norm(after.private_x, axis=1).max() <= 1.0 + 1e-12
+
+    def test_tiny_public_rows_set_the_scale(self, tmp_path):
+        # their squares underflow to 0, yet their norm is positive; a target
+        # row the scale takes past the float range is clipped to the ball
+        path = _write(tmp_path, ["0.0,1.4e-289,0.5,source", "3e-289,4e-289,0.2,target",
+                                 "1e3,0,0.1,target", "0,-1e300,0.1,target"])
+        with pytest.warns(UserWarning, match="3 target feature row"):
+            data = load_dataset(DatasetManifest(path=path))
+        assert data.public_x.tolist() == [[0.0, 1.0]]
+        np.testing.assert_allclose(data.private_x, [[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]],
+                                   rtol=1e-15)
+
+    def test_subnormal_public_norm_is_too_small_to_rescale(self, tmp_path):
+        path = _write(tmp_path, ["0.0,5e-324,0.5,source", "1,0,0.2,target"])
+        with pytest.raises(ValueError, match="too small"):
+            load_dataset(DatasetManifest(path=path))
 
     def test_post_ingestion_norm_bound(self, tmp_path):
         rows = [f"{v},{w},0.1,{dom}" for v, w, dom in

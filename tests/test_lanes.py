@@ -20,6 +20,7 @@ from privadapt.harness import SweepCellError, emit_results, read_results, run_sw
 from privadapt.mechanisms import derive_rng
 from privadapt.nonconvex_solver import NonConvexRunConfig, fit_nonconvex_columns
 from tests.test_harness import NONCONVEX, small_spec
+from tests.test_held_blocks import count_held_steps
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux",
                                 reason="the private lane is forked on Linux only")
@@ -104,6 +105,24 @@ def test_convex_lanes_equal_one_process(E, overrides, forks, bounded, leaves_not
     one, two = (fit_convex_columns(data, _columns(E), CONVEX_REG, run, SQ, lanes=lanes)
                 for lanes in (1, 2))
     assert len(forks) == 1
+    _assert_same_bits(one, two)
+
+
+@pytest.mark.parametrize("epsilons, held", [([0.5, 5.0, math.inf], [80, 0]),
+                                             ([math.inf, math.inf], [80, 40])],
+                         ids=["public-held", "both-held"])
+def test_held_lanes_equal_one_process(epsilons, held, monkeypatch, forks, bounded,
+                                      leaves_nothing):
+    # kappa1 = B holds the public block, and with no finite epsilon the
+    # private one, in the process that runs it: this process counts both
+    # lanes of the one-process run and the public lane of the two-lane run
+    counts = count_held_steps(monkeypatch)
+    columns = [(PrivacyBudget(eps, 0.01), 0.1) for eps in epsilons]
+    reg = RegularizerConfig(alpha=0.3, kappa1=SQ.B)
+    one, two = (fit_convex_columns(_data(), columns, reg, ConvexRunConfig(T=40, seed=3), SQ,
+                                   lanes=lanes) for lanes in (1, 2))
+    assert len(forks) == 1
+    assert counts == held
     _assert_same_bits(one, two)
 
 

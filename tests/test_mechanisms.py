@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from privadapt.convex_solver import default_T_convex
 from privadapt.core import PrivacyBudget, non_private
 from privadapt.mechanisms import (
     NoiseSchedule,
@@ -13,6 +15,8 @@ from privadapt.mechanisms import (
     laplace_sample,
     privatize_discrepancy,
 )
+from privadapt.nonconvex_solver import default_T_nonconvex
+from tests.test_harness import small_spec
 
 
 class TestDeriveRng:
@@ -117,14 +121,6 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="alpha"):
             calibrate(PrivacyBudget(1.0, 0.1), alpha, 1.0, 1.0, 10, 4)
 
-    def test_rejects_delta_ge_3(self):
-        # delta >= 3 cannot be built via PrivacyBudget; exercise via a stub
-        class FakeBudget:
-            delta = 3.5
-            epsilon_opt = 1.0
-        with pytest.raises(ValueError):
-            calibrate(FakeBudget(), 0.5, 1.0, 1.0, 10, 4)
-
 
 class TestPrivatizeDiscrepancy:
     def test_clamps_to_interval(self):
@@ -154,3 +150,19 @@ class TestPrivatizeDiscrepancy:
 def test_noise_schedule_fields():
     sch = NoiseSchedule(0.1, 0.2, 0.3, 0.4, 5)
     assert (sch.sigma1, sch.sigma2, sch.s1, sch.s2, sch.T) == (0.1, 0.2, 0.3, 0.4, 5)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 2.5, math.nan])
+def test_delta_outside_unit_interval_is_rejected_at_every_entry(delta):
+    # PrivacyBudget owns the rule, and a sweep spec checks its delta with
+    # it; calibrate takes its delta from a budget, and the analytic step
+    # counts, which take a bare delta, apply the same rule
+    message = re.escape("delta must lie in (0, 1)")
+    with pytest.raises(ValueError, match=message):
+        PrivacyBudget(1.0, delta)
+    with pytest.raises(ValueError, match=message):
+        small_spec(delta=delta)
+    with pytest.raises(ValueError, match=message):
+        default_T_convex(100, 100, 2, 0.5, 1.0, delta, 4.0, 8.0)
+    with pytest.raises(ValueError, match=message):
+        default_T_nonconvex(100, 2, 0.5, 1.0, delta, 4.0, 4.0, 5.0, 8.0)
