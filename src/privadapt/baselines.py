@@ -70,20 +70,19 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
     d = data.d
     eta = model.lam / math.sqrt(T * (model.G ** 2 + d * sigma ** 2))
 
-    blocks = [(c_priv, data.private_x, data.private_y)]
-    if c_pub > 0:
-        blocks.append((c_pub, data.public_x, data.public_y))
+    # (weight, lane, X, y) of each weighted sample, the private one first
+    blocks = [(c, lane, *data.samples[lane]) for c, lane in ((c_priv, 1), (c_pub, 0)) if c > 0]
     if model.kind == SQUARED:
-        # the squared-loss gradient is affine in w, A w - b with
-        # A = 2 sum c_i x_i x_i' and b = 2 sum c_i y_i x_i: form both once
-        A = sum(2.0 * c * (X.T @ X) for c, X, _ in blocks)
-        b = sum(2.0 * c * (X.T @ y) for c, X, y in blocks)
+        # the squared-loss gradient is affine in w, A w - b with A = 2 sum
+        # c_i x_i x_i' and b = 2 sum c_i y_i x_i, from the dataset's moments
+        A = sum(2.0 * c * data.moments[lane][0] for c, lane, _, _ in blocks)
+        b = sum(2.0 * c * data.moments[lane][1] for c, lane, _, _ in blocks)
 
         def grad(w):
             return A @ w - b
     else:
         def grad(w):
-            return sum(X.T @ (c * loss_and_slope(model, w, X, y)[1]) for c, X, y in blocks)
+            return sum(X.T @ (c * loss_and_slope(model, w, X, y)[1]) for c, _, X, y in blocks)
 
     # final iterate (not an average): in the noiseless cases plain projected
     # GD converges linearly on these smooth objectives

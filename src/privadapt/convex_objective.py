@@ -19,7 +19,6 @@ from .core import (
     SQUARED,
     is_feasible,
     loss_values,
-    row_norms,
 )
 
 
@@ -98,8 +97,7 @@ class BlockGradient:
 
     def __init__(self, data: AdaptDataset, d_dp: np.ndarray):
         self.d = data.d
-        self.blocks = ((data.public_x, data.public_y, d_dp[:, None]),
-                       (data.private_x, data.private_y, None))
+        self.blocks = [(x, y, shift) for (x, y), shift in zip(data.samples, (d_dp[:, None], None))]
 
     def __call__(self, W: np.ndarray, U_pub: np.ndarray, U_priv: np.ndarray):
         """(g_w, g_u_pub, g_u_priv): both lanes' parts, then their finishes."""
@@ -124,15 +122,15 @@ class ConvexGradient(BlockGradient):
     writes straight into the lane's gradient buffer, made at its first
     step in the process that runs the lane and overwritten by every step.
     With kappa2 = kappa_inf = 0, a held block that a bound keeps at lb forms
-    its share from A = X^T X and b = X^T y, made at its first held step.
+    its share from A = X^T X and b = X^T y, the dataset's moments.
     """
 
     def __init__(self, data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray):
         super().__init__(data, d_dp)
-        self.cfg = cfg
+        self.data, self.cfg = data, cfg
         self.c = (cfg.kappa1 * (cfg.alpha / data.m) ** 2,
                   cfg.kappa1 * ((1.0 - cfg.alpha) / data.n) ** 2)
-        self.g, self.gram = [None, None], [None, None]
+        self.g = [None, None]
         self.lower = data.m / cfg.alpha, data.n / (1.0 - cfg.alpha)
 
     def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray,
@@ -142,9 +140,7 @@ class ConvexGradient(BlockGradient):
         if held and cfg.kappa2 == cfg.kappa_inf == 0:
             # at lb, g_u = kappa1 c - (r^2 + d_dp)/lb^2 with c lb^2 = 1 and |r| <=
             # x_top ||w|| + y_top: if that keeps every g_u > 0, u stays at lb
-            if self.gram[lane] is None:
-                self.gram[lane] = X.T @ X, X.T @ y, row_norms(X).max(), np.abs(y).max()
-            A, b, x_top, y_top = self.gram[lane]
+            (A, b, _), (x_top, y_top) = self.data.moments[lane], self.data.tops[lane]
             bound = (x_top * np.linalg.norm(W, axis=0)[:, None] + y_top) ** 2
             if np.all(bound + (0.0 if shift is None else shift) <= cfg.kappa1 * (1.0 - 1e-9)):
                 np.matmul(A, W, out=out[:d])  # X^T (X W - y) / lb

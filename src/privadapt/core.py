@@ -1,4 +1,5 @@
-"""Domain types, loss models, and the constants shared by every solver."""
+"""Domain types (a dataset forms each sample's squared-loss moments once, for
+every module that reads them), loss models, and the solvers' shared constants."""
 
 from __future__ import annotations
 
@@ -105,12 +106,23 @@ class AdaptDataset:
     def d(self) -> int:
         return self.public_x.shape[1]
 
-    def max_feature_norm(self) -> float:
-        return self._max_feature_norm
+    @property
+    def samples(self) -> tuple:
+        """((public_x, public_y), (private_x, private_y)): the lane order."""
+        return (self.public_x, self.public_y), (self.private_x, self.private_y)
 
     @functools.cached_property
-    def _max_feature_norm(self) -> float:  # once a dataset: every objective context checks it
-        return float(max(row_norms(self.public_x).max(), row_norms(self.private_x).max()))
+    def tops(self) -> tuple:
+        """Per sample, in lane order: (the largest row norm, the largest |y|)."""
+        return tuple((row_norms(x).max(), np.abs(y).max()) for x, y in self.samples)
+
+    @functools.cached_property
+    def moments(self) -> tuple:
+        """Per sample, in lane order: (X^T X, X^T y, y.y), the squared loss's."""
+        return tuple((x.T @ x, x.T @ y, float(y @ y)) for x, y in self.samples)
+
+    def max_feature_norm(self) -> float:
+        return float(max(self.tops[0][0], self.tops[1][0]))
 
     def check_feature_bound(self, r: float, tol: float = 1e-9):
         if self.max_feature_norm() > r + tol:

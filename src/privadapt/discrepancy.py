@@ -4,7 +4,8 @@ The estimate is sup over feasible predictors of
 |mean private loss - mean public loss|.  Two solvers are provided: an
 exact trust-region solve for the squared loss in any dimension (one
 eigendecomposition per sign of the gap), and a brute-force grid oracle
-restricted to d <= 2.
+restricted to d <= 2.  Both read a squared-loss gap from the dataset's
+moments (``AdaptDataset.moments``).
 """
 
 from __future__ import annotations
@@ -50,20 +51,11 @@ def _candidate_grid(d: int, lam: float, grid_points: int) -> np.ndarray:
     return inside
 
 
-def _quadratic_form(X: np.ndarray, y: np.ndarray):
-    """Mean squared loss as w'Mw - 2 b'w + c."""
-    N = X.shape[0]
-    M = X.T @ X / N
-    b = X.T @ y / N
-    c = float(y @ y) / N
-    return M, b, c
-
-
 def _gap_quadratic(data: AdaptDataset):
     """The squared-loss gap as (A, g, c): gap(w) = w'Aw - 2 g'w + c."""
-    Mp, bp, cp = _quadratic_form(data.private_x, data.private_y)
-    Mq, bq, cq = _quadratic_form(data.public_x, data.public_y)
-    return Mp - Mq, bp - bq, cp - cq
+    (Gq, bq, cq), (Gp, bp, cp) = data.moments
+    m, n = data.m, data.n
+    return Gp / n - Gq / m, bp / n - bq / m, cp / n - cq / m
 
 
 def _quadratic_gaps(quad, W: np.ndarray) -> np.ndarray:

@@ -5,7 +5,6 @@ from privadapt.core import AdaptDataset, LossModel
 from privadapt.discrepancy import (
     _candidate_grid,
     _gap_quadratic,
-    _quadratic_form,
     _quadratic_gaps,
     discrepancy_dca,
     discrepancy_grid,
@@ -69,11 +68,10 @@ class TestGrid:
 def _kkt_residuals(data, est):
     """The trust-region certificate of the witness on its own sign branch:
     (stationarity residual, nu - max(lambda_max, 0), ||w||, nu)."""
-    Mp, bp, cp = _quadratic_form(data.private_x, data.private_y)
-    Mq, bq, cq = _quadratic_form(data.public_x, data.public_y)
+    A, g, _ = _gap_quadratic(data)
     w = est.witness_w
     sign = 1.0 if loss_gap(data, SQ, w) >= 0 else -1.0
-    A, g = sign * (Mp - Mq), sign * (bp - bq)
+    A, g = sign * A, sign * g
     nu = w @ (A @ w - g) / (w @ w)
     resid = np.linalg.norm(nu * w - A @ w + g)
     return resid, nu - max(np.linalg.eigvalsh(A).max(), 0.0), np.linalg.norm(w), nu
