@@ -57,6 +57,8 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
         raise ValueError(f"unknown baseline kind {kind!r}")
     if T < 1:
         raise ValueError("T must be >= 1")
+    if not 0.0 <= alpha < 1.0:  # alpha = 1 would leave no weight on the private sample
+        raise ValueError("alpha must lie in [0, 1)")
     if kind == TARGET_ONLY_DP and budget is None:
         raise ValueError("the private baseline requires a budget")
     sigma = 0.0

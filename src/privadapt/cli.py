@@ -39,7 +39,7 @@ FIT_NON_PRIVATE = ("objective_value", "grad_mapping_norm")
 
 def _parse_epsilon(s: str) -> float:
     v = float(s)  # reads "inf" and "Infinity" too
-    if v <= 0:
+    if not v > 0:  # PrivacyBudget's rule: NaN fails it
         raise argparse.ArgumentTypeError("epsilon must be positive or 'inf'")
     return v
 

@@ -148,8 +148,8 @@ class LossModel:
     def __post_init__(self):
         if self.kind not in (SQUARED, LOGISTIC):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.r <= 0 or self.lam <= 0:
-            raise ValueError("r and lam must be positive")
+        if not (0.0 < self.r < math.inf and 0.0 < self.lam < math.inf):  # NaN fails too
+            raise ValueError("r and lam must be positive and finite")
 
     @property
     def B(self) -> float:
@@ -260,8 +260,8 @@ class PrivacyBudget:
     disc_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.epsilon_total <= 0:
-            raise ValueError("epsilon_total must be positive (may be inf)")
+        if not self.epsilon_total > 0:  # NaN fails; the rule SweepSpec and the CLI apply too
+            raise ValueError(f"epsilon must be positive or inf, got {self.epsilon_total!r}")
         if not (0.0 < self.delta < 1.0):  # the rule default_T_* apply too
             raise ValueError("delta must lie in (0, 1)")
         if not (0.0 < self.disc_fraction < 1.0):
@@ -311,10 +311,10 @@ class RegularizerConfig:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         for name in ("kappa1", "kappa2", "kappa_inf", "lambda1", "lambda2", "lambda_inf"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError("mu must be positive")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if self.mu is not None and not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
 
     def b_bar(self, B: float) -> float:
         return B + self.kappa1 + self.kappa2 + self.kappa_inf

@@ -30,8 +30,8 @@ class DatasetManifest:
     r_target: float = 1.0
 
     def __post_init__(self):
-        if self.r_target <= 0:
-            raise ValueError("r_target must be positive")
+        if not 0.0 < self.r_target < np.inf:
+            raise ValueError("r_target must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -282,10 +282,13 @@ def load_dataset(manifest: DatasetManifest) -> AdaptDataset:
 
 def resample_target(data: AdaptDataset, n_new: int,
                     rng: np.random.Generator) -> AdaptDataset:
-    """Bootstrap the private sample to size n_new; public sample unchanged."""
-    if n_new < 1:
-        raise ValueError("n_new must be >= 1")
-    idx = rng.integers(0, data.n, size=n_new)
+    """n_new distinct rows of the private sample, drawn without replacement,
+    so that one person fills at most one row (the one-row neighbour relation
+    of the B/n sensitivity); public sample unchanged."""
+    if not 1 <= n_new <= data.n:
+        raise ValueError(f"n_new must lie in [1, {data.n}] (the rows to draw from), "
+                         f"got {n_new}")
+    idx = rng.choice(data.n, n_new, replace=False)
     return AdaptDataset(data.public_x, data.public_y,
                         take_rows(data.private_x, idx), data.private_y[idx])
 

@@ -100,9 +100,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if not self.epsilons or not self.target_sizes:
             raise ValueError("epsilons and target_sizes must be non-empty")
-        if min(self.epsilons) <= 0:
-            raise ValueError("epsilons must be positive (inf allowed)")
-        PrivacyBudget(math.inf, self.delta, self.disc_fraction)  # checks both bounds
+        for eps in self.epsilons:  # checks every epsilon, delta and the split
+            PrivacyBudget(eps, self.delta, self.disc_fraction)
         d_hat_policy(self.d_hat)
         if min(self.target_sizes) < 1:
             raise ValueError("target_sizes must be >= 1")

@@ -90,9 +90,9 @@ def privatize_discrepancy(d_hat: float, B: float, epsilon_disc: float,
         raise ValueError("d_hat must lie in [0, B]")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not epsilon_disc > 0:  # NaN and -inf fail too
+        raise ValueError("epsilon_disc must be positive")
     if math.isinf(epsilon_disc):
         return float(d_hat)
-    if epsilon_disc <= 0:
-        raise ValueError("epsilon_disc must be positive")
     noisy = d_hat + laplace_sample(2.0 * B / (epsilon_disc * n), rng)
     return float(min(max(noisy, 0.0), B))

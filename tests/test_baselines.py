@@ -37,6 +37,14 @@ def test_mixture_alpha_zero_identical_to_target_only():
     assert np.array_equal(a.point.w, b.point.w)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, -0.1, float("nan")])
+def test_mixture_alpha_outside_unit_interval_rejected(alpha):
+    # alpha = 1 raised ZeroDivisionError; 1.5 gave the private sample a negative weight
+    data = AdaptDataset([[0.9]], [0.9], [[1.0], [0.3]], [1.0, 0.2])
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
+        fit_baseline(MIXTURE_ALPHA, data, SQ, T=10, alpha=alpha)
+
+
 def test_mixture_equals_target_only_on_identical_samples():
     # identical public and private samples: both converge to the same
     # objective value (noiseless, long horizon)

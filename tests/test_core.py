@@ -93,6 +93,13 @@ class TestLossModel:
         with pytest.raises(ValueError):
             LossModel("squared", 1.0, -1.0)
 
+    @pytest.mark.parametrize("field", ["r", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_and_negative(self, field, value):
+        # lam = inf once gave NaN weights from fit-convex with exit code 0
+        with pytest.raises(ValueError, match="positive and finite"):
+            LossModel("squared", **{"r": 1.0, "lam": 1.0} | {field: value})
+
 
 class TestLossValues:
     def test_squared_zero_residual(self):
@@ -198,6 +205,13 @@ class TestBudget:
         with pytest.raises(ValueError):
             PrivacyBudget(1.0, 0.1, disc_fraction=1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, -math.inf, -1.0, 0.0])
+    def test_rejects_epsilon_that_is_not_positive(self, epsilon):
+        # a NaN epsilon was accepted, and fit_convex then returned NaN weights
+        with pytest.raises(ValueError, match="epsilon must be positive or inf"):
+            PrivacyBudget(epsilon, 0.01)
+        assert PrivacyBudget(math.inf, 0.01).epsilon_total == math.inf
+
 
 class TestRegularizerConfig:
     def test_b_bar(self):
@@ -214,6 +228,13 @@ class TestRegularizerConfig:
             RegularizerConfig(alpha=0.0)
         with pytest.raises(ValueError):
             RegularizerConfig(kappa1=-1.0)
+
+    @pytest.mark.parametrize("field", ["kappa1", "kappa2", "kappa_inf", "lambda1", "lambda2",
+                                       "lambda_inf", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_and_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .* and finite"):
+            RegularizerConfig(**{field: value})
 
 
 class TestFeasibility:

@@ -224,20 +224,20 @@ class TestResample:
         rng = derive_rng(1, "rs")
         data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 10, 10, rng)
         assert resample_target(data, 10, rng).n == 10
-        assert resample_target(data, 30, rng).n == 30
+        assert resample_target(data, 4, rng).n == 4
 
     def test_support_preserved(self):
         rng = derive_rng(2, "rs")
         data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 5, 7, rng)
-        out = resample_target(data, 20, rng)
+        out = resample_target(data, 7, rng)
         rows = {tuple(r) for r in data.private_x}
         assert all(tuple(r) in rows for r in out.private_x)
 
     def test_determinism(self):
         data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 5, 7,
                                      derive_rng(3, "g"))
-        a = resample_target(data, 12, derive_rng(4, "r"))
-        b = resample_target(data, 12, derive_rng(4, "r"))
+        a = resample_target(data, 5, derive_rng(4, "r"))
+        b = resample_target(data, 5, derive_rng(4, "r"))
         assert np.array_equal(a.private_x, b.private_x)
 
     def test_public_untouched(self):
@@ -251,6 +251,20 @@ class TestResample:
                                      derive_rng(7, "g"))
         with pytest.raises(ValueError):
             resample_target(data, 0, derive_rng(8, "r"))
+
+    @pytest.mark.parametrize("n_new", [1, 4, 7])
+    def test_rows_are_distinct(self, n_new):
+        # one person fills at most one row, as the B/n sensitivity assumes
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 5, 7, derive_rng(9, "g"))
+        out = resample_target(data, n_new, derive_rng(10, "r"))
+        rows = [tuple(r) for r in out.private_x]
+        assert len(set(rows)) == n_new
+        assert set(rows) <= {tuple(r) for r in data.private_x}
+
+    def test_rejects_more_rows_than_the_pool(self):
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 5, 7, derive_rng(11, "g"))
+        with pytest.raises(ValueError, match=r"n_new must lie in \[1, 7\]"):
+            resample_target(data, 8, derive_rng(12, "r"))
 
 
 class TestSynthetic:
@@ -323,3 +337,9 @@ class TestSynthetic:
 def test_manifest_validation():
     with pytest.raises(ValueError):
         DatasetManifest(path="x.csv", r_target=0.0)
+
+
+@pytest.mark.parametrize("r_target", [float("nan"), float("inf"), -1.0])
+def test_manifest_rejects_non_finite_and_negative_r_target(r_target):
+    with pytest.raises(ValueError, match="r_target must be positive and finite"):
+        DatasetManifest(path="x.csv", r_target=r_target)

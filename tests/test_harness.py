@@ -442,6 +442,12 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             small_spec(epsilons=[0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -1.0])
+    def test_every_epsilon_checked_by_the_budget_rule(self, bad):
+        # a NaN epsilon once drew the data and failed as the cell before it
+        with pytest.raises(ValueError, match="epsilon must be positive or inf"):
+            small_spec(epsilons=[1.0, bad, math.inf])
+
     @pytest.mark.parametrize("overrides", [
         {"test_size": 0}, {"m": 0}, {"target_sizes": [30, 0]}, {"baseline_T": 0},
         {"T": 0}, {"test_size": -1}])
@@ -633,6 +639,50 @@ class TestCli:
                          "--T", "20"]) == 2
         err = capsys.readouterr().err
         assert err == "privadapt: error: the exact solver supports the squared loss only\n"
+
+    @pytest.mark.parametrize("option", ["--lam", "--kappa1", "--kappa2", "--kappa-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_fit_convex_rejects_non_finite_settings(self, tmp_path, capsys, option, value):
+        # --lam inf and --kappa1 nan once printed NaN weights with exit code 0
+        path, _ = self._gen(tmp_path, capsys)
+        assert cli.main(["fit-convex", "--data", str(path), "--T", "5", "--d-hat", "0.1",
+                         option, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("privadapt: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", ["--lambda1", "--lambda2", "--lambda-inf", "--mu"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_fit_nonconvex_rejects_non_finite_settings(self, tmp_path, capsys, option, value):
+        path, _ = self._gen(tmp_path, capsys)
+        assert cli.main(["fit-nonconvex", "--data", str(path), "--loss", "squared", "--T", "5",
+                         "--d-hat", "0.1", option, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("privadapt: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["fit-convex", "discrepancy"])
+    @pytest.mark.parametrize("value", ["nan", "-inf", "-1"])
+    def test_epsilon_option_rejects_what_the_budget_rejects(self, tmp_path, capsys, command,
+                                                            value):
+        # an argparse type error: the usage line, then one error line, exit code 2
+        path, _ = self._gen(tmp_path, capsys)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--data", str(path), f"--epsilon={value}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error: argument --epsilon: epsilon must be positive or 'inf'") == 1
+
+    def test_sweep_rejects_a_nan_epsilon_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(harness, "_cell_data", no_cell)
+        cfg = {"synthetic": {"d": 2}, "algorithm": "convex", "epsilons": [1.0, "nan"],
+               "target_sizes": [30], "trials": 1, "master_seed": 0, "T": 5, "m": 40,
+               "test_size": 20}
+        assert self._sweep(tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("privadapt: error: epsilon must be positive or inf")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = {

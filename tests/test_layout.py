@@ -85,9 +85,9 @@ def _load_row_path(tmp_path):
 
 def _resample_target(tmp_path):
     base, _ = generate_synthetic(SPEC, 20, 30, derive_rng(4, "gen"))
-    idx = derive_rng(4, "resample").integers(0, base.n, size=50)
+    idx = derive_rng(4, "resample").choice(base.n, 20, replace=False)
     rows = np.ascontiguousarray(base.private_x)[idx]  # the row-major gather
-    data = resample_target(base, 50, derive_rng(4, "resample"))
+    data = resample_target(base, 20, derive_rng(4, "resample"))
     return data, (base.public_x, base.public_y, rows, base.private_y[idx])
 
 
@@ -109,7 +109,7 @@ def _cell_data_csv(tmp_path):
     train, _, _ = harness._cell_data(spec, base, 20, 0, 0)
     rng = derive_rng(9, "data", 0, 0)
     pool = rng.permutation(base.n)[10:]
-    idx = rng.integers(0, pool.size, size=20)
+    idx = rng.choice(pool.size, 20, replace=False)
     rows = np.ascontiguousarray(base.private_x)[pool][idx]
     return train, (base.public_x, base.public_y, rows, base.private_y[pool][idx])
 

@@ -146,6 +146,12 @@ class TestPrivatizeDiscrepancy:
         with pytest.raises(ValueError):
             privatize_discrepancy(-0.1, 4.0, 1.0, 10, derive_rng(0))
 
+    @pytest.mark.parametrize("epsilon_disc", [-math.inf, math.nan, -1.0, 0.0])
+    def test_rejects_epsilon_that_is_not_positive(self, epsilon_disc):
+        # -inf once returned d_hat without noise, and NaN a NaN release
+        with pytest.raises(ValueError, match="epsilon_disc must be positive"):
+            privatize_discrepancy(1.0, 4.0, epsilon_disc, 10, derive_rng(0))
+
 
 def test_noise_schedule_fields():
     sch = NoiseSchedule(0.1, 0.2, 0.3, 0.4, 5)
