@@ -141,8 +141,6 @@ def _cell_data(spec: SweepSpec, base: AdaptDataset | None, n: int,
                              full.private_x[:n], full.private_y[:n])
         test_x, test_y = full.private_x[n:], full.private_y[n:]
     else:
-        if base.n <= spec.test_size:
-            raise ValueError("target sample too small for the requested test split")
         perm = rng.permutation(base.n)
         test_idx, pool_idx = perm[:spec.test_size], perm[spec.test_size:]
         pool = AdaptDataset(base.public_x, base.public_y,
@@ -374,10 +372,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     order (n and trial outside, epsilon inside) and the process a group runs
     in do not change any record; records come out in (epsilon, n, trial)
     order.  The first failing group in (n, trial) order raises its
-    SweepCellError, and groups not yet started are cancelled.
+    SweepCellError, and groups not yet started are cancelled.  A CSV whose
+    target rows cannot hold the test split and, drawn without replacement,
+    the largest target size raises ValueError before any group runs.
     """
     t0 = time.perf_counter()
     base = load_dataset(spec.dataset) if isinstance(spec.dataset, DatasetManifest) else None
+    if base is not None and base.n - spec.test_size < max(spec.target_sizes):
+        raise ValueError(f"{spec.dataset.path}: its {base.n} target rows cannot hold a test "
+                         f"split of {spec.test_size} and a sample of {max(spec.target_sizes)}")
     keys = [(n_idx, n, trial) for n_idx, n in enumerate(spec.target_sizes)
             for trial in range(spec.trials)]
     workers = _worker_count(len(keys))

@@ -163,19 +163,36 @@ class TestRunSweep:
             run_sweep(spec)
         assert sum("mu exceeds" in str(w.message) for w in record) == 1
 
-    def test_cell_error_wraps_cause(self, tmp_path):
-        # CSV pool smaller than the requested held-out test split
-        data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 20, 25,
-                                     derive_rng(3, "csv"))
-        path = tmp_path / "tiny.csv"
-        write_csv(data, str(path))
-        spec = small_spec(dataset=DatasetManifest(path=str(path)),
-                          target_sizes=[10], test_size=30)
+    def test_cell_error_wraps_cause(self, tmp_path, monkeypatch):
+        # a group whose target draw fails names its first cell
+        def fails(*args):
+            raise ValueError("the draw failed")
+        monkeypatch.setattr(harness, "resample_target", fails)
+        spec = small_spec(dataset=_csv_dataset(tmp_path), target_sizes=[10], test_size=30)
         with pytest.raises(SweepCellError) as exc_info:
             run_sweep(spec)
         err = exc_info.value
         assert err.key == (1.0, 10, 0)
-        assert "test split" in str(err.cause)
+        assert "the draw failed" in str(err.cause)
+
+    @pytest.mark.parametrize("target_sizes, test_size", [([10], 80), ([10, 61], 20)],
+                             ids=["no-pool", "sample-over-pool"])
+    def test_csv_too_small_rejected_before_any_group(self, tmp_path, monkeypatch,
+                                                    target_sizes, test_size):
+        # 80 target rows: the test split and, without replacement, the
+        # largest target size must fit; both once failed in the first cell
+        def no_group(*args):
+            raise AssertionError("a group ran")
+        monkeypatch.setattr(harness, "_run_group", no_group)
+        spec = small_spec(dataset=_csv_dataset(tmp_path), target_sizes=target_sizes,
+                          test_size=test_size)
+        with pytest.raises(ValueError, match="80 target rows cannot hold a test split"):
+            run_sweep(spec)
+
+    def test_csv_pool_drawn_whole(self, tmp_path):
+        spec = small_spec(dataset=_csv_dataset(tmp_path), target_sizes=[60], test_size=20,
+                          trials=1, epsilons=[math.inf])
+        assert len(run_sweep(spec).records) == 1
 
     def test_shared_work_once_per_n_and_trial(self, monkeypatch):
         # shared-memory counters, so calls made in forked workers count too
@@ -713,17 +730,34 @@ class TestCli:
         spec_path.write_text(json.dumps(cfg))
         return cli.main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.jsonl")])
 
-    def test_sweep_command_failure(self, tmp_path, capsys):
-        # a failing cell: the CSV pool is smaller than the held-out test split
+    def test_sweep_command_failure(self, tmp_path, capsys, monkeypatch):
+        # a failing cell: its target draw raises
+        def fails(*args):
+            raise ValueError("the draw failed")
+        monkeypatch.setattr(harness, "resample_target", fails)
         data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 20, 25, derive_rng(3, "csv"))
         write_csv(data, str(tmp_path / "tiny.csv"))
         cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": [10],
-               "trials": 2, "master_seed": 0, "T": 5, "test_size": 30,
+               "trials": 2, "master_seed": 0, "T": 5, "test_size": 5,
                "csv": {"path": str(tmp_path / "tiny.csv")}}
         assert self._sweep(tmp_path, cfg) == 1
         err = capsys.readouterr().err
         assert err.startswith("sweep failed: sweep cell (epsilon=1.0, n=10, trial=0)")
-        assert "test split" in err
+        assert "the draw failed" in err
+
+    @pytest.mark.parametrize("target_sizes, test_size", [([10], 30), ([21], 5)],
+                             ids=["no-pool", "sample-over-pool"])
+    def test_sweep_csv_too_small_exits_2(self, tmp_path, capsys, target_sizes, test_size):
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 20, 25, derive_rng(3, "csv"))
+        write_csv(data, str(tmp_path / "tiny.csv"))
+        cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": target_sizes,
+               "trials": 2, "master_seed": 0, "T": 5, "test_size": test_size,
+               "csv": {"path": str(tmp_path / "tiny.csv")}}
+        assert self._sweep(tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("privadapt: error: ") and err.count("\n") == 1
+        assert "25 target rows cannot hold a test split" in err
+        assert not (tmp_path / "o.jsonl").exists()
 
     @pytest.mark.parametrize("cfg", [
         {"csv": {"path": "missing.csv"}},  # relative to tmp_path below
