@@ -84,13 +84,15 @@ class BlockGradient:
     d_dp[j] on its public losses.  ``part(lane, W, U, out, held)`` does
     what the lane can alone: it writes the lane's share of the w-gradient
     into ``out[:d]`` and its per-problem reductions of U into the
-    ``REDUCTIONS`` rows below, and returns its state for the finish, or
-    None if ``held`` (the block is at its lower bound and takes no noise)
-    and the step leaves the block there: it takes no u-step.  Once both lanes'
-    rows are filled (``parts``, shaped (2, d + REDUCTIONS, E)), ``combine``
-    forms g_w and the cross-block terms, once a step in each process, and
-    ``finish`` the lane's u-gradient.  Every pass over a u-block runs on a
-    C-contiguous (E, rows) array.
+    ``REDUCTIONS`` rows below, and returns the pair (held, state).  The
+    last ``held`` problems given sit at the lower bound and take no noise;
+    those after the last one that the step might move stay held and take
+    no u-step, and ``state`` serves the finish of the live problems before
+    them (None if there are none).  Once both lanes' rows are filled
+    (``parts``, shaped (2, d + REDUCTIONS, E)), ``combine`` forms g_w and
+    the cross-block terms, once a step in each process, and ``finish`` the
+    lane's u-gradient of its live problems.  Every pass over a u-block runs
+    on a C-contiguous (live problems, rows) array.
     """
 
     REDUCTIONS = 3
@@ -103,7 +105,7 @@ class BlockGradient:
         """(g_w, g_u_pub, g_u_priv): both lanes' parts, then their finishes."""
         parts = np.empty((2, self.d + self.REDUCTIONS, W.shape[1]))
         us = (U_pub, U_priv)
-        states = [self.part(lane, W, U, parts[lane]) for lane, U in enumerate(us)]
+        states = [self.part(lane, W, U, parts[lane])[1] for lane, U in enumerate(us)]
         g_w = np.empty_like(W)
         shared = self.combine(parts, g_w)
         return g_w, *(self.finish(lane, us[lane], shared, states[lane]) for lane in (0, 1))
@@ -121,8 +123,9 @@ class ConvexGradient(BlockGradient):
     forward product W^T X^T, read from the dataset's row-contiguous X^T,
     writes straight into the lane's gradient buffer, made at its first
     step in the process that runs the lane and overwritten by every step.
-    With kappa2 = kappa_inf = 0, a held block that a bound keeps at lb forms
-    its share from A = X^T X and b = X^T y, the dataset's moments.
+    With kappa2 = kappa_inf = 0, the held problems that a bound keeps at lb
+    form their share from A = X^T X and b = X^T y, the dataset's moments,
+    and the row path runs on views of the live prefix of W and U.
     """
 
     def __init__(self, data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray):
@@ -133,32 +136,37 @@ class ConvexGradient(BlockGradient):
         self.g = [None, None]
         self.lower = data.m / cfg.alpha, data.n / (1.0 - cfg.alpha)
 
-    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray,
-             held: bool = False):
+    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray, held: int = 0):
         X, y, shift = self.blocks[lane]
-        cfg, d = self.cfg, self.d
-        if held and cfg.kappa2 == cfg.kappa_inf == 0:
+        cfg, d, E = self.cfg, self.d, W.shape[1]
+        k = E - held if cfg.kappa2 == cfg.kappa_inf == 0 else E
+        if k < E:
             # at lb, g_u = kappa1 c - (r^2 + d_dp)/lb^2 with c lb^2 = 1 and |r| <=
-            # x_top ||w|| + y_top: if that keeps every g_u > 0, u stays at lb
+            # x_top ||w|| + y_top: while that keeps every g_u > 0, u stays at lb, so
+            # the problems after the last one that fails the bound stay held
             (A, b, _), (x_top, y_top) = self.data.moments[lane], self.data.tops[lane]
-            bound = (x_top * np.linalg.norm(W, axis=0)[:, None] + y_top) ** 2
-            if np.all(bound + (0.0 if shift is None else shift) <= cfg.kappa1 * (1.0 - 1e-9)):
-                np.matmul(A, W, out=out[:d])  # X^T (X W - y) / lb
-                out[:d] -= b[:, None]
-                out[:d] /= self.lower[lane]
-                return None
+            bound = (x_top * np.linalg.norm(W[:, k:], axis=0) + y_top) ** 2
+            if shift is not None:
+                bound += shift[k:, 0]
+            k += int(max(np.flatnonzero(~(bound <= cfg.kappa1 * (1.0 - 1e-9))) + 1, default=0))
+            np.matmul(A, W[:, k:], out=out[:d, k:])  # X^T (X W - y) / lb
+            out[:d, k:] -= b[:, None]
+            out[:d, k:] /= self.lower[lane]
+        if not k:
+            return E, None
         if self.g[lane] is None:
             self.g[lane] = np.empty(U.shape)
-        q = np.matmul(W.T, X.T, out=self.g[lane])  # q = (x.w - y) / u
+        U = U[:k]  # the row path runs on the live problems
+        q = np.matmul(W[:, :k].T, X.T, out=self.g[lane][:k])  # q = (x.w - y) / u
         q -= y
         q /= U
-        np.matmul(X.T, q.T, out=out[:d])
+        np.matmul(X.T, q.T, out=out[:d, :k])
         if shift is None:
             q *= q
         else:  # q^2 + d_dp/u^2 = ((q u)^2 + d_dp) / u^2, formed in place
             q *= U
             q *= q
-            q += shift
+            q += shift[:k]
             q /= U
             q /= U
         # g_u = kappa1 c - numerator / u^2, negated in the same pass
@@ -169,7 +177,7 @@ class ConvexGradient(BlockGradient):
             i = U.argmin(axis=1)
             out[d + 1] = U[np.arange(i.size), i]
             out[d + 2] = i
-        return q
+        return E - k, q
 
     def combine(self, parts: np.ndarray, g_w: np.ndarray):
         cfg, d = self.cfg, self.d

@@ -6,8 +6,8 @@ iterates: w as (d, E), one column per problem, and the u-blocks as (E, m)
 and (E, n), one row per problem, so elementwise work runs along the sample
 axis.  Noise goes to the w-gradient and the private-weight gradient only:
 each step draws one standard normal vector per noisy block and each problem
-scales it by its own sigma, so problem j follows the trajectory of its own
-single run on a stream in the same state.  The two solvers differ in the
+scales it by its own sigma (the private one as it is drawn), so problem j
+follows the trajectory of its own single run on a stream in the same state.  The two solvers differ in the
 gradient, the step sizes and the output rule: ``fit_convex_columns``
 returns the average of the iterates (``fit_convex`` is its one-problem
 case), ``nonconvex_solver`` the iterate at a random stop t*.
@@ -17,9 +17,11 @@ the blocks meet only through the w-gradient and a few per-problem
 reductions.  So a run granted two lanes, and long enough to repay a fork,
 steps the private block on a child process while this one steps the
 public block, each with its own copy of W; the in-process run calls the
-same per-block code in sequence, and both return the same bits.  A
-noise-free block at its lower bound is held while the gradient certifies
-that a step leaves it there: it takes no u-step and sums as one scalar.
+same per-block code in sequence, and both return the same bits.  On each
+block, the trailing problems that take no noise there and sit at its lower
+bound are held while the gradient certifies that a step leaves them there:
+they take no u-step and each sums as one scalar.  ``fit_convex_columns``
+puts its noise-free columns last, so their private rows are held too.
 """
 
 from __future__ import annotations
@@ -132,13 +134,18 @@ def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np
     run = functools.partial(_lane_steps, grad, p, eta, sigma1, sigma2, steps, lam, alpha,
                             rng, average)
     # both lanes' rows of two steps, and the noise of three steps
-    shapes = [(2, 2, d + grad.REDUCTIONS, E), (3, d + n)]
+    shapes = [(2, 2, d + grad.REDUCTIONS, E), (3, d + _noise_rows(sigma2) * n)]
     if lanes == 1 or min(m, n) * steps < LANE_MIN_ROW_STEPS:
         W, U = run((0, 1), *map(np.empty, shapes), None)
         U_pub, U_priv = U[0], U[1]
     else:
         W, U_pub, U_priv = _two_lanes(run, shapes, (E, n))
     return [FeasiblePoint(W[:, j], U_pub[j], U_priv[j]) for j in range(E)]
+
+
+def _noise_rows(sigma2: np.ndarray) -> int:
+    """The problems up to the last one that takes private noise."""
+    return int(max(np.flatnonzero(sigma2) + 1, default=0))
 
 
 def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np.ndarray,
@@ -154,38 +161,42 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
     between its step t wait and its step t + 1 signal, so two row slots
     and three noise slots keep every read ahead of the next write.  The
     public lane draws all the noise, d values then n values a step, the
-    stream's order: step t + 1's while the other lane computes step t.
+    stream's order: step t + 1's while the other lane computes step t.  It
+    writes the n values scaled by each problem's sigma2, up to the last
+    noisy problem, so the private u-step only adds its rows.
     """
     m, n, d = p.u_pub.size, p.u_priv.size, p.w.size
     E = eta.shape[0]
-    noisy_w, noisy_u = sigma1.any(), sigma2.any()
-    draws = 0 in lanes and (noisy_w or noisy_u)
-    sigma2 = sigma2[:, None]
+    noisy_w, rows = sigma1.any(), _noise_rows(sigma2)
+    draws = 0 in lanes and (noisy_w or rows)
+    sigma2 = sigma2[:rows, None]
     lower = m / alpha, n / (1.0 - alpha)
     W = np.repeat(p.w[:, None], E, axis=1)
     U = {lane: np.repeat(u[None, :], E, axis=0)
          for lane, u in enumerate((p.u_pub, p.u_priv)) if lane in lanes}
-    # a noise-free block at its lower bound is held until a step moves it;
-    # each u-block's sum starts as the scalar 0.0 and stays one while held
-    held = {lane: not (lane == 1 and noisy_u) and bool((U[lane] == lower[lane]).all())
-            for lane in lanes}
+    # the trailing problems that take no noise on a block at its lower bound
+    # are held until a step moves them; a held problem's sum is the scalar acc
+    held = {lane: (E - lane * rows) * bool((U[lane] == lower[lane]).all()) for lane in lanes}
     g_w = np.empty((d, E))
-    if 1 in lanes and noisy_u:
-        noise_priv = np.empty((E, n))
     if average:
-        sum_w, sums = np.zeros_like(W), dict.fromkeys(lanes, 0.0)
+        sum_w, sums = np.zeros_like(W), {lane: np.zeros_like(U[lane]) for lane in lanes}
+        acc = dict.fromkeys(lanes, 0.0)
 
     def draw(z):
         if noisy_w:
             rng.standard_normal(out=z[:d])
-        if noisy_u:
-            rng.standard_normal(out=z[d:])
+        if rows:
+            np.multiply(sigma2, rng.standard_normal(n), out=z[d:].reshape(rows, n))
 
     if draws:
         draw(ring[0])
     for t in range(steps):
-        part = parts[t % 2]
-        states = {lane: grad.part(lane, W, U[lane], part[lane], held[lane]) for lane in lanes}
+        part, states = parts[t % 2], {}
+        for lane in lanes:
+            k = E - held[lane]
+            held[lane], states[lane] = grad.part(lane, W, U[lane], part[lane], held[lane])
+            if average:  # problems that leave the hold start their sums from acc
+                sums[lane][k:E - held[lane]] = acc[lane]
         if link:
             link.signal()
         if draws and t + 1 < steps:
@@ -200,24 +211,28 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
         W -= g_w
         project_ball(W, lam)
         for lane in lanes:
-            if states[lane] is None:  # the bound holds the block at lb
+            k = E - held[lane]
+            if not k:
                 continue
-            held[lane] = False
-            g = grad.finish(lane, U[lane], shared, states[lane])
-            if lane == 1 and noisy_u:
-                g += np.multiply(sigma2, z[d:], out=noise_priv)
-            g *= eta[:, 1 + lane, None]
-            U[lane] -= g
-            np.maximum(U[lane], lower[lane], out=U[lane])
+            g = grad.finish(lane, U[lane][:k], shared, states[lane])
+            if lane == 1 and rows:
+                g[:rows] += z[d:].reshape(rows, n)
+            g *= eta[:k, 1 + lane, None]
+            u = U[lane][:k]
+            u -= g
+            np.maximum(u, lower[lane], out=u)
         if average:
             sum_w += W
             for lane in lanes:
-                sums[lane] += lower[lane] if held[lane] else U[lane]
+                k = E - held[lane]
+                sums[lane][:k] += U[lane][:k]
+                acc[lane] += lower[lane]
     if average:
         W = sum_w / steps
         project_ball(W, lam)
         for lane in lanes:
-            U[lane] = np.maximum(np.broadcast_to(sums[lane] / steps, U[lane].shape), lower[lane])
+            sums[lane][E - held[lane]:] = acc[lane]
+            U[lane] = np.maximum(sums[lane] / steps, lower[lane])
     return W, U
 
 
@@ -272,14 +287,18 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
 
     schedules = [calibrate(budget, reg.alpha, model.G, model.B, n, run.T)
                  for budget, _ in columns]
-    eta = np.array([default_step_sizes(model, reg, s, m, n, d) for s in schedules])
+    # noise-free columns run last, where the engine can hold their private block
+    order = sorted(range(len(columns)), key=lambda j: schedules[j].sigma2 == 0)
+    steps = [schedules[j] for j in order]
+    eta = np.array([default_step_sizes(model, reg, s, m, n, d) for s in steps])
     for j, step in enumerate((run.step_w, run.step_u_pub, run.step_u_priv)):
         if step is not None:
             eta[:, j] = step
     averages = noisy_pgd(
-        ConvexGradient(data, reg, np.array([d_dp for _, d_dp in columns])), p, eta,
-        np.array([s.sigma1 for s in schedules]), np.array([s.sigma2 for s in schedules]),
+        ConvexGradient(data, reg, np.array([columns[j][1] for j in order])), p, eta,
+        np.array([s.sigma1 for s in steps]), np.array([s.sigma2 for s in steps]),
         run.T, model.lam, reg.alpha, rng, average=True, lanes=lanes)
+    averages = [avg for _, avg in sorted(zip(order, averages), key=lambda pair: pair[0])]
     return [AdaptationResult(point=avg, objective_value=eval_F(ctx, avg),
                              privacy_spent=budget.spent, T_used=run.T)
             for (budget, _), ctx, avg in zip(columns, ctxs, averages)]

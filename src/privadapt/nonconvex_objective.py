@@ -77,7 +77,7 @@ class SmoothGradient(BlockGradient):
     scores W^T X^T are formed from the dataset's contiguous X^T, so the
     loss, the slope and every later pass run on C-contiguous (E, rows)
     arrays.  The engine keeps the iterates feasible, so nothing is checked
-    here.
+    here, and no problem is ever held.
     """
 
     def __init__(self, data: AdaptDataset, cfg: RegularizerConfig, model: LossModel,
@@ -86,8 +86,7 @@ class SmoothGradient(BlockGradient):
         self.cfg, self.model = cfg, model
         self.mu = cfg.softmax_mu(data.m, data.n)
 
-    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray,
-             held: bool = False):
+    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray, held: int = 0):
         X, y, shift = self.blocks[lane]
         cfg, d = self.cfg, self.d
         num, slope = score_loss_and_slope(self.model, W.T @ X.T, y)
@@ -107,7 +106,7 @@ class SmoothGradient(BlockGradient):
             soft -= top[:, None]
             np.exp(soft, out=soft)
             soft.sum(axis=1, out=out[d + 2])
-        return g, inv, sq, soft
+        return 0, (g, inv, sq, soft)
 
     def combine(self, parts: np.ndarray, g_w: np.ndarray):
         cfg, d = self.cfg, self.d

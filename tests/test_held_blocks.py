@@ -1,15 +1,16 @@
-"""Held u-blocks: a noise-free weight block at its lower bound, which the
-gradient's bound certifies stays there, takes no u-step and forms its
-w-gradient share from the d x d Gram form.  These tests check the engine
+"""Held problems: a noise-free problem whose weight block sits at its lower
+bound, which the gradient's bound certifies stays there, takes no u-step and
+forms its w-gradient share from the d x d Gram form.  Each block holds a
+trailing run of problems that only shrinks.  These tests check the engine
 against the row-form step loop it replaces, the soundness and tightness of
-the bound, and how long the public block stays held on an acceptance-shaped
-run; ``test_lanes`` checks the held lanes against one process."""
+the bound, and which problems stay held on an acceptance-shaped run;
+``test_lanes`` checks the held lanes against one process."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from privadapt import harness
 from privadapt.convex_objective import ConvexGradient, project_ball
@@ -25,16 +26,21 @@ SQ = LossModel("squared", r=1.0, lam=1.0)
 
 
 def count_held_steps(monkeypatch) -> list:
-    """Count, per lane, the steps whose ``part`` takes the held path in this
-    process."""
-    counts, original = [0, 0], ConvexGradient.part
+    """Record, per lane, each step's ``part`` in this process as the pair
+    (held problems, problems on the row path)."""
+    steps, original = [[], []], ConvexGradient.part
 
     def part(self, lane, *args):
-        state = original(self, lane, *args)
-        counts[lane] += state is None
-        return state
+        held, state = original(self, lane, *args)
+        steps[lane].append((held, 0 if state is None else len(state)))
+        return held, state
     monkeypatch.setattr(ConvexGradient, "part", part)
-    return counts
+    return steps
+
+
+def held_counts(steps: list) -> list:
+    """Per lane, the number of held problems at each step."""
+    return [[held for held, _ in lane] for lane in steps]
 
 
 def _row_form_steps(grad, p, eta, sigma1, sigma2, steps, lam, alpha, rng):
@@ -104,25 +110,30 @@ def test_engine_matches_row_form_steps(seed, E, k1, other, eps, private_noise_fr
                            rng.uniform(1, 1e3, E) * n])
     p = _start(rng, start, reg.alpha, m, n, d)
     with pytest.MonkeyPatch.context() as patch:
-        held = count_held_steps(patch)
+        steps = count_held_steps(patch)
         got = noisy_pgd(ConvexGradient(data, reg, d_dp), p, eta, sigma1, sigma2, 30, SQ.lam,
                         reg.alpha, derive_rng(seed, "held"), average=True)
     (W, *U_avg), U_last = _row_form_steps(ConvexGradient(data, reg, d_dp), p, eta, sigma1,
                                           sigma2, 30, SQ.lam, reg.alpha,
                                           derive_rng(seed, "held"))
-    assert held[1] == 0 or not sigma2.any()
+    held = held_counts(steps)
+    free = E - max(np.flatnonzero(sigma2) + 1, default=0)  # trailing noise-free problems
+    for lane in (0, 1):  # every step runs part, the hold only shrinks, and the rest are live
+        assert len(held[lane]) == 30 and held[lane] == sorted(held[lane], reverse=True)
+        assert all(live == E - h for h, live in steps[lane])
+    assert held[1][0] <= free
     if start == "random" or k2 or kinf:
-        assert held == [0, 0]
+        assert held == [[0] * 30, [0] * 30]
     elif start == "reference" and k1 >= 1.0:  # w = 0 and d_dp <= 0.3 B: certified
-        assert held[0] > 0 and (held[1] > 0 or sigma2.any())
+        assert (held[0][0], held[1][0]) == (E, free)
     np.testing.assert_allclose(np.array([q.w for q in got]).T, W, rtol=1e-12, atol=1e-14)
     for lane, block in enumerate(("u_pub", "u_priv")):
         mine = np.array([getattr(q, block) for q in got])
-        if held[lane] == 30:  # held throughout: at the bound, bit for bit
-            assert mine.tobytes() == U_avg[lane].tobytes()
-            assert (U_last[lane] == (m / reg.alpha, n / (1.0 - reg.alpha))[lane]).all()
-        else:  # its steps saw a w that differs in the last bits
-            np.testing.assert_allclose(mine, U_avg[lane], rtol=1e-12)
+        kept = E - held[lane][-1]  # problems kept..E-1 were held throughout: at the bound
+        assert mine[kept:].tobytes() == U_avg[lane][kept:].tobytes()
+        assert (U_last[lane][kept:] == (m / reg.alpha, n / (1.0 - reg.alpha))[lane]).all()
+        # the others' steps saw a w that differs in the last bits
+        np.testing.assert_allclose(mine[:kept], U_avg[lane][:kept], rtol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,9 +141,9 @@ def test_engine_matches_row_form_steps(seed, E, k1, other, eps, private_noise_fr
        k1=st.floats(0.0, 3.0), w_norm=st.floats(0.0, 1.0), d_dp=st.floats(0.0, 1.0),
        log_eta=st.floats(-3.0, 12.0))
 def test_certified_block_stays_at_its_bound(seed, E, lane, k1, w_norm, d_dp, log_eta):
-    # whenever part takes the held path, one row-path step from the same
-    # point leaves the block bitwise where it was, and the Gram share of
-    # the w-gradient matches the row share
+    # for every problem that part keeps held, one row-path step from the
+    # same point leaves its u bitwise where it was, and its Gram share of
+    # the w-gradient matches its row share
     rng = np.random.default_rng(seed)
     m, n, d = (int(v) for v in rng.integers(1, 40, 3))
     data = random_dataset(rng, m, n, d, SQ)
@@ -143,13 +154,16 @@ def test_certified_block_stays_at_its_bound(seed, E, lane, k1, w_norm, d_dp, log
     lb = (m / reg.alpha, n / (1.0 - reg.alpha))[lane]
     U = np.full((E, (m, n)[lane]), lb)
     gram, row = np.empty((2, d + grad.REDUCTIONS, E))
-    if grad.part(lane, W, U, gram, held=True) is not None:
-        return
-    g = grad.part(lane, W, U, row)  # kappa2 = kappa_inf = 0: finish adds nothing
-    np.testing.assert_allclose(gram[:d], row[:d], rtol=1e-10,
+    held, state = grad.part(lane, W, U, gram, held=E)
+    assume(held > 0)
+    assert state is None or len(state) == E - held
+    live, g = grad.part(lane, W, U, row)  # the row path on all E problems
+    assert live == 0
+    g = g[E - held:]  # kappa2 = kappa_inf = 0: finish adds nothing
+    np.testing.assert_allclose(gram[:d, E - held:], row[:d, E - held:], rtol=1e-10,
                                atol=1e-12 * np.abs(row[:d]).max(initial=1.0))
-    stepped = np.maximum(U - 10.0 ** log_eta * g, lb)
-    assert stepped.tobytes() == U.tobytes()
+    stepped = np.maximum(U[E - held:] - 10.0 ** log_eta * g, lb)
+    assert stepped.tobytes() == U[E - held:].tobytes()
 
 
 @pytest.mark.parametrize("lane", [0, 1])
@@ -173,8 +187,8 @@ def test_bound_is_tight_on_an_extreme_row(lane):
         lb = (data.m / reg.alpha, data.n / (1.0 - reg.alpha))[lane]
         U = np.full((1, (data.m, data.n)[lane]), lb)
         out = np.empty((2, data.d + grad.REDUCTIONS, 1))
-        assert (grad.part(lane, w[:, None], U, out[0], held=True) is None) == holds
-        g = grad.part(lane, w[:, None], U, out[1])
+        assert grad.part(lane, w[:, None], U, out[0], held=1)[0] == holds
+        _, g = grad.part(lane, w[:, None], U, out[1])
         assert (np.maximum(U - 1e3 * lb * g, lb) == U).all() == holds
 
 
@@ -188,22 +202,31 @@ def test_bound_declines_a_block_it_cannot_hold():
         grad = ConvexGradient(data, reg, np.zeros(1))
         out = np.empty((data.d + grad.REDUCTIONS, 1))
         W = np.full((data.d, 1), 0.1)
-        assert grad.part(0, W, np.full((1, data.m), data.m / reg.alpha), out, held=True) \
-            is not None
+        assert grad.part(0, W, np.full((1, data.m), data.m / reg.alpha), out, held=1)[0] == 0
 
 
 @pytest.mark.parametrize("epsilons, m, n, held", [
-    ([0.5, 1.0, 5.0, 15.0, math.inf], 7000, 10_000, [2000, 0]),
-    ([math.inf], 700, 1000, [2000, 2000]),
+    ([0.5, 1.0, 5.0, 15.0, math.inf], 7000, 10_000, [(5, 0), (1, 4)]),
+    ([math.inf], 700, 1000, [(1, 0), (1, 0)]),
 ], ids=["acceptance", "non-private"])
 def test_acceptance_shaped_run_holds_the_public_block(epsilons, m, n, held, monkeypatch):
     # the acceptance fixture's sweep (kappa1 = B) for one trial, in one
-    # process: the public block never leaves its bound, and with no finite
-    # epsilon neither does the private one
+    # process: the public block never leaves its bound, and neither does the
+    # private block of the epsilon = inf problem, listed last or first, so the
+    # row path runs on the noisy problems only; the two orders give the same fits
     monkeypatch.setattr(harness, "_process_slots", lambda: 1)
-    counts = count_held_steps(monkeypatch)
-    run_sweep(SweepSpec(dataset=SyntheticShiftSpec(d=20, noise_std=0.1), algorithm="convex",
-                        epsilons=epsilons, target_sizes=[n], trials=1, master_seed=20260826,
-                        model=SQ, reg=RegularizerConfig(alpha=0.5, kappa1=SQ.B), T=2000,
-                        baseline_T=2000, m=m, test_size=1000))
-    assert counts == held
+    records = []
+    for order in dict.fromkeys([tuple(epsilons), tuple(epsilons[-1:] + epsilons[:-1])]):
+        with pytest.MonkeyPatch.context() as patch:
+            steps = count_held_steps(patch)
+            result = run_sweep(SweepSpec(
+                dataset=SyntheticShiftSpec(d=20, noise_std=0.1), algorithm="convex",
+                epsilons=list(order), target_sizes=[n], trials=1, master_seed=20260826,
+                model=SQ, reg=RegularizerConfig(alpha=0.5, kappa1=SQ.B), T=2000,
+                baseline_T=2000, m=m, test_size=1000))
+        assert steps == [[held[0]] * 2000, [held[1]] * 2000]
+        records.append(sorted(result.records, key=lambda rec: rec["epsilon"]))
+    for last, first in zip(records[0], records[-1]):
+        assert last["epsilon"] == first["epsilon"]
+        for key in ("metric_value", "objective_value"):
+            assert first[key] == pytest.approx(last[key], rel=1e-12, abs=0.0)

@@ -13,14 +13,15 @@ import pytest
 
 from privadapt import convex_solver, harness, processes
 from privadapt.convex_objective import ConvexGradient
-from privadapt.convex_solver import ConvexRunConfig, fit_convex_columns
-from privadapt.core import FeasiblePoint, LossModel, PrivacyBudget, RegularizerConfig
+from privadapt.convex_solver import ConvexRunConfig, fit_convex_columns, noisy_pgd
+from privadapt.core import (FeasiblePoint, LossModel, PrivacyBudget, RegularizerConfig,
+                            reference_point)
 from privadapt.data_io import SyntheticShiftSpec, generate_synthetic
 from privadapt.harness import SweepCellError, emit_results, read_results, run_sweep
-from privadapt.mechanisms import derive_rng
+from privadapt.mechanisms import calibrate, derive_rng
 from privadapt.nonconvex_solver import NonConvexRunConfig, fit_nonconvex_columns
 from tests.test_harness import NONCONVEX, small_spec
-from tests.test_held_blocks import count_held_steps
+from tests.test_held_blocks import count_held_steps, held_counts
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux",
                                 reason="the private lane is forked on Linux only")
@@ -108,22 +109,52 @@ def test_convex_lanes_equal_one_process(E, overrides, forks, bounded, leaves_not
     _assert_same_bits(one, two)
 
 
-@pytest.mark.parametrize("epsilons, held", [([0.5, 5.0, math.inf], [80, 0]),
-                                             ([math.inf, math.inf], [80, 40])],
-                         ids=["public-held", "both-held"])
+@pytest.mark.parametrize("epsilons, held", [([0.5, 5.0, math.inf], [3, 1]),
+                                             ([math.inf, 0.5, 5.0], [3, 1]),
+                                             ([math.inf, math.inf], [2, 2])],
+                         ids=["public-held", "inf-first", "both-held"])
 def test_held_lanes_equal_one_process(epsilons, held, monkeypatch, forks, bounded,
                                       leaves_nothing):
-    # kappa1 = B holds the public block, and with no finite epsilon the
-    # private one, in the process that runs it: this process counts both
-    # lanes of the one-process run and the public lane of the two-lane run
-    counts = count_held_steps(monkeypatch)
+    # kappa1 = B holds every problem on the public block, and each
+    # epsilon = inf problem on the private one, in the process that runs
+    # it: this process counts both lanes of the one-process run and the
+    # public lane of the two-lane run
+    steps = count_held_steps(monkeypatch)
     columns = [(PrivacyBudget(eps, 0.01), 0.1) for eps in epsilons]
     reg = RegularizerConfig(alpha=0.3, kappa1=SQ.B)
     one, two = (fit_convex_columns(_data(), columns, reg, ConvexRunConfig(T=40, seed=3), SQ,
                                    lanes=lanes) for lanes in (1, 2))
     assert len(forks) == 1
-    assert counts == held
+    assert held_counts(steps) == [[held[0]] * 80, [held[1]] * 40]
     _assert_same_bits(one, two)
+
+
+@pytest.mark.parametrize("step_w, held", [
+    ((0.1, 0.4, 0.2), [2] * 11 + [1] * 11 + [0] * 18),
+    ((0.05, 0.2, 0.1), [2] * 22 + [1] * 18),
+], ids=["both-leave", "one-leaves"])
+def test_partly_held_private_lane_equals_one_process(step_w, held, monkeypatch, forks,
+                                                     bounded, leaves_nothing):
+    # a noisy problem and two noise-free ones at the bound: kappa1 = 0.4
+    # holds the noise-free two on the private block until w grows, and the
+    # middle one, with the larger w-step, leaves first (this process counts
+    # the private lane of the one-process run only)
+    steps = count_held_steps(monkeypatch)
+    reg = RegularizerConfig(alpha=0.3, kappa1=0.4)
+    schedules = [calibrate(PrivacyBudget(eps, 0.01), reg.alpha, SQ.G, SQ.B, N, 40)
+                 for eps in (0.5, math.inf, math.inf)]
+    eta = np.array([[w, 100.0, 300.0] for w in step_w])
+    one, two = (noisy_pgd(ConvexGradient(_data(), reg, np.array([0.1, 0.2, 0.3])),
+                          reference_point(reg.alpha, M, N, D), eta,
+                          np.array([s.sigma1 for s in schedules]),
+                          np.array([s.sigma2 for s in schedules]), 40, SQ.lam, reg.alpha,
+                          derive_rng(3, "lanes"), average=True, lanes=lanes)
+                for lanes in (1, 2))
+    assert len(forks) == 1
+    assert held_counts(steps)[1] == held
+    for a, b in zip(one, two):
+        for block in ("w", "u_pub", "u_priv"):
+            assert getattr(a, block).tobytes() == getattr(b, block).tobytes()
 
 
 @pytest.mark.parametrize("E", [1, 2, 5])
