@@ -13,7 +13,7 @@ import math
 import sys
 
 from .convex_solver import ConvexRunConfig, fit_convex
-from .core import LossModel, PrivacyBudget, RegularizerConfig, SQUARED
+from .core import LossModel, PrivacyBudget, RegularizerConfig, SQUARED, check_epsilon
 from .data_io import (
     DatasetManifest,
     SyntheticShiftSpec,
@@ -37,16 +37,9 @@ from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex
 FIT_NON_PRIVATE = ("objective_value", "grad_mapping_norm")
 
 
-def _parse_epsilon(s: str) -> float:
-    v = float(s)  # reads "inf" and "Infinity" too
-    if not v > 0:  # PrivacyBudget's rule: NaN fails it
-        raise argparse.ArgumentTypeError("epsilon must be positive or 'inf'")
-    return v
-
-
 def _add_fit_args(sub):
     sub.add_argument("--data", required=True, help="CSV with f*,label,domain columns")
-    sub.add_argument("--epsilon", type=_parse_epsilon, default=math.inf)
+    sub.add_argument("--epsilon", type=float, default=math.inf)
     sub.add_argument("--delta", type=float, default=0.01)
     sub.add_argument("--disc-fraction", type=float, default=0.5)
     sub.add_argument("--lam", type=float, default=1.0, help="predictor norm bound")
@@ -58,10 +51,10 @@ def _add_fit_args(sub):
 
 
 def _fit_common(args, kind: str):
+    budget = PrivacyBudget(args.epsilon, args.delta, args.disc_fraction)  # before the CSV
     manifest = DatasetManifest(path=args.data)
     data = load_dataset(manifest)
     model = LossModel(kind=kind, r=manifest.r_target, lam=args.lam)
-    budget = PrivacyBudget(args.epsilon, args.delta, args.disc_fraction)
     rng = derive_rng(args.seed, "cli-fit")
     d_dp = privatize_discrepancy(raw_d_hat(args.d_hat, data, model), model.B,
                                  budget.epsilon_disc, data.n, rng)
@@ -96,6 +89,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
+    check_epsilon(args.epsilon)  # before the CSV
     manifest = DatasetManifest(path=args.data)
     data = load_dataset(manifest)
     model = LossModel(kind=SQUARED, r=manifest.r_target, lam=args.lam)
@@ -167,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsc.add_argument("--data", required=True)
     dsc.add_argument("--solver", default="dca", choices=["dca", "grid"])
     dsc.add_argument("--lam", type=float, default=1.0)
-    dsc.add_argument("--epsilon", type=_parse_epsilon, default=math.inf,
+    dsc.add_argument("--epsilon", type=float, default=math.inf,
                      help="budget for the Laplace release; inf = no noise")
     dsc.add_argument("--seed", type=int, default=0)
     dsc.set_defaults(func=cmd_discrepancy)

@@ -250,6 +250,12 @@ def reference_point(alpha: float, m: int, n: int, d: int) -> FeasiblePoint:
     )
 
 
+def check_epsilon(epsilon: float) -> None:
+    """PrivacyBudget's rule for epsilon, which SweepSpec and the CLI apply too."""
+    if not epsilon > 0:  # NaN fails
+        raise ValueError(f"epsilon must be positive or inf, got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """Total (epsilon, delta) budget and its split between the discrepancy
@@ -260,8 +266,7 @@ class PrivacyBudget:
     disc_fraction: float = 0.5
 
     def __post_init__(self):
-        if not self.epsilon_total > 0:  # NaN fails; the rule SweepSpec and the CLI apply too
-            raise ValueError(f"epsilon must be positive or inf, got {self.epsilon_total!r}")
+        check_epsilon(self.epsilon_total)
         if not (0.0 < self.delta < 1.0):  # the rule default_T_* apply too
             raise ValueError("delta must lie in (0, 1)")
         if not (0.0 < self.disc_fraction < 1.0):

@@ -57,6 +57,10 @@ class SyntheticShiftSpec:
         for frac in (self.source_gaussian_fraction, self.target_gaussian_fraction):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("mixture fractions must lie in [0, 1]")
+        if not 0.0 <= self.noise_std < np.inf:  # NaN fails
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if not 0.0 < self.r < np.inf:
+            raise ValueError(f"r must be positive and finite, got {self.r!r}")
         if self.label_rule not in ("linear_regression", "linear_classification"):
             raise ValueError(f"unknown label_rule {self.label_rule!r}")
         if self.d < 1:
@@ -105,11 +109,15 @@ def generate_synthetic(spec: SyntheticShiftSpec, m: int, n: int,
     w_star /= max(np.linalg.norm(w_star), 1e-12)
     xs = _draw_domain(spec, m, spec.source_gaussian_fraction, rng)
     xt = _draw_domain(spec, n, spec.target_gaussian_fraction, rng)
-    # Rescale globally so every row respects the bounded-norm geometry.
-    top = max(np.linalg.norm(xs, axis=1).max(), np.linalg.norm(xt, axis=1).max())
+    # load_dataset's rule: the public rows alone set the scale, and target
+    # rows still outside the r-ball are clipped to it; a draw whose public
+    # rows lie inside the ball keeps its scale
+    top = np.linalg.norm(xs, axis=1).max()
     if top > spec.r:
         xs *= spec.r / top  # both are fresh draws
         xt *= spec.r / top
+    norms = np.linalg.norm(xt, axis=1)
+    xt[norms > spec.r] *= (spec.r / norms[norms > spec.r])[:, None]
     # each draw is labelled, then copied into the dataset layout and freed
     ys = _labels(spec, xs, w_star, rng)
     xs = sample_major(xs)

@@ -319,6 +319,22 @@ class TestSynthetic:
         pred = np.where(data.private_x @ res.point.w >= 0, 1.0, -1.0)
         assert (pred == data.private_y).mean() == 1.0
 
+    def test_scale_comes_from_public_rows_and_target_rows_are_clipped(self):
+        # load_dataset's rule: a target draw far outside the public one
+        # neither moves the public rows nor leaves the r-ball
+        draws = {}
+        for frac in (0.0, 1.0):  # the target: uniform ball, then Gaussian (cov 25 I)
+            spec = SyntheticShiftSpec(d=3, base_cov=25.0 * np.eye(3), r=2.0,
+                                      source_gaussian_fraction=0.0, target_gaussian_fraction=frac)
+            draws[frac], _ = generate_synthetic(spec, 300, 300, derive_rng(14, "scale"))
+        for data in draws.values():  # the public ball draw lies inside the ball: no rescale
+            assert 1.9 < np.linalg.norm(data.public_x, axis=1).max() <= 2.0
+            assert np.linalg.norm(data.private_x, axis=1).max() <= 2.0 * (1.0 + 1e-12)
+        assert draws[0.0].public_x.tobytes() == draws[1.0].public_x.tobytes()
+        assert draws[0.0].public_y.tobytes() == draws[1.0].public_y.tobytes()
+        clipped = np.linalg.norm(draws[1.0].private_x, axis=1) > 2.0 * (1.0 - 1e-12)
+        assert clipped.sum() > 200  # most Gaussian target rows lay outside the ball
+
     def test_labels_clipped_and_wstar_unit(self):
         spec = SyntheticShiftSpec(d=3, noise_std=0.5)
         data, w_star = generate_synthetic(spec, 200, 200, derive_rng(13, "cl"))
@@ -343,3 +359,17 @@ def test_manifest_validation():
 def test_manifest_rejects_non_finite_and_negative_r_target(r_target):
     with pytest.raises(ValueError, match="r_target must be positive and finite"):
         DatasetManifest(path="x.csv", r_target=r_target)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("noise_std", float("nan"), "noise_std must be finite and >= 0"),
+    ("noise_std", float("inf"), "noise_std must be finite and >= 0"),
+    ("noise_std", -1.0, "noise_std must be finite and >= 0"),
+    ("r", float("nan"), "r must be positive and finite"),
+    ("r", float("inf"), "r must be positive and finite"),
+    ("r", -1.0, "r must be positive and finite"),
+    ("r", 0.0, "r must be positive and finite")])
+def test_synthetic_spec_rejects_bad_noise_std_and_r(field, value, match):
+    # a NaN or negative noise_std once meant noise-free labels
+    with pytest.raises(ValueError, match=match):
+        SyntheticShiftSpec(d=2, **{field: value})

@@ -676,17 +676,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("privadapt: error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["fit-convex", "discrepancy"])
+    @pytest.mark.parametrize("command", ["fit-convex", "fit-nonconvex", "discrepancy"])
     @pytest.mark.parametrize("value", ["nan", "-inf", "-1"])
     def test_epsilon_option_rejects_what_the_budget_rejects(self, tmp_path, capsys, command,
                                                             value):
-        # an argparse type error: the usage line, then one error line, exit code 2
-        path, _ = self._gen(tmp_path, capsys)
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main([command, "--data", str(path), f"--epsilon={value}"])
-        assert exit_info.value.code == 2
+        # one error line, exit code 2, before the CSV is read: the file is missing
+        path = tmp_path / "missing.csv"
+        assert cli.main([command, "--data", str(path), f"--epsilon={value}"]) == 2
         err = capsys.readouterr().err
-        assert err.count("error: argument --epsilon: epsilon must be positive or 'inf'") == 1
+        assert err == f"privadapt: error: epsilon must be positive or inf, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_gen_synth_rejects_a_bad_noise_std(self, tmp_path, capsys, value):
+        # --noise-std nan and -1 once wrote noise-free labels with exit code 0
+        path = tmp_path / "data.csv"
+        assert cli.main(["gen-synth", "--out", str(path), "--noise-std", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("privadapt: error: noise_std must be finite and >= 0")
+        assert err.count("\n") == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("synthetic", [
+        {"noise_std": math.nan}, {"noise_std": math.inf}, {"noise_std": -1.0},
+        {"r": math.nan}, {"r": math.inf}, {"r": -1.0}])
+    def test_sweep_rejects_bad_synthetic_settings_before_any_cell(self, tmp_path, capsys,
+                                                                  monkeypatch, synthetic):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(harness, "_cell_data", no_cell)
+        cfg = {"synthetic": {"d": 2} | synthetic, "algorithm": "convex", "epsilons": [1.0],
+               "target_sizes": [30], "trials": 1, "master_seed": 0, "T": 5, "m": 40,
+               "test_size": 20}
+        assert self._sweep(tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"privadapt: error: {next(iter(synthetic))} must be")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_sweep_rejects_a_nan_epsilon_before_any_cell(self, tmp_path, capsys, monkeypatch):
         def no_cell(*args):
