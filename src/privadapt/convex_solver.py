@@ -7,10 +7,11 @@ and (E, n), one row per problem, so elementwise work runs along the sample
 axis.  Noise goes to the w-gradient and the private-weight gradient only:
 each step draws one standard normal vector per noisy block and each problem
 scales it by its own sigma (the private one as it is drawn), so problem j
-follows the trajectory of its own single run on a stream in the same state.  The two solvers differ in the
-gradient, the step sizes and the output rule: ``fit_convex_columns``
-returns the average of the iterates (``fit_convex`` is its one-problem
-case), ``nonconvex_solver`` the iterate at a random stop t*.
+follows the trajectory of its own single run on a stream in the same state.
+The two solvers differ in the gradient, the step sizes and the output rule:
+``fit_convex_columns`` returns the average of the iterates (``fit_convex``
+is its one-problem case), ``nonconvex_solver`` the iterate at a random stop
+t*.
 
 The gradient comes split by u-block (``convex_objective.BlockGradient``):
 the blocks meet only through the w-gradient and a few per-problem
@@ -289,16 +290,16 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
                  for budget, _ in columns]
     # noise-free columns run last, where the engine can hold their private block
     order = sorted(range(len(columns)), key=lambda j: schedules[j].sigma2 == 0)
-    steps = [schedules[j] for j in order]
-    eta = np.array([default_step_sizes(model, reg, s, m, n, d) for s in steps])
+    schedules = [schedules[j] for j in order]
+    eta = np.array([default_step_sizes(model, reg, s, m, n, d) for s in schedules])
     for j, step in enumerate((run.step_w, run.step_u_pub, run.step_u_priv)):
         if step is not None:
             eta[:, j] = step
     averages = noisy_pgd(
         ConvexGradient(data, reg, np.array([columns[j][1] for j in order])), p, eta,
-        np.array([s.sigma1 for s in steps]), np.array([s.sigma2 for s in steps]),
+        np.array([s.sigma1 for s in schedules]), np.array([s.sigma2 for s in schedules]),
         run.T, model.lam, reg.alpha, rng, average=True, lanes=lanes)
-    averages = [avg for _, avg in sorted(zip(order, averages), key=lambda pair: pair[0])]
+    averages = [averages[i] for i in np.argsort(order)]
     return [AdaptationResult(point=avg, objective_value=eval_F(ctx, avg),
                              privacy_spent=budget.spent, T_used=run.T)
             for (budget, _), ctx, avg in zip(columns, ctxs, averages)]
