@@ -23,7 +23,6 @@ from .data_io import (
 )
 from .discrepancy import discrepancy_dca, discrepancy_grid
 from .harness import (
-    convex_T,
     emit_results,
     lane_count,
     raw_d_hat,
@@ -105,9 +104,8 @@ def cmd_fit_convex(args) -> int:
     data, model, budget, d_dp, rng = _fit_common(args, SQUARED)
     reg = RegularizerConfig(alpha=args.alpha, kappa1=args.kappa1,
                             kappa2=args.kappa2, kappa_inf=args.kappa_inf)
-    T = convex_T(args.T, budget, data, reg, model)
-    result = fit_convex(data, budget, reg, ConvexRunConfig(T=T, seed=args.seed),
-                        model, d_dp=d_dp, rng=rng, lanes=lane_count(1))
+    result = fit_convex(data, budget, reg, ConvexRunConfig(T=args.T), model, d_dp=d_dp,
+                        rng=rng, lanes=lane_count(1))
     _print_result(result.to_dict() | {"d_dp": d_dp}, args.epsilon, FIT_NON_PRIVATE)
     return 0
 
@@ -117,7 +115,7 @@ def cmd_fit_nonconvex(args) -> int:
     reg = RegularizerConfig(alpha=args.alpha, lambda1=args.lambda1,
                             lambda2=args.lambda2, lambda_inf=args.lambda_inf,
                             mu=args.mu)
-    result = fit_nonconvex(data, budget, reg, NonConvexRunConfig(T=args.T, seed=args.seed),
+    result = fit_nonconvex(data, budget, reg, NonConvexRunConfig(T=args.T),
                            model, d_dp=d_dp, rng=rng, lanes=lane_count(1))
     _print_result(result.to_dict() | {"d_dp": d_dp}, args.epsilon, FIT_NON_PRIVATE)
     return 0

@@ -11,7 +11,10 @@ follows the trajectory of its own single run on a stream in the same state.
 The two solvers differ in the gradient, the step sizes and the output rule:
 ``fit_convex_columns`` returns the average of the iterates (``fit_convex``
 is its one-problem case), ``nonconvex_solver`` the iterate at a random stop
-t*.
+t*.  Both take one problem per (budget, d_dp) column and share one batching
+rule: ``column_runs`` gives each column its steps (an epsilon = inf column
+takes the longest finite run) and ``per_run`` makes one engine run per step
+count, each from the stream state at the call.
 
 The gradient comes split by u-block (``convex_objective.BlockGradient``):
 the blocks meet only through the w-gradient and a few per-problem
@@ -66,17 +69,9 @@ LANE_MIN_ROW_STEPS = 1_000_000
 
 @dataclass
 class ConvexRunConfig:
-    T: int
-    step_w: float | None = None
-    step_u_pub: float | None = None
-    step_u_priv: float | None = None
+    T: int | None  # None -> default_T_convex
     init: FeasiblePoint | None = None
     seed: int = 0
-
-    def __post_init__(self):
-        for step in (self.step_w, self.step_u_pub, self.step_u_priv):
-            if step is not None and not 0.0 < step < math.inf:
-                raise ValueError("step size overrides must be positive and finite")
 
 
 def default_step_sizes(model: LossModel, cfg: RegularizerConfig,
@@ -264,19 +259,43 @@ def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
         return W, U[0], link.receive(np.empty(private_shape))
 
 
+def column_runs(T: int | None, budgets: list[PrivacyBudget], default_T) -> list[int]:
+    """The steps of each column's engine run: T when given, else a finite
+    column's analytic default_T(budget); an epsilon = inf column takes the
+    longest finite run, or the ceiling when no column is finite."""
+    if T is not None:
+        return [T] * len(budgets)
+    steps = [default_T(budget) if budget.is_private else None for budget in budgets]
+    longest = max((s for s in steps if s is not None), default=DEFAULT_T_CEILING)
+    return [longest if s is None else s for s in steps]
+
+
+def per_run(steps: list[int], rng: np.random.Generator, solve) -> list:
+    """``solve(T, columns)``, which returns {column: output}, once for each
+    distinct step count T of ``steps``, on the columns that take it; each run
+    starts from the stream state at this call, so every column follows its
+    own single run.  Returns the outputs in column order."""
+    state, out = rng.bit_generator.state, {}
+    for T in dict.fromkeys(steps):
+        rng.bit_generator.state = state
+        out.update(solve(T, [j for j, s in enumerate(steps) if s == T]))
+    return [out[j] for j in range(len(steps))]
+
+
 def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],
                        reg: RegularizerConfig, run: ConvexRunConfig, model: LossModel,
                        rng: np.random.Generator | None = None,
                        lanes: int = 1) -> list[AdaptationResult]:
-    """Run T noisy projected gradient steps on one convex objective per
-    (budget, d_dp) column, all on one noise stream, and return each
-    column's averaged iterate.
+    """Run noisy projected gradient steps on one convex objective per
+    (budget, d_dp) column, one engine run per step count of
+    ``column_runs``, and return each column's averaged iterate.
 
-    Every column gets its own sigma and step sizes from its budget; a
-    column with epsilon = inf takes no noise, and a run with no finite
-    epsilon draws nothing from the stream.  ``lanes`` is the engine's: 2
-    lets a long enough run step the private block on a second process,
-    with the same results.
+    T = None takes the analytic default_T_convex.  Every column gets its
+    own sigma and step sizes from its budget and steps; a column with
+    epsilon = inf takes no noise, and a run with no finite epsilon draws
+    nothing from the stream.  ``lanes`` is the engine's: 2 lets a long
+    enough run step the private block on a second process, with the same
+    results.
     """
     if not columns:
         raise ValueError("at least one (budget, d_dp) column is required")
@@ -285,24 +304,25 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
     p = run.init if run.init is not None else reference_point(reg.alpha, m, n, d)
     if rng is None:
         rng = derive_rng(run.seed, "fit-convex")
+    steps = column_runs(run.T, [budget for budget, _ in columns], lambda budget: default_T_convex(
+        n, m, d, reg.alpha, budget.epsilon_opt, budget.delta, model.B, reg.b_bar(model.B)))
 
-    schedules = [calibrate(budget, reg.alpha, model.G, model.B, n, run.T)
-                 for budget, _ in columns]
-    # noise-free columns run last, where the engine can hold their private block
-    order = sorted(range(len(columns)), key=lambda j: schedules[j].sigma2 == 0)
-    schedules = [schedules[j] for j in order]
-    eta = np.array([default_step_sizes(model, reg, s, m, n, d) for s in schedules])
-    for j, step in enumerate((run.step_w, run.step_u_pub, run.step_u_priv)):
-        if step is not None:
-            eta[:, j] = step
-    averages = noisy_pgd(
-        ConvexGradient(data, reg, np.array([columns[j][1] for j in order])), p, eta,
-        np.array([s.sigma1 for s in schedules]), np.array([s.sigma2 for s in schedules]),
-        run.T, model.lam, reg.alpha, rng, average=True, lanes=lanes)
-    averages = [averages[i] for i in np.argsort(order)]
+    def solve(T, cols):
+        schedules = {j: calibrate(columns[j][0], reg.alpha, model.G, model.B, n, T)
+                     for j in cols}
+        # noise-free columns run last, where the engine can hold their private block
+        cols = sorted(cols, key=lambda j: schedules[j].sigma2 == 0)
+        eta = np.array([default_step_sizes(model, reg, schedules[j], m, n, d) for j in cols])
+        return dict(zip(cols, noisy_pgd(
+            ConvexGradient(data, reg, np.array([columns[j][1] for j in cols])), p, eta,
+            np.array([schedules[j].sigma1 for j in cols]),
+            np.array([schedules[j].sigma2 for j in cols]),
+            T, model.lam, reg.alpha, rng, average=True, lanes=lanes)))
+
     return [AdaptationResult(point=avg, objective_value=eval_F(ctx, avg),
-                             privacy_spent=budget.spent, T_used=run.T)
-            for (budget, _), ctx, avg in zip(columns, ctxs, averages)]
+                             privacy_spent=budget.spent, T_used=T)
+            for (budget, _), ctx, avg, T in zip(columns, ctxs, per_run(steps, rng, solve),
+                                                steps)]
 
 
 def fit_convex(data: AdaptDataset, budget: PrivacyBudget, reg: RegularizerConfig,

@@ -9,11 +9,14 @@ with the same master seed produce byte-identical record output.
 
 The sweep runs (n, trial) on the outside and epsilon on the inside: the
 data draw, the raw discrepancy and the reference fit are made once per
-(n, trial).  The convex and the non-convex cells then go through one
-grouped path: the cells that share T and a stream state run as one
-batched solve on the shared noisy-PGD engine (``fit_convex_columns`` or
-``fit_nonconvex_columns``), which the common random numbers make exact.
-Records still come out in (epsilon, n, trial) order.
+(n, trial).  Every cell's discrepancy release takes one draw from its
+noise stream, so the streams then stand in one state, and the convex or
+non-convex cells of an (n, trial) make one solver call with one column per
+epsilon (``fit_convex_columns`` or ``fit_nonconvex_columns``).  The solver
+decides which columns share an engine run and for how many steps
+(``convex_solver.column_runs``); the common random numbers make each cell
+equal to its own single-epsilon sweep.  Records still come out in
+(epsilon, n, trial) order.
 
 Each (n, trial) group is a pure function of its keyed streams, so the
 groups of one sweep run on forked worker processes, one pool per sweep
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import baselines
 from .baselines import fit_baseline
-from .convex_solver import ConvexRunConfig, default_T_convex, fit_convex_columns
+from .convex_solver import ConvexRunConfig, fit_convex_columns
 # not called here any more; benchmarks/test_benchmark.py reads harness.fit_convex
 from .convex_solver import fit_convex  # noqa: F401
 from .core import (
@@ -60,7 +63,7 @@ from .data_io import (
 )
 from .discrepancy import discrepancy_dca, discrepancy_grid
 from .mechanisms import derive_rng, privatize_discrepancy
-from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex_columns
+from .nonconvex_solver import fit_nonconvex_columns
 # under this name, so that patching harness._process_slots changes the sweep rules
 from .processes import process_slots as _process_slots
 
@@ -189,15 +192,6 @@ def raw_d_hat(policy: float | str, data: AdaptDataset, model: LossModel) -> floa
     return min(max(raw, 0.0), model.B)
 
 
-def convex_T(T: int | None, budget: PrivacyBudget, data: AdaptDataset,
-             reg: RegularizerConfig, model: LossModel) -> int:
-    """T, or the analytic default_T_convex when T is None."""
-    if T is not None:
-        return T
-    return default_T_convex(data.n, data.m, data.d, reg.alpha, budget.epsilon_opt,
-                            budget.delta, model.B, reg.b_bar(model.B))
-
-
 def _per_cell(spec: SweepSpec, n: int, trial: int, fn, *columns) -> list:
     """fn applied to each epsilon cell's arguments; a failure names its cell."""
     out = []
@@ -207,55 +201,6 @@ def _per_cell(spec: SweepSpec, n: int, trial: int, fn, *columns) -> list:
         except Exception as exc:
             raise SweepCellError(eps, n, trial, exc) from exc
     return out
-
-
-def _solve_grouped(spec: SweepSpec, train: AdaptDataset, n: int, trial: int,
-                   budgets: list, d_dps: list, rngs: list, lanes: int) -> list:
-    """The fits of every epsilon cell, one engine run per group of cells
-    that share T and a stream state; a failed run names its first cell.
-
-    Every finite-epsilon stream has taken one Laplace draw, so all stand in
-    the same state and the last serves its group.  An epsilon = inf column
-    draws no noise, so it joins a convex group; a non-convex run draws t*
-    first, so there it runs alone.  With T = None a finite cell takes its
-    analytic T (a non-convex one's depends on its epsilon only, so those
-    cells group by epsilon), and an epsilon = inf cell the largest T of its
-    finite cells: only a sweep without one takes the analytic ceiling.
-    """
-    convex = spec.algorithm == CONVEX
-    fit = fit_convex_columns if convex else fit_nonconvex_columns
-    results = [None] * len(budgets)
-
-    def solve(idx: list, T: int | None):
-        finite = [i for i in idx if budgets[i].is_private]
-        run = ConvexRunConfig(T=T) if convex else NonConvexRunConfig(T=T)
-        try:
-            group = fit(train, [(budgets[i], d_dps[i]) for i in idx], spec.reg, run,
-                        spec.model, rng=rngs[finite[-1] if finite else idx[0]], lanes=lanes)
-        except Exception as exc:
-            raise SweepCellError(spec.epsilons[idx[0]], n, trial, exc) from exc
-        for i, result in zip(idx, group):
-            results[i] = result
-
-    private = [i for i, budget in enumerate(budgets) if budget.is_private]
-    public = [i for i, budget in enumerate(budgets) if not budget.is_private]
-    groups: dict = {}
-    for i in private:
-        if convex:
-            key = convex_T(spec.T, budgets[i], train, spec.reg, spec.model)
-        else:  # fit_nonconvex_columns resolves T = None from the epsilon
-            key = spec.T or budgets[i].epsilon_opt
-        groups.setdefault(key, []).append(i)
-    if convex and public:
-        T = max(groups) if groups and spec.T is None else convex_T(
-            spec.T, budgets[public[0]], train, spec.reg, spec.model)
-        groups[T] = sorted(groups.get(T, []) + public)
-    for key, idx in groups.items():
-        solve(idx, key if convex else spec.T)
-    if public and not convex:
-        solve(public, spec.T if spec.T is not None or not private
-              else max(results[i].T_used for i in private))
-    return results
 
 
 @dataclass(frozen=True)
@@ -282,7 +227,10 @@ def _run_group(spec: SweepSpec, shared: _Shared, n: int, n_idx: int,
         d_hat = raw_d_hat(spec.d_hat, train, spec.model)
         d_dps = _per_cell(spec, n, trial, lambda budget, rng: privatize_discrepancy(
             d_hat, spec.model.B, budget.epsilon_disc, train.n, rng), budgets, rngs)
-        results = _solve_grouped(spec, train, n, trial, budgets, d_dps, rngs, shared.lanes)
+        # every release took one draw, so all the streams stand in one state
+        fit = fit_convex_columns if spec.algorithm == CONVEX else fit_nonconvex_columns
+        results = fit(train, list(zip(budgets, d_dps)), spec.reg, ConvexRunConfig(T=spec.T),
+                      spec.model, rng=rngs[0], lanes=shared.lanes)
     elif spec.algorithm == baselines.TARGET_ONLY:
         # same fit as the relative-MSE denominator, so the ratio is exactly 1
         results = [_reference_fit(spec, train, n_idx, trial)] * len(budgets)

@@ -84,7 +84,9 @@ def privatize_discrepancy(d_hat: float, B: float, epsilon_disc: float,
     """Laplace release of the discrepancy estimate, clamped back to [0, B].
 
     The Laplace scale is 2B/(epsilon_disc * n), matching the B/n sensitivity
-    of the estimate with half the budget spent here.
+    of the estimate with half the budget spent here.  epsilon_disc = inf
+    returns d_hat, but still takes the draw, so the stream after a release
+    stands in the same state for every budget.
     """
     if not (0.0 <= d_hat <= B + 1e-12):
         raise ValueError("d_hat must lie in [0, B]")
@@ -93,6 +95,7 @@ def privatize_discrepancy(d_hat: float, B: float, epsilon_disc: float,
     if not epsilon_disc > 0:  # NaN and -inf fail too
         raise ValueError("epsilon_disc must be positive")
     if math.isinf(epsilon_disc):
+        rng.laplace()
         return float(d_hat)
     noisy = d_hat + laplace_sample(2.0 * B / (epsilon_disc * n), rng)
     return float(min(max(noisy, 0.0), B))

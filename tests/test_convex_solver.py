@@ -183,7 +183,8 @@ class TestDefaultT:
 @pytest.mark.parametrize("name", ["step_w", "step_u_pub", "step_u_priv"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_run_config_rejects_non_positive_or_non_finite_steps(name, value):
-    # a negative u-step would make the weights ascend
-    with pytest.raises(ValueError, match="positive and finite"):
-        ConvexRunConfig(T=5, **{name: value})
-    assert getattr(ConvexRunConfig(T=5, **{name: 1e-3}), name) == 1e-3
+    # the step sizes are default_step_sizes'; the run config takes no
+    # override, valid or not (a run with other steps passes eta to noisy_pgd)
+    for step in (value, 1e-3):
+        with pytest.raises(TypeError, match=name):
+            ConvexRunConfig(T=5, **{name: step})

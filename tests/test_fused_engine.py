@@ -150,8 +150,8 @@ def _budget(eps):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5]),
        st.lists(st.sampled_from([0.5, 2.0, 10.0, math.inf]), min_size=5, max_size=5),
-       weights, st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.booleans(), st.booleans())
-def test_engine_columns_match_single_runs(seed, E, eps, k1, k2, kinf, with_init, with_steps):
+       weights, st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.booleans())
+def test_engine_columns_match_single_runs(seed, E, eps, k1, k2, kinf, with_init):
     rng = np.random.default_rng(seed)
     m, n, d = (int(v) for v in rng.integers(1, 15, 3))
     data = random_dataset(rng, m, n, d, SQ)
@@ -159,10 +159,7 @@ def test_engine_columns_match_single_runs(seed, E, eps, k1, k2, kinf, with_init,
     columns = [(_budget(e), float(rng.uniform(0, SQ.B))) for e in eps[:E]]
     run = ConvexRunConfig(
         T=25,
-        init=random_feasible_point(rng, SQ, reg.alpha, m, n, d) if with_init else None,
-        step_w=0.05 if with_steps else None,
-        step_u_priv=3.0 if with_steps else None,
-    )
+        init=random_feasible_point(rng, SQ, reg.alpha, m, n, d) if with_init else None)
     batched = fit_convex_columns(data, columns, reg, run, SQ, rng=derive_rng(seed, "engine"))
     assert len(batched) == E
     for (budget, d_dp), got in zip(columns, batched):
@@ -207,14 +204,33 @@ def test_nonconvex_engine_columns_match_single_runs(seed, E, eps, kind, l1, l2, 
         assert got.privacy_spent == want.privacy_spent and got.T_used == want.T_used
 
 
-def test_nonconvex_columns_must_agree_on_analytic_T():
-    data = _classification(random_dataset(np.random.default_rng(1), 4, 5, 2, SQ))
-    model = LossModel("logistic", r=1.0, lam=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ValueError, match="different T"):
-            fit_nonconvex_columns(data, [(_budget(0.5), 0.1), (_budget(math.inf), 0.1)],
-                                  RegularizerConfig(), NonConvexRunConfig(T=None), model)
+def test_columns_of_mixed_analytic_T_match_single_runs():
+    # T = None: the finite columns run apart by their analytic T, and the
+    # epsilon = inf column joins the longest run, as its single run at that T
+    data = random_dataset(np.random.default_rng(1), 4, 5, 2, SQ)
+    columns = [(_budget(eps), 0.1 * (j + 1)) for j, eps in enumerate([10.0, 2.0, math.inf, 2.0])]
+    for fit_columns, fit, run, model, reg, data in [
+            (fit_convex_columns, fit_convex, ConvexRunConfig, SQ, RegularizerConfig(kappa1=1.0),
+             data),
+            (fit_nonconvex_columns, fit_nonconvex, NonConvexRunConfig,
+             LossModel("logistic", r=1.0, lam=1.0), RegularizerConfig(lambda1=0.5, mu=1.0),
+             _classification(data))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batched = fit_columns(data, columns, reg, run(T=None), model,
+                                  rng=derive_rng(1, "engine"))
+            longest = batched[0].T_used
+            singles = [fit(data, budget, reg, run(T=None if budget.is_private else longest),
+                           model, d_dp=d_dp, rng=derive_rng(1, "engine"))
+                       for budget, d_dp in columns]
+        assert [r.T_used for r in batched] == [longest, batched[1].T_used, longest,
+                                               batched[1].T_used]
+        assert batched[1].T_used < longest
+        for got, want in zip(batched, singles):
+            assert (got.T_used, got.t_star) == (want.T_used, want.t_star)
+            np.testing.assert_allclose(got.point.as_vector(), want.point.as_vector(),
+                                       rtol=1e-10, atol=1e-10)
+            assert got.objective_value == pytest.approx(want.objective_value, rel=1e-10)
 
 
 def test_engine_without_finite_epsilon_draws_nothing():

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from privadapt import cli, harness, processes
+from privadapt import cli, convex_solver, harness, processes
 from privadapt.baselines import fit_baseline
 from privadapt.convex_solver import DEFAULT_T_CEILING
 from privadapt.core import LossModel, RegularizerConfig
@@ -244,15 +244,15 @@ class TestRunSweep:
         assert records[0]["T_used"] == records[1]["T_used"] < DEFAULT_T_CEILING
 
     def test_without_finite_epsilon_inf_keeps_the_ceiling(self, monkeypatch):
-        steps = []
+        seen = []
 
-        def record_T(data, columns, reg, run, model, rng=None, lanes=1):
-            steps.append(run.T)
+        def record_steps(grad, p, eta, sigma1, sigma2, steps, *args, **kwargs):
+            seen.append(steps)
             raise ArithmeticError("stop before the ceiling's steps")
-        monkeypatch.setattr(harness, "fit_convex_columns", record_T)
+        monkeypatch.setattr(convex_solver, "noisy_pgd", record_steps)
         with pytest.raises(SweepCellError):
             run_sweep(small_spec(epsilons=[math.inf], T=None, trials=1))
-        assert steps == [DEFAULT_T_CEILING]
+        assert seen == [DEFAULT_T_CEILING]
 
     def test_cell_error_names_the_failing_epsilon(self, monkeypatch):
         from privadapt import harness

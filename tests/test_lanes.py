@@ -51,12 +51,16 @@ def _start(rng, alpha):
                          N / (1.0 - alpha) * (1.0 + rng.random(N)))
 
 
-def _assert_same_bits(one, two):
+def _assert_same_points(one, two):
     assert len(one) == len(two)
     for a, b in zip(one, two):
         for block in ("w", "u_pub", "u_priv"):
-            assert getattr(a.point, block).tobytes() == getattr(b.point, block).tobytes()
-        assert a.objective_value == b.objective_value
+            assert getattr(a, block).tobytes() == getattr(b, block).tobytes()
+
+
+def _assert_same_bits(one, two):
+    _assert_same_points([r.point for r in one], [r.point for r in two])
+    assert [r.objective_value for r in one] == [r.objective_value for r in two]
 
 
 @pytest.fixture
@@ -98,15 +102,24 @@ def leaves_nothing():
 @pytest.mark.parametrize("E", [1, 2, 5])
 @pytest.mark.parametrize("overrides", [False, True], ids=["defaults", "init-and-steps"])
 def test_convex_lanes_equal_one_process(E, overrides, forks, bounded, leaves_nothing):
-    data = _data()
-    run = ConvexRunConfig(T=40, seed=3)
-    if overrides:
-        run = ConvexRunConfig(T=40, seed=3, step_w=0.05, step_u_pub=200.0,
-                              step_u_priv=300.0, init=_start(np.random.default_rng(E), CONVEX_REG.alpha))
-    one, two = (fit_convex_columns(data, _columns(E), CONVEX_REG, run, SQ, lanes=lanes)
-                for lanes in (1, 2))
+    data, columns = _data(), _columns(E)
+    if overrides:  # the engine itself, from a start point and with other step sizes
+        schedules = [calibrate(budget, CONVEX_REG.alpha, SQ.G, SQ.B, N, 40)
+                     for budget, _ in columns]
+        one, two = (noisy_pgd(ConvexGradient(data, CONVEX_REG, np.array([d for _, d in columns])),
+                              _start(np.random.default_rng(E), CONVEX_REG.alpha),
+                              np.tile([0.05, 200.0, 300.0], (E, 1)),
+                              np.array([s.sigma1 for s in schedules]),
+                              np.array([s.sigma2 for s in schedules]), 40, SQ.lam,
+                              CONVEX_REG.alpha, derive_rng(3, "lanes"), average=True,
+                              lanes=lanes)
+                    for lanes in (1, 2))
+    else:
+        one, two = ([r.point for r in fit_convex_columns(
+            data, columns, CONVEX_REG, ConvexRunConfig(T=40, seed=3), SQ, lanes=lanes)]
+            for lanes in (1, 2))
     assert len(forks) == 1
-    _assert_same_bits(one, two)
+    _assert_same_points(one, two)
 
 
 @pytest.mark.parametrize("epsilons, held", [([0.5, 5.0, math.inf], [3, 1]),
@@ -152,9 +165,7 @@ def test_partly_held_private_lane_equals_one_process(step_w, held, monkeypatch, 
                 for lanes in (1, 2))
     assert len(forks) == 1
     assert held_counts(steps)[1] == held
-    for a, b in zip(one, two):
-        for block in ("w", "u_pub", "u_priv"):
-            assert getattr(a, block).tobytes() == getattr(b, block).tobytes()
+    _assert_same_points(one, two)
 
 
 @pytest.mark.parametrize("E", [1, 2, 5])
@@ -173,8 +184,8 @@ def test_nonconvex_lanes_equal_one_process(E, overrides, forks, bounded, leaves_
 
 @pytest.mark.parametrize("overrides, runs", [
     ({"epsilons": [0.5, 1.0, math.inf], "reg": CONVEX_REG}, 1),
-    # an epsilon = inf non-convex cell runs alone
-    (NONCONVEX | {"epsilons": [0.5, 1.0, math.inf], "reg": SMOOTH_REG}, 2),
+    # the epsilon = inf non-convex cell shares the finite cells' run and t*
+    (NONCONVEX | {"epsilons": [0.5, 1.0, math.inf], "reg": SMOOTH_REG}, 1),
 ], ids=["convex", "nonconvex"])
 def test_sweep_records_equal_in_process(overrides, runs, tmp_path, monkeypatch, forks,
                                         bounded, leaves_nothing):

@@ -132,6 +132,13 @@ class TestPrivatizeDiscrepancy:
     def test_infinite_budget_identity(self):
         assert privatize_discrepancy(1.3, 4.0, math.inf, 10, derive_rng(0)) == 1.3
 
+    def test_infinite_budget_leaves_the_stream_as_a_finite_one(self):
+        # so every sweep cell's noise stream stands in one state after its release
+        finite, infinite = derive_rng(3, "pd"), derive_rng(3, "pd")
+        privatize_discrepancy(1.3, 4.0, 0.5, 10, finite)
+        privatize_discrepancy(1.3, 4.0, math.inf, 10, infinite)
+        assert infinite.bit_generator.state == finite.bit_generator.state
+
     def test_laplace_scale(self):
         # B=4, eps=1, n=100 -> scale 0.08; check empirically via variance
         rng = derive_rng(5, "scale")
