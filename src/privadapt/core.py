@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +142,9 @@ class LossModel:
     - logistic: G = r,  beta = r^2 / 4,  B = G * lam
     """
 
-    kind: str
-    r: float
-    lam: float
+    kind: str = SQUARED
+    r: float = 1.0
+    lam: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (SQUARED, LOGISTIC):
@@ -248,6 +249,14 @@ def reference_point(alpha: float, m: int, n: int, d: int) -> FeasiblePoint:
         np.full(m, m / alpha),
         np.full(n, n / (1.0 - alpha)),
     )
+
+
+def check_integer(name: str, value, least: float = -math.inf) -> None:
+    """Raise ValueError unless ``value`` is an integer (a bool is not) of at
+    least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        bound = f" >= {least}" if least > -math.inf else ""
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def check_epsilon(epsilon: float) -> None:

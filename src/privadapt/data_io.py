@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdaptDataset, row_norms, sample_major, take_rows
+from .core import AdaptDataset, check_integer, row_norms, sample_major, take_rows
 from .processes import DONE, fork, process_slots
 
 
@@ -63,8 +63,12 @@ class SyntheticShiftSpec:
             raise ValueError(f"r must be positive and finite, got {self.r!r}")
         if self.label_rule not in ("linear_regression", "linear_classification"):
             raise ValueError(f"unknown label_rule {self.label_rule!r}")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        check_integer("d", self.d, 1)
+        for name, shape in (("base_mean", (self.d,)), ("base_cov", (self.d, self.d))):
+            value = getattr(self, name)
+            if value is not None and (np.shape(value) != shape
+                                      or not np.isfinite(np.asarray(value, float)).all()):
+                raise ValueError(f"{name} must be a finite array of shape {shape}")
 
 
 def _uniform_ball(rng: np.random.Generator, count: int, d: int, r: float) -> np.ndarray:

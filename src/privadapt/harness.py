@@ -37,7 +37,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .core import (
     LossModel,
     PrivacyBudget,
     RegularizerConfig,
-    SQUARED,
+    check_integer,
     take_rows,
 )
 from .data_io import (
@@ -99,19 +99,18 @@ class SweepSpec:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.metric not in (RELATIVE_MSE, ACCURACY):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not self.epsilons or not self.target_sizes:
             raise ValueError("epsilons and target_sizes must be non-empty")
         for eps in self.epsilons:  # checks every epsilon, delta and the split
             PrivacyBudget(eps, self.delta, self.disc_fraction)
         d_hat_policy(self.d_hat)
-        if min(self.target_sizes) < 1:
-            raise ValueError("target_sizes must be >= 1")
-        for name in ("test_size", "m", "baseline_T", "T"):
-            value = getattr(self, name)
-            if value is not None and value < 1:  # T = None takes the analytic default
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        check_integer("master_seed", self.master_seed)
+        for name in ("trials", "test_size", "m", "baseline_T"):
+            check_integer(name, getattr(self, name), 1)
+        for n in self.target_sizes:
+            check_integer("target_sizes", n, 1)
+        if self.T is not None:  # None takes the analytic default
+            check_integer("T", self.T, 1)
 
 
 @dataclass
@@ -402,30 +401,34 @@ def read_results(path: str) -> SweepResult:
                        tail.get("workers", 1), tail.get("lanes", 1))
 
 
-def spec_from_config(cfg: dict) -> SweepSpec:
-    """Build a SweepSpec from a plain JSON-style mapping (the CLI config)."""
-    missing = [k for k in ("algorithm", "epsilons", "target_sizes", "trials", "master_seed")
-               if k not in cfg]
+def _from_fields(cls, cfg, where: str, **built):
+    """cls(**cfg, **built), or ValueError naming ``where`` for a key of cfg
+    that is not a field of cls, or a required field that cfg leaves out."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where} must be a mapping, got {cfg!r}")
+    own = [f for f in fields(cls) if f.name not in built]
+    unknown = sorted(set(cfg) - {f.name for f in own})
+    if unknown:
+        raise ValueError(f"{where} has unknown keys: {', '.join(unknown)}")
+    missing = [f.name for f in own if f.name not in cfg
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ValueError(f"config needs {', '.join(missing)}")
-    if "synthetic" in cfg:
-        dataset = SyntheticShiftSpec(**cfg["synthetic"])
-    elif "csv" in cfg:
-        dataset = DatasetManifest(**cfg["csv"])
-    else:
-        raise ValueError("config needs a 'synthetic' or 'csv' dataset section")
-    model_cfg = dict(cfg.get("model", {}))
-    model = LossModel(kind=model_cfg.get("kind", SQUARED),
-                      r=model_cfg.get("r", 1.0),
-                      lam=model_cfg.get("lam", 1.0))
-    reg = RegularizerConfig(**cfg.get("reg", {}))
-    epsilons = [float(e) for e in cfg["epsilons"]]  # float reads "inf" and "Infinity"
-    kwargs = {k: cfg[k] for k in ("metric", "delta", "disc_fraction", "T",
-                                  "baseline_T", "d_hat", "m", "test_size")
-              if k in cfg}
-    return SweepSpec(dataset=dataset, algorithm=cfg["algorithm"],
-                     epsilons=epsilons,
-                     target_sizes=[int(v) for v in cfg["target_sizes"]],
-                     trials=int(cfg["trials"]),
-                     master_seed=int(cfg["master_seed"]),
-                     model=model, reg=reg, **kwargs)
+        raise ValueError(f"{where} needs {', '.join(missing)}")
+    return cls(**cfg, **built)
+
+
+def spec_from_config(cfg: dict) -> SweepSpec:
+    """Build a SweepSpec from a plain JSON-style mapping (the CLI config),
+    each section from its dataclass's fields; an unknown key or a missing
+    required one raises ValueError."""
+    cfg = dict(cfg)
+    sections = [key for key in ("synthetic", "csv") if key in cfg]
+    if len(sections) != 1:
+        raise ValueError("config needs one 'synthetic' or 'csv' dataset section")
+    dataset_cls = SyntheticShiftSpec if sections[0] == "synthetic" else DatasetManifest
+    built = {"dataset": _from_fields(dataset_cls, cfg.pop(sections[0]), sections[0])}
+    for key, cls in (("model", LossModel), ("reg", RegularizerConfig)):
+        built[key] = _from_fields(cls, cfg.pop(key, {}), key)
+    if "epsilons" in cfg:  # float reads "inf" and "Infinity"
+        cfg["epsilons"] = [float(e) for e in cfg["epsilons"]]
+    return _from_fields(SweepSpec, cfg, "config", **built)

@@ -698,7 +698,10 @@ class TestCli:
 
     @pytest.mark.parametrize("synthetic", [
         {"noise_std": math.nan}, {"noise_std": math.inf}, {"noise_std": -1.0},
-        {"r": math.nan}, {"r": math.inf}, {"r": -1.0}])
+        {"r": math.nan}, {"r": math.inf}, {"r": -1.0}, {"d": 2.5},
+        # base_mean of the wrong length and a NaN covariance once failed as a cell
+        {"base_mean": [0.0, 0.0, 0.0]}, {"base_mean": [0.0, math.nan]},
+        {"base_cov": [[1.0, 0.0], [0.0, math.nan]]}, {"base_cov": [1.0, 1.0]}])
     def test_sweep_rejects_bad_synthetic_settings_before_any_cell(self, tmp_path, capsys,
                                                                   monkeypatch, synthetic):
         def no_cell(*args):
@@ -784,27 +787,46 @@ class TestCli:
         assert "25 target rows cannot hold a test split" in err
         assert not (tmp_path / "o.jsonl").exists()
 
-    @pytest.mark.parametrize("cfg", [
-        {"csv": {"path": "missing.csv"}},  # relative to tmp_path below
-        {"csv": {"path": "empty.csv"}},
-        {"synthetic": {"d": 2}, "epsilons": [0.0]},
-        {"synthetic": {"d": 2}, "trials": None},
-        {"synthetic": {"d": 2}, "delta": 2.0},
-        {"synthetic": {"d": 2}, "disc_fraction": 1.5},
-        {"synthetic": {"d": 2}, "d_hat": "bogus"},
+    @pytest.mark.parametrize("cfg, match", [
+        ({"csv": {"path": "missing.csv"}}, "missing.csv"),  # relative to tmp_path below
+        ({"csv": {"path": "empty.csv"}}, "empty.csv"),
+        ({"synthetic": {"d": 2}, "epsilons": [0.0]}, "epsilon"),
+        ({"synthetic": {"d": 2}, "trials": None}, "config needs trials"),
+        ({"synthetic": {"d": 2}, "delta": 2.0}, "delta"),
+        ({"synthetic": {"d": 2}, "disc_fraction": 1.5}, "disc_fraction"),
+        ({"synthetic": {"d": 2}, "d_hat": "bogus"}, "d_hat"),
+        # fractional counts once ran int(value) or failed as a cell
+        ({"synthetic": {"d": 2}, "trials": 1.7}, "trials must be an integer >= 1, got 1.7"),
+        ({"synthetic": {"d": 2}, "target_sizes": [50.7]}, "target_sizes must be an integer"),
+        ({"synthetic": {"d": 2}, "T": 20.5}, "T must be an integer"),
+        ({"synthetic": {"d": 2}, "master_seed": 0.5}, "master_seed must be an integer"),
+        ({"synthetic": {"d": 2}, "m": True}, "m must be an integer"),
+        # misspelt keys once escaped as a TypeError or were ignored
+        ({"synthetic": {"d": 2}, "baseline_t": 5}, "config has unknown keys: baseline_t"),
+        ({"synthetic": {"d": 2}, "model": {"lamda": 1.0}}, "model has unknown keys: lamda"),
+        ({"synthetic": {"d": 2}, "reg": {"kapa1": 1.0}}, "reg has unknown keys: kapa1"),
+        ({"synthetic": {"d": 2, "nosie_std": 0.1}}, "synthetic has unknown keys: nosie_std"),
+        ({"csv": {"path": "empty.csv", "lable_column": "y"}},
+         "csv has unknown keys: lable_column"),
+        ({"synthetic": {}}, "synthetic needs d"),
+        ({"synthetic": {"d": 2}, "csv": {"path": "empty.csv"}}, "one 'synthetic' or 'csv'"),
     ], ids=["missing-csv", "empty-csv", "bad-epsilon", "missing-key", "bad-delta",
-            "bad-disc-fraction", "bad-d-hat"])
-    def test_sweep_input_errors_exit_2(self, tmp_path, capsys, cfg):
+            "bad-disc-fraction", "bad-d-hat", "fractional-trials", "fractional-target-size",
+            "fractional-T", "fractional-seed", "bool-m", "unknown-key", "unknown-model-key",
+            "unknown-reg-key", "unknown-synthetic-key", "unknown-csv-key",
+            "missing-synthetic-d", "two-datasets"])
+    def test_sweep_input_errors_exit_2(self, tmp_path, capsys, cfg, match):
         (tmp_path / "empty.csv").write_text("")
         cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": [5], "trials": 1,
                "master_seed": 0} | cfg
         if "csv" in cfg:
-            cfg["csv"] = {"path": str(tmp_path / cfg["csv"]["path"])}
+            cfg["csv"] = cfg["csv"] | {"path": str(tmp_path / cfg["csv"]["path"])}
         if cfg["trials"] is None:
             del cfg["trials"]
         assert self._sweep(tmp_path, cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("privadapt: error: ") and err.count("\n") == 1
+        assert match in err
         assert not (tmp_path / "o.jsonl").exists()
 
     @linux_only
