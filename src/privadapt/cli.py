@@ -124,7 +124,10 @@ def cmd_fit_nonconvex(args) -> int:
 def cmd_sweep(args) -> int:
     with open(args.spec) as fh:
         cfg = json.load(fh)
-    spec = spec_from_config(cfg)
+    try:
+        spec = spec_from_config(cfg)
+    except TypeError as exc:  # a value of the wrong type, such as a string for delta
+        raise ValueError(f"{args.spec}: {exc}") from None
     try:  # a bad spec or CSV raises ValueError or OSError before any cell runs
         result = run_sweep(spec)
     except RuntimeError as exc:  # a failed cell, or a dead worker (BrokenProcessPool)

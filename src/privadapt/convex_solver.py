@@ -271,10 +271,11 @@ def column_runs(T: int | None, budgets: list[PrivacyBudget], default_T) -> list[
 
 
 def per_run(steps: list[int], rng: np.random.Generator, solve) -> list:
-    """``solve(T, columns)``, which returns {column: output}, once for each
-    distinct step count T of ``steps``, on the columns that take it; each run
-    starts from the stream state at this call, so every column follows its
-    own single run.  Returns the outputs in column order."""
+    """Call ``solve(T, columns)`` once per distinct step count T of
+    ``steps``, with the columns that take it, and return the outputs of the
+    {column: output} maps it returns in column order.  Every call starts
+    from the stream state at this call, so each column follows its own
+    single run."""
     state, out = rng.bit_generator.state, {}
     for T in dict.fromkeys(steps):
         rng.bit_generator.state = state

@@ -810,11 +810,14 @@ class TestCli:
          "csv has unknown keys: lable_column"),
         ({"synthetic": {}}, "synthetic needs d"),
         ({"synthetic": {"d": 2}, "csv": {"path": "empty.csv"}}, "one 'synthetic' or 'csv'"),
+        # values of the wrong type once escaped as a TypeError
+        ({"synthetic": {"d": 2}, "epsilons": 1.0}, "not iterable"),
+        ({"synthetic": {"d": 2}, "delta": "0.1"}, "not supported"),
     ], ids=["missing-csv", "empty-csv", "bad-epsilon", "missing-key", "bad-delta",
             "bad-disc-fraction", "bad-d-hat", "fractional-trials", "fractional-target-size",
             "fractional-T", "fractional-seed", "bool-m", "unknown-key", "unknown-model-key",
             "unknown-reg-key", "unknown-synthetic-key", "unknown-csv-key",
-            "missing-synthetic-d", "two-datasets"])
+            "missing-synthetic-d", "two-datasets", "epsilons-not-a-list", "delta-string"])
     def test_sweep_input_errors_exit_2(self, tmp_path, capsys, cfg, match):
         (tmp_path / "empty.csv").write_text("")
         cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": [5], "trials": 1,
