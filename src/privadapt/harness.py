@@ -404,8 +404,6 @@ def read_results(path: str) -> SweepResult:
 def _from_fields(cls, cfg, where: str, **built):
     """cls(**cfg, **built), or ValueError naming ``where`` for a key of cfg
     that is not a field of cls, or a required field that cfg leaves out."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{where} must be a mapping, got {cfg!r}")
     own = [f for f in fields(cls) if f.name not in built]
     unknown = sorted(set(cfg) - {f.name for f in own})
     if unknown:

@@ -223,9 +223,9 @@ def test_columns_of_mixed_analytic_T_match_single_runs():
             singles = [fit(data, budget, reg, run(T=None if budget.is_private else longest),
                            model, d_dp=d_dp, rng=derive_rng(1, "engine"))
                        for budget, d_dp in columns]
-        assert [r.T_used for r in batched] == [longest, batched[1].T_used, longest,
-                                               batched[1].T_used]
-        assert batched[1].T_used < longest
+        short = batched[1].T_used
+        assert [r.T_used for r in batched] == [longest, short, longest, short]
+        assert short < longest
         for got, want in zip(batched, singles):
             assert (got.T_used, got.t_star) == (want.T_used, want.t_star)
             np.testing.assert_allclose(got.point.as_vector(), want.point.as_vector(),

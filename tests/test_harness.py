@@ -813,11 +813,13 @@ class TestCli:
         # values of the wrong type once escaped as a TypeError
         ({"synthetic": {"d": 2}, "epsilons": 1.0}, "not iterable"),
         ({"synthetic": {"d": 2}, "delta": "0.1"}, "not supported"),
+        ({"synthetic": {"d": 2}, "model": 3}, "not iterable"),
     ], ids=["missing-csv", "empty-csv", "bad-epsilon", "missing-key", "bad-delta",
             "bad-disc-fraction", "bad-d-hat", "fractional-trials", "fractional-target-size",
             "fractional-T", "fractional-seed", "bool-m", "unknown-key", "unknown-model-key",
             "unknown-reg-key", "unknown-synthetic-key", "unknown-csv-key",
-            "missing-synthetic-d", "two-datasets", "epsilons-not-a-list", "delta-string"])
+            "missing-synthetic-d", "two-datasets", "epsilons-not-a-list", "delta-string",
+            "model-not-a-mapping"])
     def test_sweep_input_errors_exit_2(self, tmp_path, capsys, cfg, match):
         (tmp_path / "empty.csv").write_text("")
         cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": [5], "trials": 1,
