@@ -1,5 +1,5 @@
-"""Reference learners: target-only ERM, its noisy-gradient private variant,
-and fixed alpha-mixture ERM."""
+"""Reference learners: target-only ERM, its noisy-gradient private variant
+(the solvers' calibration at alpha = 0), and fixed alpha-mixture ERM."""
 
 from __future__ import annotations
 
@@ -16,8 +16,9 @@ from .core import (
     SQUARED,
     loss_and_slope,
     loss_values,
+    weight_bounds,
 )
-from .mechanisms import derive_rng, gaussian_vector
+from .mechanisms import calibrate, derive_rng, gaussian_vector, w_step
 
 TARGET_ONLY = "target_only"
 TARGET_ONLY_DP = "target_only_dp"
@@ -42,16 +43,15 @@ def weighted_loss(model: LossModel, data: AdaptDataset, w, c_pub, c_priv) -> flo
 
 
 def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
-                 seed: int = 0, budget: PrivacyBudget | None = None,
-                 alpha: float = 0.5,
+                 budget: PrivacyBudget | None = None, alpha: float = 0.5,
                  rng: np.random.Generator | None = None) -> AdaptationResult:
     """Projected gradient descent on a fixed-weight empirical loss.
 
-    target_only_dp adds per-step Gaussian noise with
-    sigma = 2 * (2G/n) * sqrt(T * ln(3/delta)) / eps_opt, the full-gradient
-    analogue of the adaptation solver's w-noise with all weight on the
-    private sample.  For the squared loss each step is one d x d
-    matrix-vector product; the logistic loss takes a pass over the data.
+    target_only_dp adds per-step Gaussian noise at the solvers' w-noise
+    level with all the weight on the private sample (``calibrate`` at
+    alpha = 0); every kind steps by ``w_step``.  A missing rng takes a fixed
+    stream.  For the squared loss each step is one d x d matrix-vector
+    product; the logistic loss takes a pass over the data.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
@@ -59,18 +59,16 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
         raise ValueError("T must be >= 1")
     if not 0.0 <= alpha < 1.0:  # alpha = 1 would leave no weight on the private sample
         raise ValueError("alpha must lie in [0, 1)")
-    if kind == TARGET_ONLY_DP and budget is None:
+    private = kind == TARGET_ONLY_DP
+    if private and budget is None:
         raise ValueError("the private baseline requires a budget")
-    sigma = 0.0
-    if kind == TARGET_ONLY_DP and budget.is_private:
-        sigma = (2.0 * (2.0 * model.G / data.n)
-                 * math.sqrt(T * math.log(3.0 / budget.delta)) / budget.epsilon_opt)
+    sigma = calibrate(budget, 0.0, model.G, model.B, data.n, T).sigma1 if private else 0.0
     if rng is None:
-        rng = derive_rng(seed, "baseline", kind)
+        rng = derive_rng(0, "baseline", kind)
 
     c_pub, c_priv = _weights(kind, data, alpha)
     d = data.d
-    eta = model.lam / math.sqrt(T * (model.G ** 2 + d * sigma ** 2))
+    eta = w_step(model.lam, model.G, d, sigma, T)
 
     # (weight, lane, X, y) of each weighted sample, the private one first
     blocks = [(c, lane, *data.samples[lane]) for c, lane in ((c_priv, 1), (c_pub, 0)) if c > 0]
@@ -95,15 +93,14 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
         if nrm > model.lam:
             w = model.lam * w / nrm
 
-    # nominal reciprocal weights for the report; alpha = 0 (pure target
-    # weighting) puts no mass on the public sample
-    u_pub = np.full(data.m, data.m / alpha) if alpha > 0 else np.full(data.m, np.inf)
-    point = FeasiblePoint(w, u_pub,
-                          np.full(data.n, data.n / (1.0 - alpha)))
+    # nominal reciprocal weights for the report: the alpha-mixture's, so
+    # alpha = 0 (pure target weighting) gives u_pub = inf
+    lb_pub, lb_priv = weight_bounds(alpha, data.m, data.n)
+    point = FeasiblePoint(w, np.full(data.m, lb_pub), np.full(data.n, lb_priv))
     return AdaptationResult(
         point=point,
         objective_value=weighted_loss(model, data, w, np.full(data.m, c_pub),
                                       np.full(data.n, c_priv)),
-        privacy_spent=budget.spent if kind == TARGET_ONLY_DP else (math.inf, 0.0),
+        privacy_spent=budget.spent if private else (math.inf, 0.0),
         T_used=T,
     )

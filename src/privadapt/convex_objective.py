@@ -19,6 +19,7 @@ from .core import (
     SQUARED,
     is_feasible,
     loss_values,
+    weight_bounds,
 )
 
 
@@ -134,7 +135,7 @@ class ConvexGradient(BlockGradient):
         self.c = (cfg.kappa1 * (cfg.alpha / data.m) ** 2,
                   cfg.kappa1 * ((1.0 - cfg.alpha) / data.n) ** 2)
         self.g = [None, None]
-        self.lower = data.m / cfg.alpha, data.n / (1.0 - cfg.alpha)
+        self.lower = weight_bounds(cfg.alpha, data.m, data.n)
 
     def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray, held: int = 0):
         X, y, shift = self.blocks[lane]
@@ -221,5 +222,5 @@ def project(w: np.ndarray, u_pub: np.ndarray, u_priv: np.ndarray,
     """Euclidean projection: rescale w to the ball, clamp u to the box."""
     W = np.array(w, dtype=float).reshape(-1, 1)
     project_ball(W, lam)
-    return FeasiblePoint(W[:, 0], np.maximum(u_pub, m / alpha),
-                         np.maximum(u_priv, n / (1.0 - alpha)))
+    lb_pub, lb_priv = weight_bounds(alpha, m, n)
+    return FeasiblePoint(W[:, 0], np.maximum(u_pub, lb_pub), np.maximum(u_priv, lb_priv))

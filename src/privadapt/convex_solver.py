@@ -11,10 +11,11 @@ follows the trajectory of its own single run on a stream in the same state.
 The two solvers differ in the gradient, the step sizes and the output rule:
 ``fit_convex_columns`` returns the average of the iterates (``fit_convex``
 is its one-problem case), ``nonconvex_solver`` the iterate at a random stop
-t*.  Both take one problem per (budget, d_dp) column and share one batching
-rule: ``column_runs`` gives each column its steps (an epsilon = inf column
-takes the longest finite run) and ``per_run`` makes one engine run per step
-count, each from the stream state at the call.
+t*.  Both take one problem per (budget, d_dp) column, their noise levels
+from ``mechanisms.calibrate``, and share one batching rule: ``column_runs``
+gives each column its steps (a finite one its analytic T up to the ceiling,
+an epsilon = inf one the longest finite run) and ``per_run`` makes one
+engine run per step count, each from the stream state at the call.
 
 The gradient comes split by u-block (``convex_objective.BlockGradient``):
 the blocks meet only through the w-gradient and a few per-problem
@@ -47,6 +48,7 @@ from .core import (
     RegularizerConfig,
     is_feasible,
     reference_point,
+    weight_bounds,
 )
 from .convex_objective import (
     BlockGradient,
@@ -55,7 +57,7 @@ from .convex_objective import (
     eval_F,
     project_ball,
 )
-from .mechanisms import NoiseSchedule, calibrate, derive_rng
+from .mechanisms import NoiseSchedule, calibrate, derive_rng, w_step
 from .processes import DONE, fork
 
 DEFAULT_T_CEILING = 200_000
@@ -82,30 +84,27 @@ def default_step_sizes(model: LossModel, cfg: RegularizerConfig,
     b_bar = cfg.b_bar(B)
     T = schedule.T
     a, om = cfg.alpha, 1.0 - cfg.alpha
-    eta_w = model.lam / math.sqrt(T * (model.G ** 2 + d * schedule.sigma1 ** 2))
+    eta_w = w_step(model.lam, model.G, d, schedule.sigma1, T)
     eta_u_pub = m ** 1.5 / (math.sqrt(T) * a ** 2 * (B + b_bar))
     eta_u_priv = n ** 1.5 / math.sqrt(T * (om ** 4 * b_bar ** 2 + n ** 4 * schedule.sigma2 ** 2))
     return eta_w, eta_u_pub, eta_u_priv
 
 
-def default_T_convex(n: int, m: int, d: int, alpha: float, eps_opt: float,
-                     delta: float, B: float, b_bar: float,
-                     ceiling: int = DEFAULT_T_CEILING) -> int:
-    """Smallest iteration count satisfying the convergence analysis,
-    capped by a configurable ceiling (the analytic lower bound grows like
-    (eps*n)^2 and is impractical at desk scale)."""
-    if not 0.0 < delta < 1.0:  # PrivacyBudget's rule
-        raise ValueError("delta must lie in (0, 1)")
-    if math.isinf(eps_opt):
-        return ceiling
-    log_term = math.log(1.0 / delta)
+def default_T_convex(budget: PrivacyBudget, n: int, m: int, d: int, alpha: float,
+                     B: float, b_bar: float) -> int:
+    """Smallest iteration count of a finite budget satisfying the convergence
+    analysis; it grows like (eps*n)^2, and ``column_runs`` caps it."""
+    if not budget.is_private:
+        raise ValueError("the analytic T needs a finite epsilon")
+    eps_opt = budget.epsilon_opt
+    log_term = math.log(1.0 / budget.delta)
     terms = [
         1.0,
         n ** 2 * eps_opt ** 2 / (d * (1.0 - alpha) ** 2 * log_term),
         b_bar ** 2 * eps_opt ** 2 / (B ** 2 * log_term),
         eps_opt ** 2 * b_bar ** 2 * n ** 3 / (log_term * B ** 2 * m ** 3),
     ]
-    return int(min(math.ceil(max(terms)), ceiling))
+    return math.ceil(max(terms))
 
 
 def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np.ndarray,
@@ -166,7 +165,7 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
     noisy_w, rows = sigma1.any(), _noise_rows(sigma2)
     draws = 0 in lanes and (noisy_w or rows)
     sigma2 = sigma2[:rows, None]
-    lower = m / alpha, n / (1.0 - alpha)
+    lower = weight_bounds(alpha, m, n)
     W = np.repeat(p.w[:, None], E, axis=1)
     U = {lane: np.repeat(u[None, :], E, axis=0)
          for lane, u in enumerate((p.u_pub, p.u_priv)) if lane in lanes}
@@ -261,11 +260,13 @@ def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
 
 def column_runs(T: int | None, budgets: list[PrivacyBudget], default_T) -> list[int]:
     """The steps of each column's engine run: T when given, else a finite
-    column's analytic default_T(budget); an epsilon = inf column takes the
-    longest finite run, or the ceiling when no column is finite."""
+    column's analytic default_T(budget) up to DEFAULT_T_CEILING; an
+    epsilon = inf column takes the longest finite run, or the ceiling when
+    no column is finite."""
     if T is not None:
         return [T] * len(budgets)
-    steps = [default_T(budget) if budget.is_private else None for budget in budgets]
+    steps = [min(default_T(budget), DEFAULT_T_CEILING) if budget.is_private else None
+             for budget in budgets]
     longest = max((s for s in steps if s is not None), default=DEFAULT_T_CEILING)
     return [longest if s is None else s for s in steps]
 
@@ -306,7 +307,7 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
     if rng is None:
         rng = derive_rng(run.seed, "fit-convex")
     steps = column_runs(run.T, [budget for budget, _ in columns], lambda budget: default_T_convex(
-        n, m, d, reg.alpha, budget.epsilon_opt, budget.delta, model.B, reg.b_bar(model.B)))
+        budget, n, m, d, reg.alpha, model.B, reg.b_bar(model.B)))
 
     def solve(T, cols):
         schedules = {j: calibrate(columns[j][0], reg.alpha, model.G, model.B, n, T)

@@ -1,5 +1,5 @@
 """Domain types (a dataset forms each sample's squared-loss moments once, for
-every module that reads them), loss models, and the solvers' shared constants."""
+every module that reads them), loss models, and the solvers' shared rules."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import numpy as np
 
 SQUARED = "squared"
 LOGISTIC = "logistic"
+# the slack of the feature bound (absolute) and of the feasible set (relative)
+TOL = 1e-9
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -125,8 +127,8 @@ class AdaptDataset:
     def max_feature_norm(self) -> float:
         return float(max(self.tops[0][0], self.tops[1][0]))
 
-    def check_feature_bound(self, r: float, tol: float = 1e-9):
-        if self.max_feature_norm() > r + tol:
+    def check_feature_bound(self, r: float):
+        if self.max_feature_norm() > r + TOL:
             raise ValueError(f"feature norms exceed the bound r={r}")
 
 
@@ -228,27 +230,28 @@ class FeasiblePoint:
         return np.concatenate([self.w, self.u_pub, self.u_priv])
 
 
-def is_feasible(p: FeasiblePoint, lam: float, alpha: float, m: int, n: int,
-                tol: float = 1e-9) -> bool:
-    if np.linalg.norm(p.w) > lam * (1.0 + tol) + tol:
+def weight_bounds(alpha: float, m: int, n: int) -> tuple[float, float]:
+    """The lower bounds (m/alpha, n/(1-alpha)) of the reciprocal weights
+    u_pub and u_priv: at them the weights are the alpha-mixture's.  alpha = 0
+    puts no weight on the public sample, so its bound is inf."""
+    return (m / alpha if alpha > 0 else math.inf), n / (1.0 - alpha)
+
+
+def is_feasible(p: FeasiblePoint, lam: float, alpha: float, m: int, n: int) -> bool:
+    if np.linalg.norm(p.w) > lam * (1.0 + TOL) + TOL:
         return False
     if p.u_pub.shape[0] != m or p.u_priv.shape[0] != n:
         return False
-    if np.any(p.u_pub < m / alpha - tol * m / alpha):
-        return False
-    if np.any(p.u_priv < n / (1.0 - alpha) - tol * n / (1.0 - alpha)):
-        return False
-    return True
+    lb_pub, lb_priv = weight_bounds(alpha, m, n)
+    return not (np.any(p.u_pub < lb_pub - TOL * lb_pub)
+                or np.any(p.u_priv < lb_priv - TOL * lb_priv))
 
 
 def reference_point(alpha: float, m: int, n: int, d: int) -> FeasiblePoint:
     """w = 0, u at the box lower bounds, i.e. the weights equal the
     alpha-mixture reference."""
-    return FeasiblePoint(
-        np.zeros(d),
-        np.full(m, m / alpha),
-        np.full(n, n / (1.0 - alpha)),
-    )
+    lb_pub, lb_priv = weight_bounds(alpha, m, n)
+    return FeasiblePoint(np.zeros(d), np.full(m, lb_pub), np.full(n, lb_priv))
 
 
 def check_integer(name: str, value, least: float = -math.inf) -> None:
@@ -276,7 +279,7 @@ class PrivacyBudget:
 
     def __post_init__(self):
         check_epsilon(self.epsilon_total)
-        if not (0.0 < self.delta < 1.0):  # the rule default_T_* apply too
+        if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         if not (0.0 < self.disc_fraction < 1.0):
             raise ValueError("disc_fraction must lie in (0, 1)")

@@ -36,7 +36,8 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class SyntheticShiftSpec:
-    """Source/target mixture of a shared Gaussian and the uniform ball.
+    """Source/target mixture of the standard Gaussian N(0, I) and the
+    uniform ball.
 
     Each source point is Gaussian with probability
     ``source_gaussian_fraction`` and otherwise uniform on the radius-r
@@ -45,8 +46,6 @@ class SyntheticShiftSpec:
     """
 
     d: int
-    base_mean: np.ndarray | None = None
-    base_cov: np.ndarray | None = None
     source_gaussian_fraction: float = 0.95
     target_gaussian_fraction: float = 0.05
     label_rule: str = "linear_regression"
@@ -64,11 +63,6 @@ class SyntheticShiftSpec:
         if self.label_rule not in ("linear_regression", "linear_classification"):
             raise ValueError(f"unknown label_rule {self.label_rule!r}")
         check_integer("d", self.d, 1)
-        for name, shape in (("base_mean", (self.d,)), ("base_cov", (self.d, self.d))):
-            value = getattr(self, name)
-            if value is not None and (np.shape(value) != shape
-                                      or not np.isfinite(np.asarray(value, float)).all()):
-                raise ValueError(f"{name} must be a finite array of shape {shape}")
 
 
 def _uniform_ball(rng: np.random.Generator, count: int, d: int, r: float) -> np.ndarray:
@@ -80,15 +74,11 @@ def _uniform_ball(rng: np.random.Generator, count: int, d: int, r: float) -> np.
 
 def _draw_domain(spec: SyntheticShiftSpec, count: int, gaussian_fraction: float,
                  rng: np.random.Generator) -> np.ndarray:
-    mean = (np.zeros(spec.d) if spec.base_mean is None
-            else np.asarray(spec.base_mean, dtype=float))
-    cov = (np.eye(spec.d) if spec.base_cov is None
-           else np.asarray(spec.base_cov, dtype=float))
     from_gaussian = rng.random(count) < gaussian_fraction
     x = _uniform_ball(rng, count, spec.d, spec.r)
     k = int(from_gaussian.sum())
     if k:
-        x[from_gaussian] = rng.multivariate_normal(mean, cov, size=k)
+        x[from_gaussian] = rng.multivariate_normal(np.zeros(spec.d), np.eye(spec.d), size=k)
     return x
 
 

@@ -1,4 +1,5 @@
-"""Noise primitives and the noise calibration of the private optimizers.
+"""Noise primitives, and the noise levels (``calibrate``) and w-step
+(``w_step``) of both private solvers and the target-only DP baseline.
 
 RNG contract: every consumer derives an independent substream from one
 master seed via ``derive_rng(master_seed, *key)``; the key parts are the
@@ -63,13 +64,14 @@ def calibrate(budget: PrivacyBudget, alpha: float, G: float, B: float,
               n: int, T: int) -> NoiseSchedule:
     """Noise levels sigma_i = 2 * s_i * sqrt(T * ln(3/delta)) / eps_opt with
     s1 = 2(1-alpha)G/n (parameter gradient) and s2 = (1-alpha)^2 B / n^2
-    (private-weight gradient).  eps_opt = inf gives the non-private run."""
+    (private-weight gradient).  eps_opt = inf gives the non-private run;
+    alpha = 0, all the weight on the private sample, the target-only one."""
     if T < 1:
         raise ValueError("T must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (0.0 < alpha < 1.0):  # the bound RegularizerConfig enforces
-        raise ValueError("alpha must lie in (0, 1)")
+    if not (0.0 <= alpha < 1.0):  # alpha = 1 would leave no weight on the private sample
+        raise ValueError("alpha must lie in [0, 1)")
     s1 = 2.0 * (1.0 - alpha) * G / n
     s2 = (1.0 - alpha) ** 2 * B / n ** 2
     eps = budget.epsilon_opt
@@ -77,6 +79,12 @@ def calibrate(budget: PrivacyBudget, alpha: float, G: float, B: float,
         return NoiseSchedule(0.0, 0.0, s1, s2, T)
     scale = 2.0 * math.sqrt(T * math.log(3.0 / budget.delta)) / eps
     return NoiseSchedule(s1 * scale, s2 * scale, s1, s2, T)
+
+
+def w_step(lam: float, G: float, d: int, sigma: float, T: int) -> float:
+    """The step on w, lam / sqrt(T (G^2 + d sigma^2)), matched to the
+    gradient-norm bound G and the noise level sigma of a T-step run."""
+    return lam / math.sqrt(T * (G ** 2 + d * sigma ** 2))
 
 
 def privatize_discrepancy(d_hat: float, B: float, epsilon_disc: float,

@@ -1,8 +1,8 @@
 """Noisy projected gradient descent on the smoothed non-convex objective.
 
 The solver runs on the convex solver's engine (``convex_solver.noisy_pgd``)
-with the same noise placement and calibration and one step size 1/beta_bar
-for all blocks.  Its output is one iterate sampled uniformly from the
+with the same noise placement and calibration (``mechanisms.calibrate``)
+and one step size 1/beta_bar for all blocks.  Its output is one iterate sampled uniformly from the
 trajectory: t* is drawn from {1, ..., T} first, and the engine stops after
 t* steps.  ``fit_nonconvex_columns`` runs one objective per (budget, d_dp)
 column, grouped into engine runs by ``convex_solver.column_runs``, so the
@@ -24,7 +24,7 @@ from .core import (
     RegularizerConfig,
     reference_point,
 )
-from .convex_solver import DEFAULT_T_CEILING, ConvexRunConfig, column_runs, noisy_pgd, per_run
+from .convex_solver import ConvexRunConfig, column_runs, noisy_pgd, per_run
 from .mechanisms import calibrate, derive_rng
 from .nonconvex_objective import (
     NonConvexContext,
@@ -39,21 +39,18 @@ from .nonconvex_objective import (
 NonConvexRunConfig = ConvexRunConfig  # T = None takes default_T_nonconvex
 
 
-def default_T_nonconvex(n: int, d: int, alpha: float, eps_opt: float,
-                        delta: float, G: float, B: float, beta_bar: float,
-                        M: float, ceiling: int = DEFAULT_T_CEILING) -> int:
-    """Iteration count balancing descent progress against injected noise:
+def default_T_nonconvex(budget: PrivacyBudget, n: int, d: int, alpha: float, G: float,
+                        B: float, beta_bar: float, M: float) -> int:
+    """Iteration count of a finite budget, balancing descent against noise:
     sqrt(beta_bar*M) * eps * n^{3/2} / ((1-a) sqrt(ln(2/delta)) *
-    sqrt(40 G^2 d n + (1-a)^2 B^2)), at least 1, capped."""
-    if not 0.0 < delta < 1.0:  # PrivacyBudget's rule
-        raise ValueError("delta must lie in (0, 1)")
-    if math.isinf(eps_opt):
-        return ceiling
+    sqrt(40 G^2 d n + (1-a)^2 B^2)), at least 1; ``column_runs`` caps it."""
+    if not budget.is_private:
+        raise ValueError("the analytic T needs a finite epsilon")
     om = 1.0 - alpha
-    t = (math.sqrt(beta_bar * M) * eps_opt * n ** 1.5
-         / (om * math.sqrt(math.log(2.0 / delta))
+    t = (math.sqrt(beta_bar * M) * budget.epsilon_opt * n ** 1.5
+         / (om * math.sqrt(math.log(2.0 / budget.delta))
             * math.sqrt(40.0 * G ** 2 * d * n + om ** 2 * B ** 2)))
-    return int(min(max(round(t), 1), ceiling))
+    return max(round(t), 1)
 
 
 def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],
@@ -79,8 +76,8 @@ def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget,
     if rng is None:
         rng = derive_rng(run.seed, "fit-nonconvex")
     steps = column_runs(run.T, [budget for budget, _ in columns], lambda budget: (
-        default_T_nonconvex(n, d, reg.alpha, budget.epsilon_opt, budget.delta, model.G,
-                            model.B, beta_bar, uniform_bound_M(ctxs[0]))))
+        default_T_nonconvex(budget, n, d, reg.alpha, model.G, model.B, beta_bar,
+                            uniform_bound_M(ctxs[0]))))
 
     def solve(T, cols):
         schedules = [calibrate(columns[j][0], reg.alpha, model.G, model.B, n, T) for j in cols]

@@ -24,9 +24,10 @@ def test_target_only_realizable_instance():
 
 def test_dp_with_infinite_budget_matches_plain():
     data = AdaptDataset([[0.5]], [0.0], [[1.0], [0.3]], [1.0, 0.2])
-    a = fit_baseline(TARGET_ONLY, data, SQ, T=100, seed=7)
-    b = fit_baseline(TARGET_ONLY_DP, data, SQ, T=100, seed=7,
-                     budget=non_private())
+    # on streams of their own: the noise-free run draws nothing
+    a = fit_baseline(TARGET_ONLY, data, SQ, T=100, rng=derive_rng(7, "a"))
+    b = fit_baseline(TARGET_ONLY_DP, data, SQ, T=100, budget=non_private(),
+                     rng=derive_rng(8, "b"))
     assert np.array_equal(a.point.w, b.point.w)
 
 
@@ -65,8 +66,8 @@ def test_dp_noise_changes_output_and_budget_required():
     with pytest.raises(ValueError):
         fit_baseline(TARGET_ONLY_DP, data, SQ, T=10)
     budget = PrivacyBudget(1.0, 0.05)
-    a = fit_baseline(TARGET_ONLY_DP, data, SQ, T=10, seed=1, budget=budget)
-    b = fit_baseline(TARGET_ONLY, data, SQ, T=10, seed=1)
+    a = fit_baseline(TARGET_ONLY_DP, data, SQ, T=10, budget=budget, rng=derive_rng(1, "dp"))
+    b = fit_baseline(TARGET_ONLY, data, SQ, T=10, rng=derive_rng(1, "dp"))
     assert not np.array_equal(a.point.w, b.point.w)
     assert a.privacy_spent == (0.5, 0.05)
 
@@ -74,9 +75,13 @@ def test_dp_noise_changes_output_and_budget_required():
 def test_determinism():
     data = AdaptDataset([[0.5]], [0.0], [[1.0]], [1.0])
     budget = PrivacyBudget(1.0, 0.05)
-    a = fit_baseline(TARGET_ONLY_DP, data, SQ, T=20, seed=3, budget=budget)
-    b = fit_baseline(TARGET_ONLY_DP, data, SQ, T=20, seed=3, budget=budget)
+    a = fit_baseline(TARGET_ONLY_DP, data, SQ, T=20, budget=budget, rng=derive_rng(3, "dp"))
+    b = fit_baseline(TARGET_ONLY_DP, data, SQ, T=20, budget=budget, rng=derive_rng(3, "dp"))
     assert np.array_equal(a.point.w, b.point.w)
+    # a missing rng takes one fixed stream
+    c = fit_baseline(TARGET_ONLY_DP, data, SQ, T=20, budget=budget)
+    d = fit_baseline(TARGET_ONLY_DP, data, SQ, T=20, budget=budget)
+    assert np.array_equal(c.point.w, d.point.w)
 
 
 def test_unknown_kind_rejected():

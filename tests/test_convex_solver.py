@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from privadapt.core import (
 )
 from privadapt.convex_objective import ConvexObjectiveContext, eval_F
 from privadapt.convex_solver import (
+    DEFAULT_T_CEILING,
     ConvexRunConfig,
+    column_runs,
     default_T_convex,
     default_step_sizes,
     fit_convex,
@@ -151,33 +154,46 @@ class TestConvergence:
         assert is_feasible(res.point, SQ.lam, 0.5, 1, 1)
 
 
+def opt_budget(eps_opt: float, delta: float) -> PrivacyBudget:
+    """The budget whose optimizer share (half, the default split) is eps_opt."""
+    return PrivacyBudget(2.0 * eps_opt, delta)
+
+
 class TestDefaultT:
     def test_hand_example_8000(self):
         # n=100, m=1000, d=5, alpha=0.5, eps=1, delta=1/e, Bbar=B:
         # dominant term n^2 eps^2/(d (1-alpha)^2 * 1) = 10^4/1.25 = 8000
-        T = default_T_convex(100, 1000, 5, 0.5, 1.0, 1.0 / math.e, 4.0, 4.0)
+        T = default_T_convex(opt_budget(1.0, 1.0 / math.e), 100, 1000, 5, 0.5, 4.0, 4.0)
         assert T == 8000
 
     def test_tiny_epsilon_floor(self):
-        assert default_T_convex(100, 100, 5, 0.5, 1e-6, 0.1, 4.0, 4.0) == 1
+        assert default_T_convex(opt_budget(1e-6, 0.1), 100, 100, 5, 0.5, 4.0, 4.0) == 1
 
     def test_fourth_term_reduction(self):
         # Bbar=B, m=n: fourth term = eps^2 / log(1/delta)
-        delta = 1.0 / math.e
-        T = default_T_convex(10, 10, 1000, 0.5, 2.0, delta, 4.0, 4.0)
+        T = default_T_convex(opt_budget(2.0, 1.0 / math.e), 10, 10, 1000, 0.5, 4.0, 4.0)
         # first/third terms small, second = 100*4/(1000*0.25)=1.6,
         # fourth = 4 -> ceil(4) = 4
         assert T == 4
 
     def test_ceiling_and_inf(self):
-        assert default_T_convex(10**6, 10, 3, 0.5, 100.0, 0.01, 4.0, 4.0) == 200_000
-        assert default_T_convex(10, 10, 3, 0.5, math.inf, 0.01, 4.0, 4.0) == 200_000
-        assert default_T_convex(10, 10, 3, 0.5, 1.0, 0.01, 4.0, 4.0,
-                                ceiling=7) <= 7
+        # the analytic count is uncapped; column_runs alone caps it at the
+        # ceiling, which an epsilon = inf column takes when no column is finite
+        def T(budget):
+            return default_T_convex(budget, 10**6, 10, 3, 0.5, 4.0, 4.0)
+        large, small = opt_budget(100.0, 0.01), opt_budget(1e-5, 0.01)
+        assert T(small) < DEFAULT_T_CEILING < T(large)
+        assert column_runs(None, [large, non_private()], T) == [DEFAULT_T_CEILING] * 2
+        assert column_runs(None, [small, non_private()], T) == [T(small)] * 2
+        assert column_runs(None, [non_private()], T) == [DEFAULT_T_CEILING]
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            default_T_convex(10, 10, 3, 0.5, 1.0, 1.5, 4.0, 4.0)
+        # PrivacyBudget alone checks delta, and the analytic count takes a
+        # budget: it refuses a non-private one, whose count is the ceiling's
+        with pytest.raises(ValueError, match=re.escape("delta must lie in (0, 1)")):
+            opt_budget(1.0, 1.5)
+        with pytest.raises(ValueError, match="finite epsilon"):
+            default_T_convex(non_private(), 10, 10, 3, 0.5, 4.0, 4.0)
 
 
 @pytest.mark.parametrize("name", ["step_w", "step_u_pub", "step_u_priv"])

@@ -285,15 +285,15 @@ class TestSynthetic:
                 > 3 * np.linalg.norm(data.private_x, axis=1).mean())
 
     def test_binomial_mixture_count(self):
-        # count Gaussian draws by flagging norms > r before rescale is not
-        # observable; use a spike mean to separate the clusters instead
-        spec = SyntheticShiftSpec(d=2, base_mean=np.array([100.0, 0.0]),
-                                  source_gaussian_fraction=0.95,
+        # in d = 50 the N(0, I) norms concentrate near sqrt(50) and the unit
+        # ball's near 1, so after the common rescale (the largest public row,
+        # a Gaussian one near 9, goes to r = 1) Gaussian rows have norms
+        # above 0.6 and ball rows below 0.12
+        spec = SyntheticShiftSpec(d=50, source_gaussian_fraction=0.95,
                                   target_gaussian_fraction=0.05)
         data, _ = generate_synthetic(spec, 1000, 1000, derive_rng(10, "mix"))
-        # Gaussian points sit near the rescaled spike, ball points near 0
-        src_gauss = int((data.public_x[:, 0] > 0.5).sum())
-        tgt_gauss = int((data.private_x[:, 0] > 0.5).sum())
+        src_gauss = int((np.linalg.norm(data.public_x, axis=1) > 0.4).sum())
+        tgt_gauss = int((np.linalg.norm(data.private_x, axis=1) > 0.4).sum())
         assert abs(src_gauss - 950) < 40  # ~5 sigma of Binomial(1000, .95)
         assert abs(tgt_gauss - 50) < 40
 
@@ -323,16 +323,18 @@ class TestSynthetic:
         # load_dataset's rule: a target draw far outside the public one
         # neither moves the public rows nor leaves the r-ball
         draws = {}
-        for frac in (0.0, 1.0):  # the target: uniform ball, then Gaussian (cov 25 I)
-            spec = SyntheticShiftSpec(d=3, base_cov=25.0 * np.eye(3), r=2.0,
-                                      source_gaussian_fraction=0.0, target_gaussian_fraction=frac)
+        # the target: the uniform ball, then N(0, I), whose norms in d = 3
+        # mostly exceed r = 0.5
+        for frac in (0.0, 1.0):
+            spec = SyntheticShiftSpec(d=3, r=0.5, source_gaussian_fraction=0.0,
+                                      target_gaussian_fraction=frac)
             draws[frac], _ = generate_synthetic(spec, 300, 300, derive_rng(14, "scale"))
         for data in draws.values():  # the public ball draw lies inside the ball: no rescale
-            assert 1.9 < np.linalg.norm(data.public_x, axis=1).max() <= 2.0
-            assert np.linalg.norm(data.private_x, axis=1).max() <= 2.0 * (1.0 + 1e-12)
+            assert 0.475 < np.linalg.norm(data.public_x, axis=1).max() <= 0.5
+            assert np.linalg.norm(data.private_x, axis=1).max() <= 0.5 * (1.0 + 1e-12)
         assert draws[0.0].public_x.tobytes() == draws[1.0].public_x.tobytes()
         assert draws[0.0].public_y.tobytes() == draws[1.0].public_y.tobytes()
-        clipped = np.linalg.norm(draws[1.0].private_x, axis=1) > 2.0 * (1.0 - 1e-12)
+        clipped = np.linalg.norm(draws[1.0].private_x, axis=1) > 0.5 * (1.0 - 1e-12)
         assert clipped.sum() > 200  # most Gaussian target rows lay outside the ball
 
     def test_labels_clipped_and_wstar_unit(self):

@@ -1,5 +1,6 @@
 """Tests for the experiment sweep harness and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -699,7 +700,8 @@ class TestCli:
     @pytest.mark.parametrize("synthetic", [
         {"noise_std": math.nan}, {"noise_std": math.inf}, {"noise_std": -1.0},
         {"r": math.nan}, {"r": math.inf}, {"r": -1.0}, {"d": 2.5},
-        # base_mean of the wrong length and a NaN covariance once failed as a cell
+        # base_mean and base_cov, once checked here, are no longer settings:
+        # the section refuses them as unknown keys
         {"base_mean": [0.0, 0.0, 0.0]}, {"base_mean": [0.0, math.nan]},
         {"base_cov": [[1.0, 0.0], [0.0, math.nan]]}, {"base_cov": [1.0, 1.0]}])
     def test_sweep_rejects_bad_synthetic_settings_before_any_cell(self, tmp_path, capsys,
@@ -712,7 +714,10 @@ class TestCli:
                "test_size": 20}
         assert self._sweep(tmp_path, cfg) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"privadapt: error: {next(iter(synthetic))} must be")
+        key = next(iter(synthetic))
+        known = key in {f.name for f in dataclasses.fields(SyntheticShiftSpec)}
+        assert err.startswith(f"privadapt: error: {key} must be" if known
+                              else f"privadapt: error: synthetic has unknown keys: {key}")
         assert err.count("\n") == 1
         assert not (tmp_path / "o.jsonl").exists()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privadapt.convex_solver import default_T_convex
+from privadapt import cli
 from privadapt.core import PrivacyBudget, non_private
 from privadapt.mechanisms import (
     NoiseSchedule,
@@ -15,7 +15,6 @@ from privadapt.mechanisms import (
     laplace_sample,
     privatize_discrepancy,
 )
-from privadapt.nonconvex_solver import default_T_nonconvex
 from tests.test_harness import small_spec
 
 
@@ -114,12 +113,19 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(PrivacyBudget(1.0, 0.99), 0.5, 1.0, 1.0, 10, 0)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, -0.1, math.nan])
     def test_rejects_alpha_outside_open_interval(self, alpha):
-        # the open interval RegularizerConfig requires; alpha = 0 would put
-        # no weight on the public sample
-        with pytest.raises(ValueError, match="alpha"):
+        # alpha = 1 would leave no weight on the private sample
+        with pytest.raises(ValueError, match=re.escape("alpha must lie in [0, 1)")):
             calibrate(PrivacyBudget(1.0, 0.1), alpha, 1.0, 1.0, 10, 4)
+
+    def test_alpha_zero_puts_all_weight_on_the_target(self):
+        # the target-only DP baseline's case: s1 = 2G/n, s2 = B/n^2; G=1,
+        # B=3, n=10, T=1, eps_opt=2 and delta=3e^-4 (ln(3/delta) = 4) give
+        # the scale 2*sqrt(4)/2 = 2
+        sch = calibrate(PrivacyBudget(4.0, 3.0 * math.exp(-4.0)), 0.0, 1.0, 3.0, 10, 1)
+        assert (sch.s1, sch.s2) == pytest.approx((0.2, 0.03), rel=1e-15)
+        assert (sch.sigma1, sch.sigma2) == pytest.approx((0.4, 0.06), rel=1e-12)
 
 
 class TestPrivatizeDiscrepancy:
@@ -166,16 +172,16 @@ def test_noise_schedule_fields():
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 2.5, math.nan])
-def test_delta_outside_unit_interval_is_rejected_at_every_entry(delta):
-    # PrivacyBudget owns the rule, and a sweep spec checks its delta with
-    # it; calibrate takes its delta from a budget, and the analytic step
-    # counts, which take a bare delta, apply the same rule
+def test_delta_outside_unit_interval_is_rejected_at_every_entry(delta, tmp_path, capsys):
+    # PrivacyBudget owns the rule; a sweep spec and the fit commands check
+    # their delta with it, and calibrate and the analytic step counts take
+    # theirs from a budget
     message = re.escape("delta must lie in (0, 1)")
     with pytest.raises(ValueError, match=message):
         PrivacyBudget(1.0, delta)
     with pytest.raises(ValueError, match=message):
         small_spec(delta=delta)
-    with pytest.raises(ValueError, match=message):
-        default_T_convex(100, 100, 2, 0.5, 1.0, delta, 4.0, 8.0)
-    with pytest.raises(ValueError, match=message):
-        default_T_nonconvex(100, 2, 0.5, 1.0, delta, 4.0, 4.0, 5.0, 8.0)
+    for command in ("fit-convex", "fit-nonconvex"):  # before the CSV, which is missing
+        assert cli.main([command, "--data", str(tmp_path / "missing.csv"), "--epsilon", "1",
+                         f"--delta={delta}"]) == 2
+        assert capsys.readouterr().err == "privadapt: error: delta must lie in (0, 1)\n"

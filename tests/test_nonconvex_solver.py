@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from privadapt.core import (
     is_feasible,
     non_private,
 )
+from privadapt.convex_solver import DEFAULT_T_CEILING, column_runs
 from privadapt.nonconvex_objective import (
     NonConvexContext,
     eval_J,
@@ -73,9 +75,8 @@ class TestSingleStep:
     def test_T_none_takes_analytic_default(self):
         reg, budget = RegularizerConfig(), PrivacyBudget(1.0, 0.05)
         ctx = NonConvexContext(TINY, 0.0, reg, LG)
-        T = default_T_nonconvex(1, 1, reg.alpha, budget.epsilon_opt, budget.delta,
-                                LG.G, LG.B, smoothness_beta_bar(ctx),
-                                uniform_bound_M(ctx))
+        T = default_T_nonconvex(budget, 1, 1, reg.alpha, LG.G, LG.B,
+                                smoothness_beta_bar(ctx), uniform_bound_M(ctx))
         res = fit_nonconvex(TINY, budget, reg, NonConvexRunConfig(T=None), LG)
         assert res.T_used == T
 
@@ -181,27 +182,42 @@ class TestRejections:
                           NonConvexRunConfig(T=1, init=bad), LG)
 
 
+def opt_budget(eps_opt: float, delta: float) -> PrivacyBudget:
+    """The budget whose optimizer share (half, the default split) is eps_opt."""
+    return PrivacyBudget(2.0 * eps_opt, delta)
+
+
 class TestDefaultT:
     def test_hand_example_unit_constants(self):
         # all constants 1, alpha=0.5, n=d=1, delta=2/e:
         # sqrt(1*1)*1*1 / (0.5 * sqrt(ln e) * sqrt(40 + 0.25)) ~ 0.3152 -> 1
-        T = default_T_nonconvex(1, 1, 0.5, 1.0, 2.0 / math.e, 1.0, 1.0, 1.0, 1.0)
+        T = default_T_nonconvex(opt_budget(1.0, 2.0 / math.e), 1, 1, 0.5, 1.0, 1.0, 1.0, 1.0)
         assert T == 1
 
     def test_epsilon_to_zero_floor(self):
-        assert default_T_nonconvex(100, 3, 0.5, 1e-9, 0.01, 1.0, 1.0, 1.0, 1.0) == 1
+        assert default_T_nonconvex(opt_budget(1e-9, 0.01), 100, 3, 0.5,
+                                   1.0, 1.0, 1.0, 1.0) == 1
 
     def test_linear_in_epsilon(self):
-        a = default_T_nonconvex(10**4, 3, 0.5, 1.0, 0.01, 1.0, 1.0, 1.0, 1.0)
-        b = default_T_nonconvex(10**4, 3, 0.5, 2.0, 0.01, 1.0, 1.0, 1.0, 1.0)
+        a = default_T_nonconvex(opt_budget(1.0, 0.01), 10**4, 3, 0.5, 1.0, 1.0, 1.0, 1.0)
+        b = default_T_nonconvex(opt_budget(2.0, 0.01), 10**4, 3, 0.5, 1.0, 1.0, 1.0, 1.0)
         assert b == pytest.approx(2 * a, rel=1e-3)
 
     def test_ceiling_and_inf(self):
-        assert default_T_nonconvex(10**7, 1, 0.5, 50.0, 0.01,
-                                   1.0, 1.0, 1.0, 1.0) == 200_000
-        assert default_T_nonconvex(10, 1, 0.5, math.inf, 0.01,
-                                   1.0, 1.0, 1.0, 1.0) == 200_000
+        # the analytic count is uncapped; convex_solver.column_runs alone caps
+        # it at the ceiling, which an epsilon = inf column takes when no
+        # column is finite
+        def T(budget):
+            return default_T_nonconvex(budget, 10**7, 1, 0.5, 1.0, 1.0, 1.0, 1.0)
+        large = opt_budget(50.0, 0.01)
+        assert T(large) > DEFAULT_T_CEILING
+        assert column_runs(None, [large, non_private()], T) == [DEFAULT_T_CEILING] * 2
+        assert column_runs(None, [non_private()], T) == [DEFAULT_T_CEILING]
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            default_T_nonconvex(10, 1, 0.5, 1.0, 1.2, 1.0, 1.0, 1.0, 1.0)
+        # PrivacyBudget alone checks delta, and the analytic count takes a
+        # budget: it refuses a non-private one
+        with pytest.raises(ValueError, match=re.escape("delta must lie in (0, 1)")):
+            opt_budget(1.0, 1.2)
+        with pytest.raises(ValueError, match="finite epsilon"):
+            default_T_nonconvex(non_private(), 10, 1, 0.5, 1.0, 1.0, 1.0, 1.0)
