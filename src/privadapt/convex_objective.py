@@ -39,10 +39,15 @@ class ObjectiveContext:
         self.data.check_feature_bound(self.model.r)
 
 
+def check_convex_loss(model: LossModel) -> None:
+    """Raise ValueError unless the convex objective can take ``model``'s loss."""
+    if model.kind != SQUARED:
+        raise ValueError("the convex objective requires the squared loss")
+
+
 class ConvexObjectiveContext(ObjectiveContext):
     def __post_init__(self):
-        if self.model.kind != SQUARED:
-            raise ValueError("the convex objective requires the squared loss")
+        check_convex_loss(self.model)
         super().__post_init__()
 
 

@@ -32,6 +32,16 @@ def loss_gap(data: AdaptDataset, model: LossModel, w: np.ndarray) -> float:
     return float(lp - lq)
 
 
+def check_solver(policy, model: LossModel, d: int) -> None:
+    """Raise ValueError where the d_hat solver ``policy`` cannot run: the
+    exact solve ("dca") takes the squared loss only, the grid oracle d <= 2.
+    Any other policy passes."""
+    if policy == "dca" and model.kind != SQUARED:
+        raise ValueError("the exact solver supports the squared loss only")
+    if policy == "grid" and d > 2:
+        raise ValueError("grid oracle is restricted to d <= 2")
+
+
 @functools.lru_cache(maxsize=4)
 def _candidate_grid(d: int, lam: float, grid_points: int) -> np.ndarray:
     """The grid points of the Lambda-ball, read-only: cached, so every call
@@ -72,8 +82,7 @@ def discrepancy_grid(data: AdaptDataset, model: LossModel,
     For the squared loss the gap is scanned through the data's second
     moments, and the value reported is ``loss_gap`` at the best point.
     """
-    if data.d > 2:
-        raise ValueError("grid oracle is restricted to d <= 2")
+    check_solver("grid", model, data.d)
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     cand = _candidate_grid(data.d, model.lam, grid_points)
@@ -148,8 +157,7 @@ def discrepancy_dca(data: AdaptDataset, model: LossModel) -> DiscrepancyEstimate
     globally by one eigendecomposition.  The name (and the "dca" solver
     label) is historical: it once named a difference-of-convex iteration.
     """
-    if model.kind != SQUARED:
-        raise ValueError("the exact solver supports the squared loss only")
+    check_solver("dca", model, data.d)
     A, g, c = _gap_quadratic(data)
     best = (0.0, np.zeros(data.d))
     for sign in (1.0, -1.0):

@@ -43,6 +43,7 @@ import numpy as np
 
 from . import baselines
 from .baselines import fit_baseline
+from .convex_objective import check_convex_loss
 from .convex_solver import ConvexRunConfig, fit_convex_columns
 # not called here any more; benchmarks/test_benchmark.py reads harness.fit_convex
 from .convex_solver import fit_convex  # noqa: F401
@@ -61,7 +62,7 @@ from .data_io import (
     load_dataset,
     resample_target,
 )
-from .discrepancy import discrepancy_dca, discrepancy_grid
+from .discrepancy import check_solver, discrepancy_dca, discrepancy_grid
 from .mechanisms import derive_rng, privatize_discrepancy
 from .nonconvex_solver import fit_nonconvex_columns
 # under this name, so that patching harness._process_slots changes the sweep rules
@@ -109,8 +110,14 @@ class SweepSpec:
             check_integer(name, getattr(self, name), 1)
         for n in self.target_sizes:
             check_integer("target_sizes", n, 1)
+        for name in ("epsilons", "target_sizes"):  # a repeat would double its cells
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values!r}")
         if self.T is not None:  # None takes the analytic default
             check_integer("T", self.T, 1)
+        if self.algorithm == CONVEX:
+            check_convex_loss(self.model)
 
 
 @dataclass
@@ -321,13 +328,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     order.  The first failing group in (n, trial) order raises its
     SweepCellError, and groups not yet started are cancelled.  A CSV whose
     target rows cannot hold the test split and, drawn without replacement,
-    the largest target size raises ValueError before any group runs.
+    the largest target size, and a d_hat solver that cannot run on the
+    loss or the dimension (``discrepancy.check_solver``), raise ValueError
+    before any group runs.
     """
     t0 = time.perf_counter()
     base = load_dataset(spec.dataset) if isinstance(spec.dataset, DatasetManifest) else None
     if base is not None and base.n - spec.test_size < max(spec.target_sizes):
         raise ValueError(f"{spec.dataset.path}: its {base.n} target rows cannot hold a test "
                          f"split of {spec.test_size} and a sample of {max(spec.target_sizes)}")
+    if spec.algorithm in (CONVEX, NONCONVEX):
+        check_solver(spec.d_hat, spec.model, spec.dataset.d if base is None else base.d)
     keys = [(n_idx, n, trial) for n_idx, n in enumerate(spec.target_sizes)
             for trial in range(spec.trials)]
     workers = _worker_count(len(keys))

@@ -58,6 +58,18 @@ class TestGrid:
         assert not grid.flags.writeable
         assert np.all(np.linalg.norm(grid, axis=1) <= 1.0 + 1e-12)
 
+    def test_logistic_scan_equals_loss_gap_over_the_grid(self):
+        # the logistic branch scans the gap with its own log-loss formula;
+        # d_hat is the largest |gap| over the grid through core's loss
+        lg = LossModel("logistic", r=1.0, lam=1.0)
+        data = AdaptDataset([[0.6, 0.2], [-0.3, 0.5], [0.1, -0.9]], [1.0, -1.0, 1.0],
+                            [[0.9, 0.0], [0.2, 0.7], [-0.5, -0.5], [0.0, 0.3]],
+                            [1.0, 1.0, -1.0, -1.0])
+        est = discrepancy_grid(data, lg, grid_points=21)
+        gaps = np.abs([loss_gap(data, lg, w) for w in _candidate_grid(2, lg.lam, 21)])
+        assert abs(est.d_hat - gaps.max()) <= 1e-12
+        assert abs(abs(loss_gap(data, lg, est.witness_w)) - est.d_hat) <= 1e-12
+
     def test_rejects_high_dim(self):
         rng = np.random.default_rng(2)
         data = random_dataset(rng, 3, 3, 3, SQ)

@@ -218,10 +218,11 @@ class TestRunSweep:
         {"epsilons": [0.5, 1.0, 5.0, math.inf], "d_hat": "dca",
          "reg": RegularizerConfig(alpha=0.5, kappa1=4.0, kappa2=0.5, kappa_inf=0.5)},
         # T = None: the analytic T differs per epsilon, so cells group by T
-        {"epsilons": [0.05, 0.1, 0.1, 0.4], "T": None},
+        # (here 1, 1, 2 and 16 steps)
+        {"epsilons": [0.05, 0.1, 0.11, 0.4], "T": None},
         # non-convex: the finite cells share one run and t*, epsilon = inf runs alone
         NONCONVEX | {"epsilons": [0.5, 1.0, 5.0, math.inf]},
-        NONCONVEX | {"epsilons": [5.0, 10.0, 10.0, 20.0], "T": None},
+        NONCONVEX | {"epsilons": [5.0, 10.0, 10.2, 20.0], "T": None},  # 6, 12, 12, 24
     ])
     def test_batched_cells_match_single_epsilon_sweeps(self, overrides):
         spec = small_spec(**overrides)
@@ -819,14 +820,29 @@ class TestCli:
         ({"synthetic": {"d": 2}, "epsilons": 1.0}, "not iterable"),
         ({"synthetic": {"d": 2}, "delta": "0.1"}, "not supported"),
         ({"synthetic": {"d": 2}, "model": 3}, "not iterable"),
+        # settings that cannot run once ran every cell, failed and exited 1
+        ({"synthetic": {"d": 2}, "model": {"kind": "logistic"}},
+         "the convex objective requires the squared loss"),
+        ({"synthetic": {"d": 2}, "algorithm": "nonconvex", "model": {"kind": "logistic"}},
+         "the exact solver supports the squared loss only"),
+        ({"synthetic": {"d": 3}, "d_hat": "grid"}, "grid oracle is restricted to d <= 2"),
+        ({"csv": {"path": "d3.csv"}, "d_hat": "grid", "test_size": 5},
+         "grid oracle is restricted to d <= 2"),
+        # repeats once wrote identical aggregate rows over every repeat's records
+        ({"synthetic": {"d": 2}, "epsilons": [1, 1]}, "epsilons must not repeat a value"),
+        ({"synthetic": {"d": 2}, "target_sizes": [5, 5]},
+         "target_sizes must not repeat a value"),
     ], ids=["missing-csv", "empty-csv", "bad-epsilon", "missing-key", "bad-delta",
             "bad-disc-fraction", "bad-d-hat", "fractional-trials", "fractional-target-size",
             "fractional-T", "fractional-seed", "bool-m", "unknown-key", "unknown-model-key",
             "unknown-reg-key", "unknown-synthetic-key", "unknown-csv-key",
             "missing-synthetic-d", "two-datasets", "epsilons-not-a-list", "delta-string",
-            "model-not-a-mapping"])
+            "model-not-a-mapping", "convex-logistic", "dca-logistic", "grid-d3", "csv-grid-d3",
+            "repeated-epsilon", "repeated-target-size"])
     def test_sweep_input_errors_exit_2(self, tmp_path, capsys, cfg, match):
         (tmp_path / "empty.csv").write_text("")
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=3), 20, 25, derive_rng(3, "csv"))
+        write_csv(data, str(tmp_path / "d3.csv"))
         cfg = {"algorithm": "convex", "epsilons": [1.0], "target_sizes": [5], "trials": 1,
                "master_seed": 0} | cfg
         if "csv" in cfg:
