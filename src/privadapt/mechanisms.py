@@ -1,5 +1,5 @@
-"""Noise primitives, and the noise levels (``calibrate``) and w-step
-(``w_step``) of both private solvers and the target-only DP baseline.
+"""Noise primitives, the noise levels of both private solvers and the
+target-only DP baseline (``calibrate``), and the w-step (``w_step``).
 
 RNG contract: every consumer derives an independent substream from one
 master seed via ``derive_rng(master_seed, *key)``; the key parts are the
