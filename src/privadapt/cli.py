@@ -24,7 +24,6 @@ from .data_io import (
 from .discrepancy import discrepancy_dca, discrepancy_grid
 from .harness import (
     emit_results,
-    lane_count,
     raw_d_hat,
     run_sweep,
     spec_from_config,
@@ -104,8 +103,7 @@ def cmd_fit_convex(args) -> int:
     data, model, budget, d_dp, rng = _fit_common(args, SQUARED)
     reg = RegularizerConfig(alpha=args.alpha, kappa1=args.kappa1,
                             kappa2=args.kappa2, kappa_inf=args.kappa_inf)
-    result = fit_convex(data, budget, reg, ConvexRunConfig(T=args.T), model, d_dp=d_dp,
-                        rng=rng, lanes=lane_count(1))
+    result = fit_convex(data, budget, reg, ConvexRunConfig(T=args.T), model, d_dp=d_dp, rng=rng)
     _print_result(result.to_dict() | {"d_dp": d_dp}, args.epsilon, FIT_NON_PRIVATE)
     return 0
 
@@ -116,7 +114,7 @@ def cmd_fit_nonconvex(args) -> int:
                             lambda2=args.lambda2, lambda_inf=args.lambda_inf,
                             mu=args.mu)
     result = fit_nonconvex(data, budget, reg, NonConvexRunConfig(T=args.T),
-                           model, d_dp=d_dp, rng=rng, lanes=lane_count(1))
+                           model, d_dp=d_dp, rng=rng)
     _print_result(result.to_dict() | {"d_dp": d_dp}, args.epsilon, FIT_NON_PRIVATE)
     return 0
 

@@ -19,14 +19,15 @@ engine run per step count, each from the stream state at the call.
 
 The gradient comes split by u-block (``convex_objective.BlockGradient``):
 the blocks meet only through the w-gradient and a few per-problem
-reductions.  So a run granted two lanes, and long enough to repay a fork,
-steps the private block on a child process while this one steps the
-public block, each with its own copy of W; the in-process run calls the
-same per-block code in sequence, and both return the same bits.  On each
-block, the trailing problems that take no noise there and sit at its lower
-bound are held while the gradient certifies that a step leaves them there:
-they take no u-step and each sums as one scalar.  ``fit_convex_columns``
-puts its noise-free columns last, so their private rows are held too.
+reductions.  So a run in a process with two or more process slots, long
+enough to repay a fork, steps the private block on a child process while
+this one steps the public block, each with its own copy of W; the
+in-process run calls the same per-block code in sequence, and both return
+the same bits.  On each block, the trailing problems that take no noise
+there and sit at its lower bound are held while the gradient certifies
+that a step leaves them there: they take no u-step and each sums as one
+scalar.  ``fit_convex_columns`` puts its noise-free columns last, so their
+private rows are held too.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import processes
 from .core import (
     AdaptDataset,
     AdaptationResult,
@@ -58,13 +60,12 @@ from .convex_objective import (
     project_ball,
 )
 from .mechanisms import NoiseSchedule, calibrate, derive_rng, w_step
-from .processes import DONE, fork
 
 DEFAULT_T_CEILING = 200_000
-# A run takes the two lanes it is granted once min(m, n) x steps reaches
-# this.  Forking the private lane costs about 4 ms a run; on 2 CPUs with one
-# BLAS thread (d = 20, one problem) two lanes took 0.97x the time of one
-# process at 2 000 rows x 200 steps, 0.81-0.90x at 10^6 row-steps (from
+# A run with two process slots takes two lanes once min(m, n) x steps
+# reaches this.  Forking the private lane costs about 4 ms a run; on 2 CPUs
+# with one BLAS thread (d = 20, one problem) two lanes took 0.97x the time of
+# one process at 2 000 rows x 200 steps, 0.81-0.90x at 10^6 row-steps (from
 # 200 rows x 5 000 steps to 2 000 x 500) and 0.73x at 10 000 x 100.
 LANE_MIN_ROW_STEPS = 1_000_000
 
@@ -109,7 +110,7 @@ def default_T_convex(budget: PrivacyBudget, n: int, m: int, d: int, alpha: float
 
 def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np.ndarray,
               sigma2: np.ndarray, steps: int, lam: float, alpha: float,
-              rng: np.random.Generator, average: bool, lanes: int = 1):
+              rng: np.random.Generator, average: bool):
     """Run ``steps`` noisy projected gradient steps on E problems from the
     feasible point p and return one point per problem: the projected
     average of its iterates if ``average``, else its last iterate.
@@ -118,9 +119,10 @@ def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np
     u-block.  Row j of eta (E, 3) holds problem j's step sizes for w, u_pub
     and u_priv, and sigma1[j], sigma2[j] scale its noise on w and u_priv.
     A problem with zero sigmas takes no noise, and a run whose sigmas are
-    all zero draws nothing from the stream.  With lanes = 2 a run of at
-    least LANE_MIN_ROW_STEPS steps the private block on a forked process
-    (``_two_lanes``); the points are the same bits either way.
+    all zero draws nothing from the stream.  A run of at least
+    LANE_MIN_ROW_STEPS in a process with two or more process slots steps
+    the private block on a forked process (``_two_lanes``); the points are
+    the same bits either way.
     """
     m, n, d = p.u_pub.size, p.u_priv.size, p.w.size
     if not is_feasible(p, lam, alpha, m, n):
@@ -130,7 +132,7 @@ def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np
                             rng, average)
     # both lanes' rows of two steps, and the noise of three steps
     shapes = [(2, 2, d + grad.REDUCTIONS, E), (3, d + _noise_rows(sigma2) * n)]
-    if lanes == 1 or min(m, n) * steps < LANE_MIN_ROW_STEPS:
+    if min(m, n) * steps < LANE_MIN_ROW_STEPS or processes.process_slots() < 2:
         W, U = run((0, 1), *map(np.empty, shapes), None)
         U_pub, U_priv = U[0], U[1]
     else:
@@ -249,12 +251,12 @@ def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
 
     def private(link):
         _, U = run((1,), parts, ring, link)
-        link.signal(DONE)
+        link.signal(processes.DONE)
         link.send(U[1])
 
-    with fork(private, "the private lane of a two-lane run") as link:
+    with processes.fork(private, "the private lane of a two-lane run") as link:
         W, U = run((0,), parts, ring, link)
-        link.wait(DONE)
+        link.wait(processes.DONE)
         return W, U[0], link.receive(np.empty(private_shape))
 
 
@@ -286,8 +288,7 @@ def per_run(steps: list[int], rng: np.random.Generator, solve) -> list:
 
 def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],
                        reg: RegularizerConfig, run: ConvexRunConfig, model: LossModel,
-                       rng: np.random.Generator | None = None,
-                       lanes: int = 1) -> list[AdaptationResult]:
+                       rng: np.random.Generator | None = None) -> list[AdaptationResult]:
     """Run noisy projected gradient steps on one convex objective per
     (budget, d_dp) column, one engine run per step count of
     ``column_runs``, and return each column's averaged iterate.
@@ -295,9 +296,7 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
     T = None takes the analytic default_T_convex.  Every column gets its
     own sigma and step sizes from its budget and steps; a column with
     epsilon = inf takes no noise, and a run with no finite epsilon draws
-    nothing from the stream.  ``lanes`` is the engine's: 2 lets a long
-    enough run step the private block on a second process, with the same
-    results.
+    nothing from the stream.
     """
     if not columns:
         raise ValueError("at least one (budget, d_dp) column is required")
@@ -319,7 +318,7 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
             ConvexGradient(data, reg, np.array([columns[j][1] for j in cols])), p, eta,
             np.array([schedules[j].sigma1 for j in cols]),
             np.array([schedules[j].sigma2 for j in cols]),
-            T, model.lam, reg.alpha, rng, average=True, lanes=lanes)))
+            T, model.lam, reg.alpha, rng, average=True)))
 
     return [AdaptationResult(point=avg, objective_value=eval_F(ctx, avg),
                              privacy_spent=budget.spent, T_used=T)
@@ -329,7 +328,7 @@ def fit_convex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, fl
 
 def fit_convex(data: AdaptDataset, budget: PrivacyBudget, reg: RegularizerConfig,
                run: ConvexRunConfig, model: LossModel, d_dp: float = 0.0,
-               rng: np.random.Generator | None = None, lanes: int = 1) -> AdaptationResult:
+               rng: np.random.Generator | None = None) -> AdaptationResult:
     """Run T noisy projected gradient steps on the convex objective and
     return the averaged iterate."""
-    return fit_convex_columns(data, [(budget, d_dp)], reg, run, model, rng, lanes)[0]
+    return fit_convex_columns(data, [(budget, d_dp)], reg, run, model, rng)[0]

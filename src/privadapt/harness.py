@@ -25,9 +25,11 @@ inherit the spec and a loaded CSV dataset through fork; each task returns
 only its records and the warnings it raised, which the caller re-emits in
 (n, trial) order.  Either way the records are the same bytes.
 
-A sweep whose processes leave CPUs idle (one group on two CPUs, say) grants
-its engine runs two lanes (``lane_count``): a long enough run steps its
-private block on a process of its own, again with the same records.
+Each worker is granted its share of the process slots
+(``processes.grant``), which the engine reads as any process does: a run
+in a process with two or more slots (one group on two CPUs, say), and long
+enough, steps its private block on a process of its own, again with the
+same records.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from . import baselines
+from . import baselines, processes
 from .baselines import fit_baseline
 from .convex_objective import check_convex_loss
 from .convex_solver import ConvexRunConfig, fit_convex_columns
@@ -65,8 +67,6 @@ from .data_io import (
 from .discrepancy import check_solver, discrepancy_dca, discrepancy_grid
 from .mechanisms import derive_rng, privatize_discrepancy
 from .nonconvex_solver import fit_nonconvex_columns
-# under this name, so that patching harness._process_slots changes the sweep rules
-from .processes import process_slots as _process_slots
 
 CONVEX = "convex"
 NONCONVEX = "nonconvex"
@@ -126,7 +126,7 @@ class SweepResult:
     aggregates: list[dict]
     wall_time: float
     workers: int = 1  # processes the (n, trial) groups ran on
-    lanes: int = 1  # lanes granted to each engine run
+    lanes: int = 1  # lanes each engine run may take
 
 
 class SweepCellError(RuntimeError):
@@ -209,23 +209,15 @@ def _per_cell(spec: SweepSpec, n: int, trial: int, fn, *columns) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class _Shared:
-    """What every (n, trial) group of a sweep gets: the loaded CSV dataset
-    (None for a synthetic one) and the lanes granted to its engine runs."""
-
-    dataset: AdaptDataset | None
-    lanes: int
-
-
-def _run_group(spec: SweepSpec, shared: _Shared, n: int, n_idx: int,
+def _run_group(spec: SweepSpec, base: AdaptDataset | None, n: int, n_idx: int,
                trial: int) -> list[dict]:
-    """Every epsilon cell of one (n, trial), in the order of spec.epsilons.
+    """Every epsilon cell of one (n, trial), in the order of spec.epsilons;
+    ``base`` is the loaded CSV dataset, None for a synthetic one.
 
     The data draw, the raw discrepancy and the reference fit depend on
     (n, trial) only, so they are made once and shared by every epsilon.
     """
-    train, test_x, test_y = _cell_data(spec, shared.dataset, n, n_idx, trial)
+    train, test_x, test_y = _cell_data(spec, base, n, n_idx, trial)
     budgets = [PrivacyBudget(eps, spec.delta, spec.disc_fraction) for eps in spec.epsilons]
     rngs = [derive_rng(spec.master_seed, "noise", n_idx, trial) for _ in budgets]
 
@@ -236,7 +228,7 @@ def _run_group(spec: SweepSpec, shared: _Shared, n: int, n_idx: int,
         # every release took one draw, so all the streams stand in one state
         fit = fit_convex_columns if spec.algorithm == CONVEX else fit_nonconvex_columns
         results = fit(train, list(zip(budgets, d_dps)), spec.reg, ConvexRunConfig(T=spec.T),
-                      spec.model, rng=rngs[0], lanes=shared.lanes)
+                      spec.model, rng=rngs[0])
     elif spec.algorithm == baselines.TARGET_ONLY:
         # same fit as the relative-MSE denominator, so the ratio is exactly 1
         results = [_reference_fit(spec, train, n_idx, trial)] * len(budgets)
@@ -273,14 +265,15 @@ def _run_group(spec: SweepSpec, shared: _Shared, n: int, n_idx: int,
     return records
 
 
-def _group(spec: SweepSpec, shared: _Shared, key: tuple) -> tuple[list[dict], list[tuple]]:
+def _group(spec: SweepSpec, base: AdaptDataset | None,
+           key: tuple) -> tuple[list[dict], list[tuple]]:
     """The records of one (n_idx, n, trial) group and the warnings it raised,
     as (message, category, filename, lineno); a failure names its cell."""
     n_idx, n, trial = key
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            records = _run_group(spec, shared, n, n_idx, trial)
+            records = _run_group(spec, base, n, n_idx, trial)
         except SweepCellError:
             raise
         except Exception as exc:
@@ -288,12 +281,13 @@ def _group(spec: SweepSpec, shared: _Shared, key: tuple) -> tuple[list[dict], li
     return records, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-_inherited: tuple = ()  # (spec, shared) in a forked worker
+_inherited: tuple = ()  # (spec, base) in a forked worker
 
 
-def _inherit(spec: SweepSpec, shared: _Shared) -> None:
+def _inherit(spec: SweepSpec, base: AdaptDataset | None, slots: int) -> None:
     global _inherited
-    _inherited = (spec, shared)
+    _inherited = (spec, base)
+    processes.grant(slots)
 
 
 def _inherited_group(key: tuple):
@@ -303,15 +297,7 @@ def _inherited_group(key: tuple):
 def _worker_count(groups: int) -> int:
     """Worker processes for a sweep of this many groups: min(groups,
     process slots), or 1 to run it in process."""
-    return max(1, min(groups, _process_slots()))
-
-
-def lane_count(workers: int) -> int:
-    """Engine lanes to grant each run of a sweep on ``workers`` processes:
-    2 when each of them can have two process slots, else 1.  The engine
-    takes them only for a run long enough to repay the fork
-    (``convex_solver.LANE_MIN_ROW_STEPS``)."""
-    return 2 if _process_slots() // workers >= 2 else 1
+    return max(1, min(groups, processes.process_slots()))
 
 
 # Re-emitted worker warnings share one registry, so the "default" action
@@ -342,7 +328,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     keys = [(n_idx, n, trial) for n_idx, n in enumerate(spec.target_sizes)
             for trial in range(spec.trials)]
     workers = _worker_count(len(keys))
-    shared = _Shared(base, lane_count(workers))
+    share = processes.process_slots() // workers  # the slots of each worker
     pool = None
     if workers > 1:
         # imported here: the pool's modules add about 1.3 MB to the peak
@@ -350,11 +336,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_inherit, initargs=(spec, shared))
+                                   initializer=_inherit, initargs=(spec, base, share))
     by_cell = {}
     try:
         groups = (pool.map(_inherited_group, keys) if pool
-                  else map(functools.partial(_group, spec, shared), keys))
+                  else map(functools.partial(_group, spec, base), keys))
         for (n_idx, _, trial), (records, caught) in zip(keys, groups):
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno,
@@ -377,7 +363,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 "metric_mean": float(vals.mean()),
                 "metric_std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
             })
-    return SweepResult(records, aggregates, time.perf_counter() - t0, workers, shared.lanes)
+    return SweepResult(records, aggregates, time.perf_counter() - t0, workers,
+                       2 if share >= 2 else 1)
 
 
 def emit_results(result: SweepResult, path: str) -> None:

@@ -1,10 +1,11 @@
 """Noisy projected gradient descent on the smoothed non-convex objective.
 
 The solver runs on the convex solver's engine (``convex_solver.noisy_pgd``)
-with the same noise placement and calibration (``mechanisms.calibrate``)
-and one step size 1/beta_bar for all blocks.  Its output is one iterate sampled uniformly from the
-trajectory: t* is drawn from {1, ..., T} first, and the engine stops after
-t* steps.  ``fit_nonconvex_columns`` runs one objective per (budget, d_dp)
+with the same noise placement and calibration (``mechanisms.calibrate``),
+the same rule for two lanes (the process's slots) and one step size
+1/beta_bar for all blocks.  Its output is one iterate sampled uniformly
+from the trajectory: t* is drawn from {1, ..., T} first, and the engine
+stops after t* steps.  ``fit_nonconvex_columns`` runs one objective per (budget, d_dp)
 column, grouped into engine runs by ``convex_solver.column_runs``, so the
 columns of one run draw the same t*; ``fit_nonconvex`` is the one-column
 case.
@@ -55,17 +56,15 @@ def default_T_nonconvex(budget: PrivacyBudget, n: int, d: int, alpha: float, G: 
 
 def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],
                           reg: RegularizerConfig, run: NonConvexRunConfig,
-                          model: LossModel, rng: np.random.Generator | None = None,
-                          lanes: int = 1) -> list[AdaptationResult]:
+                          model: LossModel,
+                          rng: np.random.Generator | None = None) -> list[AdaptationResult]:
     """Run one smoothed objective per (budget, d_dp) column, one engine
     run per step count T of ``convex_solver.column_runs``, and return each
     column's iterate at a uniformly sampled index of its T-step run.
 
     A run draws t* uniformly from {1, ..., T} first, then takes t* noisy
     projected gradient steps, so its trajectory does not depend on t*'s
-    value.  T = None takes the analytic default_T_nonconvex.  ``lanes`` is
-    the engine's: 2 lets a long enough run step the private block on a
-    second process, with the same results.
+    value.  T = None takes the analytic default_T_nonconvex.
     """
     if not columns:
         raise ValueError("at least one (budget, d_dp) column is required")
@@ -86,7 +85,7 @@ def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget,
             SmoothGradient(data, reg, model, np.array([columns[j][1] for j in cols])), p0,
             np.full((len(cols), 3), 1.0 / beta_bar),
             np.array([s.sigma1 for s in schedules]), np.array([s.sigma2 for s in schedules]),
-            t_star, model.lam, reg.alpha, rng, average=False, lanes=lanes)
+            t_star, model.lam, reg.alpha, rng, average=False)
         return {j: (out, t_star) for j, out in zip(cols, outs)}
 
     return [AdaptationResult(point=out, objective_value=eval_J(ctx, out),
@@ -100,7 +99,7 @@ def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget,
 def fit_nonconvex(data: AdaptDataset, budget: PrivacyBudget,
                   reg: RegularizerConfig, run: NonConvexRunConfig,
                   model: LossModel, d_dp: float = 0.0,
-                  rng: np.random.Generator | None = None, lanes: int = 1) -> AdaptationResult:
+                  rng: np.random.Generator | None = None) -> AdaptationResult:
     """Run t* noisy projected gradient steps on the smoothed objective and
     return the last iterate: the one-column case of fit_nonconvex_columns."""
-    return fit_nonconvex_columns(data, [(budget, d_dp)], reg, run, model, rng, lanes)[0]
+    return fit_nonconvex_columns(data, [(budget, d_dp)], reg, run, model, rng)[0]

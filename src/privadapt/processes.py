@@ -1,6 +1,6 @@
-"""Forked helper processes: how many may compute at once (``process_slots``)
-and one child forked with a pipe pair to its parent (``fork``), which the
-engine's private lane and the split CSV parse both run on."""
+"""Forked helper processes: how many may compute at once (``process_slots``,
+which the sweep's pool, the engine's lanes and the split CSV parse all read)
+and one child forked with a pipe pair to its parent (``fork``)."""
 
 from __future__ import annotations
 
@@ -12,13 +12,23 @@ import sys
 
 STEP, DONE, FAILED = b"s", b"d", b"e"
 
+_granted: int | None = None
+
+
+def grant(slots: int) -> None:
+    """Make ``process_slots`` return ``slots`` here: a sweep's pool worker's share."""
+    global _granted
+    _granted = slots
+
 
 def process_slots() -> int:
-    """How many processes may compute at once: CPUs // BLAS threads, so
-    processes x BLAS threads never exceed the CPUs, or 1 off Linux, where
-    fork is unavailable or unsafe, and in a daemonic process (a
-    multiprocessing.Pool worker, say), which may not start children.  The
-    BLAS threads are read from OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS."""
+    """How many processes may compute at once: the ``grant`` of this process,
+    else CPUs // BLAS threads, so processes x BLAS threads never exceed the
+    CPUs, or 1 off Linux, where fork is unavailable or unsafe, and in a
+    daemonic process (a multiprocessing.Pool worker, say), which may not
+    start children.  BLAS threads: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS."""
+    if _granted is not None:
+        return _granted
     if sys.platform != "linux":
         return 1
     mp = sys.modules.get("multiprocessing")  # loaded in any such daemon

@@ -323,6 +323,7 @@ def _record_count(spec):
 
 
 @linux_only
+@pytest.mark.usefixtures("leaves_nothing")
 class TestWorkerPool:
     @pytest.mark.parametrize("overrides", [
         {"epsilons": [0.5, 1.0, math.inf], "d_hat": "dca"},

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from privadapt import harness
+from privadapt import processes
 from privadapt.convex_objective import ConvexGradient, project_ball
 from privadapt.convex_solver import noisy_pgd
 from privadapt.core import (AdaptDataset, FeasiblePoint, LossModel, PrivacyBudget,
@@ -214,7 +214,7 @@ def test_acceptance_shaped_run_holds_the_public_block(epsilons, m, n, held, monk
     # process: the public block never leaves its bound, and neither does the
     # private block of the epsilon = inf problem, listed last or first, so the
     # row path runs on the noisy problems only; the two orders give the same fits
-    monkeypatch.setattr(harness, "_process_slots", lambda: 1)
+    monkeypatch.setattr(processes, "process_slots", lambda: 1)
     records = []
     for order in dict.fromkeys([tuple(epsilons), tuple(epsilons[-1:] + epsilons[:-1])]):
         with pytest.MonkeyPatch.context() as patch:

@@ -1,9 +1,10 @@
-"""Two-lane engine runs: the private u-block stepped on a forked process
-gives the same bits as one process, reports its failures and leaves no
-process or file descriptor behind."""
+"""Two-lane engine runs: in a process with two process slots, the private
+u-block stepped on a forked process gives the same bits as one process,
+reports its failures and leaves no process or file descriptor behind."""
 
 import json
 import math
+import multiprocessing
 import os
 import signal
 import sys
@@ -11,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from privadapt import convex_solver, harness, processes
+from privadapt import convex_solver, processes
 from privadapt.convex_objective import ConvexGradient
-from privadapt.convex_solver import ConvexRunConfig, fit_convex_columns, noisy_pgd
+from privadapt.convex_solver import (ConvexRunConfig, fit_convex, fit_convex_columns,
+                                     noisy_pgd)
 from privadapt.core import (FeasiblePoint, LossModel, PrivacyBudget, RegularizerConfig,
                             reference_point)
 from privadapt.data_io import SyntheticShiftSpec, generate_synthetic
@@ -75,50 +77,33 @@ def bounded():
     signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Take the size gate off every engine run granted two lanes; returns
-    the list of forked runs (one entry each)."""
-    runs, original = [], convex_solver._two_lanes
-
-    def counted(*args):
-        runs.append(1)
-        return original(*args)
-    monkeypatch.setattr(convex_solver, "LANE_MIN_ROW_STEPS", 0)
-    monkeypatch.setattr(convex_solver, "_two_lanes", counted)
-    return runs
-
-
-@pytest.fixture
-def leaves_nothing():
-    """Check that every lane process is reaped and every pipe end closed."""
-    fds = len(os.listdir("/proc/self/fd"))
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert len(os.listdir("/proc/self/fd")) == fds
+def _one_and_two_lanes(monkeypatch, run) -> list:
+    """run() in a process with one process slot, then with two."""
+    outs = []
+    for slots in (1, 2):
+        monkeypatch.setattr(processes, "process_slots", lambda: slots)
+        outs.append(run())
+    return outs
 
 
 @pytest.mark.parametrize("E", [1, 2, 5])
 @pytest.mark.parametrize("overrides", [False, True], ids=["defaults", "init-and-steps"])
-def test_convex_lanes_equal_one_process(E, overrides, forks, bounded, leaves_nothing):
+def test_convex_lanes_equal_one_process(E, overrides, monkeypatch, forks, bounded,
+                                        leaves_nothing):
     data, columns = _data(), _columns(E)
     if overrides:  # the engine itself, from a start point and with other step sizes
         schedules = [calibrate(budget, CONVEX_REG.alpha, SQ.G, SQ.B, N, 40)
                      for budget, _ in columns]
-        one, two = (noisy_pgd(ConvexGradient(data, CONVEX_REG, np.array([d for _, d in columns])),
-                              _start(np.random.default_rng(E), CONVEX_REG.alpha),
-                              np.tile([0.05, 200.0, 300.0], (E, 1)),
-                              np.array([s.sigma1 for s in schedules]),
-                              np.array([s.sigma2 for s in schedules]), 40, SQ.lam,
-                              CONVEX_REG.alpha, derive_rng(3, "lanes"), average=True,
-                              lanes=lanes)
-                    for lanes in (1, 2))
+        one, two = _one_and_two_lanes(monkeypatch, lambda: noisy_pgd(
+            ConvexGradient(data, CONVEX_REG, np.array([d for _, d in columns])),
+            _start(np.random.default_rng(E), CONVEX_REG.alpha),
+            np.tile([0.05, 200.0, 300.0], (E, 1)), np.array([s.sigma1 for s in schedules]),
+            np.array([s.sigma2 for s in schedules]), 40, SQ.lam, CONVEX_REG.alpha,
+            derive_rng(3, "lanes"), average=True))
     else:
-        one, two = ([r.point for r in fit_convex_columns(
-            data, columns, CONVEX_REG, ConvexRunConfig(T=40, seed=3), SQ, lanes=lanes)]
-            for lanes in (1, 2))
-    assert len(forks) == 1
+        one, two = _one_and_two_lanes(monkeypatch, lambda: [r.point for r in fit_convex_columns(
+            data, columns, CONVEX_REG, ConvexRunConfig(T=40, seed=3), SQ)])
+    assert forks.value == 1
     _assert_same_points(one, two)
 
 
@@ -135,9 +120,9 @@ def test_held_lanes_equal_one_process(epsilons, held, monkeypatch, forks, bounde
     steps = count_held_steps(monkeypatch)
     columns = [(PrivacyBudget(eps, 0.01), 0.1) for eps in epsilons]
     reg = RegularizerConfig(alpha=0.3, kappa1=SQ.B)
-    one, two = (fit_convex_columns(_data(), columns, reg, ConvexRunConfig(T=40, seed=3), SQ,
-                                   lanes=lanes) for lanes in (1, 2))
-    assert len(forks) == 1
+    one, two = _one_and_two_lanes(monkeypatch, lambda: fit_convex_columns(
+        _data(), columns, reg, ConvexRunConfig(T=40, seed=3), SQ))
+    assert forks.value == 1
     assert held_counts(steps) == [[held[0]] * 80, [held[1]] * 40]
     _assert_same_bits(one, two)
 
@@ -157,27 +142,25 @@ def test_partly_held_private_lane_equals_one_process(step_w, held, monkeypatch, 
     schedules = [calibrate(PrivacyBudget(eps, 0.01), reg.alpha, SQ.G, SQ.B, N, 40)
                  for eps in (0.5, math.inf, math.inf)]
     eta = np.array([[w, 100.0, 300.0] for w in step_w])
-    one, two = (noisy_pgd(ConvexGradient(_data(), reg, np.array([0.1, 0.2, 0.3])),
-                          reference_point(reg.alpha, M, N, D), eta,
-                          np.array([s.sigma1 for s in schedules]),
-                          np.array([s.sigma2 for s in schedules]), 40, SQ.lam, reg.alpha,
-                          derive_rng(3, "lanes"), average=True, lanes=lanes)
-                for lanes in (1, 2))
-    assert len(forks) == 1
+    one, two = _one_and_two_lanes(monkeypatch, lambda: noisy_pgd(
+        ConvexGradient(_data(), reg, np.array([0.1, 0.2, 0.3])),
+        reference_point(reg.alpha, M, N, D), eta, np.array([s.sigma1 for s in schedules]),
+        np.array([s.sigma2 for s in schedules]), 40, SQ.lam, reg.alpha,
+        derive_rng(3, "lanes"), average=True))
+    assert forks.value == 1
     assert held_counts(steps)[1] == held
     _assert_same_points(one, two)
 
 
 @pytest.mark.parametrize("E", [1, 2, 5])
 @pytest.mark.parametrize("overrides", [False, True], ids=["defaults", "init"])
-def test_nonconvex_lanes_equal_one_process(E, overrides, forks, bounded, leaves_nothing):
+def test_nonconvex_lanes_equal_one_process(E, overrides, monkeypatch, forks, bounded,
+                                           leaves_nothing):
     data = _data("linear_classification")
     init = _start(np.random.default_rng(E), SMOOTH_REG.alpha) if overrides else None
-    one, two = (fit_nonconvex_columns(data, _columns(E), SMOOTH_REG,
-                                      NonConvexRunConfig(T=40, init=init, seed=3), LG,
-                                      lanes=lanes)
-                for lanes in (1, 2))
-    assert len(forks) == 1
+    one, two = _one_and_two_lanes(monkeypatch, lambda: fit_nonconvex_columns(
+        data, _columns(E), SMOOTH_REG, NonConvexRunConfig(T=40, init=init, seed=3), LG))
+    assert forks.value == 1
     _assert_same_bits(one, two)
     assert [r.grad_mapping_norm for r in one] == [r.grad_mapping_norm for r in two]
 
@@ -189,12 +172,12 @@ def test_nonconvex_lanes_equal_one_process(E, overrides, forks, bounded, leaves_
 ], ids=["convex", "nonconvex"])
 def test_sweep_records_equal_in_process(overrides, runs, tmp_path, monkeypatch, forks,
                                         bounded, leaves_nothing):
-    # one (n, trial) group: one process slot runs it in process, two grant
-    # its engine runs two lanes
+    # one (n, trial) group runs in process: its engine runs take two lanes
+    # when the process has two slots
     spec = small_spec(**overrides | {"trials": 1})
     sections = {}
     for slots in (1, 2):
-        monkeypatch.setattr(harness, "_process_slots", lambda: slots)
+        monkeypatch.setattr(processes, "process_slots", lambda: slots)
         path = tmp_path / f"{slots}.jsonl"
         emit_results(run_sweep(spec), str(path))
         lines = path.read_text().splitlines()
@@ -202,7 +185,7 @@ def test_sweep_records_equal_in_process(overrides, runs, tmp_path, monkeypatch, 
         tail = json.loads(lines[-1])
         assert (tail["workers"], tail["lanes"]) == (1, slots)
         assert read_results(str(path)).lanes == slots
-    assert len(forks) == runs
+    assert forks.value == runs
     assert sections[2] == sections[1]
 
 
@@ -221,15 +204,16 @@ def _boom():
 
 
 def test_private_lane_exception_reaches_caller(monkeypatch, forks, bounded, leaves_nothing):
+    monkeypatch.setattr(processes, "process_slots", lambda: 2)
     _fail_in_private_lane(monkeypatch, _boom)
     with pytest.raises(ArithmeticError, match="boom in the private lane") as info:
-        fit_convex_columns(_data(), _columns(2), CONVEX_REG, ConvexRunConfig(T=5), SQ, lanes=2)
+        fit_convex_columns(_data(), _columns(2), CONVEX_REG, ConvexRunConfig(T=5), SQ)
     assert any("private lane" in note for note in info.value.__notes__)
 
 
 def test_private_lane_exception_names_its_sweep_cell(monkeypatch, forks, bounded,
                                                      leaves_nothing):
-    monkeypatch.setattr(harness, "_process_slots", lambda: 2)
+    monkeypatch.setattr(processes, "process_slots", lambda: 2)
     _fail_in_private_lane(monkeypatch, _boom)
     with pytest.raises(SweepCellError) as info:
         run_sweep(small_spec(epsilons=[1.0, math.inf], trials=1))
@@ -238,24 +222,65 @@ def test_private_lane_exception_names_its_sweep_cell(monkeypatch, forks, bounded
 
 
 def test_killed_private_lane_raises(monkeypatch, forks, bounded, leaves_nothing):
+    monkeypatch.setattr(processes, "process_slots", lambda: 2)
     _fail_in_private_lane(monkeypatch, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited"):
-        fit_convex_columns(_data(), _columns(2), CONVEX_REG, ConvexRunConfig(T=5), SQ, lanes=2)
+        fit_convex_columns(_data(), _columns(2), CONVEX_REG, ConvexRunConfig(T=5), SQ)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Take the size gate off every engine run that may take two lanes;
+    returns a counter of its forked runs, in this process and in any process
+    forked from it after this fixture."""
+    runs, original = multiprocessing.Value("i", 0), convex_solver._two_lanes
+
+    def counted(*args):
+        with runs.get_lock():
+            runs.value += 1
+        return original(*args)
+    monkeypatch.setattr(convex_solver, "LANE_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(convex_solver, "_two_lanes", counted)
+    return runs
+
+
+def _cpus(monkeypatch, count):
+    """A process that may use ``count`` CPUs, with one BLAS thread."""
+    monkeypatch.setattr(processes.os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 class TestLaneGrant:
     @pytest.mark.parametrize("workers, expected", [(1, 2), (2, 2), (3, 1), (4, 1)])
-    def test_two_lanes_need_two_slots_per_worker(self, monkeypatch, workers, expected):
-        monkeypatch.setattr(harness, "_process_slots", lambda: 4)
-        assert harness.lane_count(workers) == expected
+    def test_two_lanes_need_two_slots_per_worker(self, monkeypatch, forks, bounded,
+                                                 leaves_nothing, workers, expected):
+        # 4 slots and one group per worker: each worker is granted 4 // workers
+        # slots, so each group's one engine run forks its private lane when
+        # that is 2 or more; the records are those of a sweep in one process
+        spec = small_spec(trials=workers)
+        _cpus(monkeypatch, 1)
+        alone = run_sweep(spec)
+        assert (alone.workers, alone.lanes, forks.value) == (1, 1, 0)
+        _cpus(monkeypatch, 4)
+        result = run_sweep(spec)
+        assert (result.workers, result.lanes) == (workers, expected)
+        assert forks.value == (workers if expected == 2 else 0)
+        assert result.records == alone.records
 
-    def test_one_lane_off_linux(self, monkeypatch):
+    def test_one_lane_off_linux(self, monkeypatch, forks):
         monkeypatch.setattr(processes.sys, "platform", "darwin")
-        assert harness.lane_count(1) == 1
+        fit_convex_columns(_data(), _columns(1), CONVEX_REG, ConvexRunConfig(T=5), SQ)
+        assert run_sweep(small_spec(trials=1)).lanes == 1
+        assert forks.value == 0
+
+    def test_library_fit_on_one_slot_never_forks(self, monkeypatch, forks):
+        monkeypatch.setattr(processes, "process_slots", lambda: 1)
+        fit_convex(_data(), PrivacyBudget(1.0, 0.01), CONVEX_REG, ConvexRunConfig(T=40), SQ)
+        assert forks.value == 0
 
     @pytest.mark.parametrize("steps, forked", [(39, 0), (40, 1)])
     def test_engine_forks_a_run_of_enough_row_steps(self, monkeypatch, forks, steps, forked):
+        monkeypatch.setattr(processes, "process_slots", lambda: 2)
         monkeypatch.setattr(convex_solver, "LANE_MIN_ROW_STEPS", min(M, N) * 40)
-        fit_convex_columns(_data(), _columns(1), CONVEX_REG, ConvexRunConfig(T=steps), SQ,
-                           lanes=2)
-        assert len(forks) == forked
+        fit_convex_columns(_data(), _columns(1), CONVEX_REG, ConvexRunConfig(T=steps), SQ)
+        assert forks.value == forked
