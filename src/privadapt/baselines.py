@@ -26,14 +26,6 @@ MIXTURE_ALPHA = "mixture_alpha"
 KINDS = (TARGET_ONLY, TARGET_ONLY_DP, MIXTURE_ALPHA)
 
 
-def _weights(kind: str, data: AdaptDataset, alpha: float):
-    """The per-example weight of each block (public, private); every
-    example of a block weighs the same."""
-    if kind == MIXTURE_ALPHA:
-        return alpha / data.m, (1.0 - alpha) / data.n
-    return 0.0, 1.0 / data.n
-
-
 def weighted_loss(model: LossModel, data: AdaptDataset, w, c_pub, c_priv) -> float:
     val = 0.0
     if c_pub.any():
@@ -49,9 +41,11 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
 
     target_only_dp adds per-step Gaussian noise at the solvers' w-noise
     level with all the weight on the private sample (``calibrate`` at
-    alpha = 0); every kind steps by ``w_step``.  A missing rng takes a fixed
-    stream.  For the squared loss each step is one d x d matrix-vector
-    product; the logistic loss takes a pass over the data.
+    alpha = 0); every kind steps by ``w_step``.  The target-only kinds put
+    no weight on the public sample, whatever ``alpha``, and report the box
+    of alpha = 0.  A missing rng takes a fixed stream.  For the squared
+    loss each step is one d x d matrix-vector product; the logistic loss
+    takes a pass over the data.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
@@ -66,7 +60,10 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
     if rng is None:
         rng = derive_rng(0, "baseline", kind)
 
-    c_pub, c_priv = _weights(kind, data, alpha)
+    if kind != MIXTURE_ALPHA:
+        alpha = 0.0  # all the weight on the target sample
+    # every example of a block weighs the same
+    c_pub, c_priv = alpha / data.m, (1.0 - alpha) / data.n
     d = data.d
     eta = w_step(model.lam, model.G, d, sigma, T)
 
@@ -93,8 +90,7 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
         if nrm > model.lam:
             w = model.lam * w / nrm
 
-    # nominal reciprocal weights for the report: the alpha-mixture's, so
-    # alpha = 0 (pure target weighting) gives u_pub = inf
+    # the reciprocal weights of the fit for the report: u_pub = inf at alpha = 0
     lb_pub, lb_priv = weight_bounds(alpha, data.m, data.n)
     point = FeasiblePoint(w, np.full(data.m, lb_pub), np.full(data.n, lb_priv))
     return AdaptationResult(

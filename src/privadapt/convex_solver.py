@@ -92,20 +92,23 @@ def default_step_sizes(model: LossModel, cfg: RegularizerConfig,
 
 
 def default_T_convex(budget: PrivacyBudget, n: int, m: int, d: int, alpha: float,
-                     B: float, b_bar: float) -> int:
+                     B: float, b_bar: float) -> int | float:
     """Smallest iteration count of a finite budget satisfying the convergence
-    analysis; it grows like (eps*n)^2, and ``column_runs`` caps it."""
+    analysis; it grows like (eps*n)^2, is inf past the float range, and
+    ``column_runs`` caps it."""
     if not budget.is_private:
         raise ValueError("the analytic T needs a finite epsilon")
     eps_opt = budget.epsilon_opt
     log_term = math.log(1.0 / budget.delta)
-    terms = [
-        1.0,
-        n ** 2 * eps_opt ** 2 / (d * (1.0 - alpha) ** 2 * log_term),
-        b_bar ** 2 * eps_opt ** 2 / (B ** 2 * log_term),
-        eps_opt ** 2 * b_bar ** 2 * n ** 3 / (log_term * B ** 2 * m ** 3),
-    ]
-    return math.ceil(max(terms))
+    try:
+        return math.ceil(max(
+            1.0,
+            n ** 2 * eps_opt ** 2 / (d * (1.0 - alpha) ** 2 * log_term),
+            b_bar ** 2 * eps_opt ** 2 / (B ** 2 * log_term),
+            eps_opt ** 2 * b_bar ** 2 * n ** 3 / (log_term * B ** 2 * m ** 3),
+        ))
+    except OverflowError:  # eps_opt ** 2, or the count, past the float range
+        return math.inf
 
 
 def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np.ndarray,

@@ -118,6 +118,10 @@ class SweepSpec:
             check_integer("T", self.T, 1)
         if self.algorithm == CONVEX:
             check_convex_loss(self.model)
+        # the loss's constants hold for rows within its r
+        key = "r" if isinstance(self.dataset, SyntheticShiftSpec) else "r_target"
+        if (radius := getattr(self.dataset, key)) > self.model.r:
+            raise ValueError(f"the dataset's {key}={radius} exceeds the loss's r={self.model.r}")
 
 
 @dataclass

@@ -41,17 +41,18 @@ NonConvexRunConfig = ConvexRunConfig  # T = None takes default_T_nonconvex
 
 
 def default_T_nonconvex(budget: PrivacyBudget, n: int, d: int, alpha: float, G: float,
-                        B: float, beta_bar: float, M: float) -> int:
+                        B: float, beta_bar: float, M: float) -> int | float:
     """Iteration count of a finite budget, balancing descent against noise:
     sqrt(beta_bar*M) * eps * n^{3/2} / ((1-a) sqrt(ln(2/delta)) *
-    sqrt(40 G^2 d n + (1-a)^2 B^2)), at least 1; ``column_runs`` caps it."""
+    sqrt(40 G^2 d n + (1-a)^2 B^2)), at least 1, or inf past the float
+    range; ``column_runs`` caps it."""
     if not budget.is_private:
         raise ValueError("the analytic T needs a finite epsilon")
     om = 1.0 - alpha
     t = (math.sqrt(beta_bar * M) * budget.epsilon_opt * n ** 1.5
          / (om * math.sqrt(math.log(2.0 / budget.delta))
             * math.sqrt(40.0 * G ** 2 * d * n + om ** 2 * B ** 2)))
-    return max(round(t), 1)
+    return max(round(t), 1) if t < math.inf else math.inf
 
 
 def fit_nonconvex_columns(data: AdaptDataset, columns: list[tuple[PrivacyBudget, float]],

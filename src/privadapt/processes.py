@@ -12,7 +12,7 @@ import sys
 
 STEP, DONE, FAILED = b"s", b"d", b"e"
 
-_granted: int | None = None
+_granted: int | None = None  # set only in a sweep's pool worker, by its initializer
 
 
 def grant(slots: int) -> None:

@@ -98,3 +98,26 @@ def test_output_within_ball():
     res = fit_baseline(TARGET_ONLY_DP, data, SQ, T=30, budget=PrivacyBudget(0.1, 0.05),
                        rng=rng)
     assert np.linalg.norm(res.point.w) <= SQ.lam + 1e-12
+
+
+@pytest.mark.parametrize("kind, budget", [(TARGET_ONLY, None),
+                                          (TARGET_ONLY_DP, PrivacyBudget(1.0, 0.01))])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5])
+def test_target_only_reports_its_own_weight_box(kind, budget, alpha):
+    # no weight on the public sample whatever alpha: u_pub = inf, u_priv = n,
+    # and the same fit as at the default alpha
+    data = AdaptDataset([[0.5], [0.2], [0.1]], [0.0, 0.1, 0.2], [[1.0], [0.3]], [1.0, 0.2])
+    res = fit_baseline(kind, data, SQ, T=50, budget=budget, alpha=alpha,
+                       rng=derive_rng(1, "box"))
+    assert res.point.u_pub.tolist() == [np.inf] * 3
+    assert res.point.u_priv.tolist() == [2.0, 2.0]
+    ref = fit_baseline(kind, data, SQ, T=50, budget=budget, rng=derive_rng(1, "box"))
+    assert np.array_equal(res.point.w, ref.point.w)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5])
+def test_mixture_alpha_reports_the_alpha_box(alpha):
+    data = AdaptDataset([[0.5], [0.2], [0.1]], [0.0, 0.1, 0.2], [[1.0], [0.3]], [1.0, 0.2])
+    res = fit_baseline(MIXTURE_ALPHA, data, SQ, T=50, alpha=alpha)
+    assert res.point.u_pub.tolist() == [3 / alpha] * 3
+    assert res.point.u_priv.tolist() == [2 / (1 - alpha)] * 2

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ class TestDefaultT:
         assert column_runs(None, [large, non_private()], T) == [DEFAULT_T_CEILING] * 2
         assert column_runs(None, [small, non_private()], T) == [T(small)] * 2
         assert column_runs(None, [non_private()], T) == [DEFAULT_T_CEILING]
+
+    @pytest.mark.parametrize("epsilon", [1e200, 1e308, sys.float_info.max])
+    def test_huge_epsilon_takes_the_ceiling(self, epsilon):
+        # eps_opt ** 2 passes the float range: the count is inf, not an
+        # OverflowError, and column_runs caps it
+        def T(budget):
+            return default_T_convex(budget, 10_000, 7000, 20, 0.5, 4.0, 8.0)
+        budget = PrivacyBudget(epsilon, 0.01)
+        assert T(budget) == math.inf
+        assert column_runs(None, [budget, non_private()], T) == [DEFAULT_T_CEILING] * 2
 
     def test_rejects_bad_delta(self):
         # PrivacyBudget alone checks delta, and the analytic count takes a

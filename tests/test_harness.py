@@ -833,13 +833,18 @@ class TestCli:
         ({"synthetic": {"d": 2}, "epsilons": [1, 1]}, "epsilons must not repeat a value"),
         ({"synthetic": {"d": 2}, "target_sizes": [5, 5]},
          "target_sizes must not repeat a value"),
+        # rows outside the loss's r once failed every cell and exited 1
+        ({"synthetic": {"d": 2, "r": 2.0}}, "the dataset's r=2.0 exceeds the loss's r=1.0"),
+        ({"csv": {"path": "d3.csv", "r_target": 1.5}, "test_size": 5},
+         "the dataset's r_target=1.5 exceeds the loss's r=1.0"),
     ], ids=["missing-csv", "empty-csv", "bad-epsilon", "missing-key", "bad-delta",
             "bad-disc-fraction", "bad-d-hat", "fractional-trials", "fractional-target-size",
             "fractional-T", "fractional-seed", "bool-m", "unknown-key", "unknown-model-key",
             "unknown-reg-key", "unknown-synthetic-key", "unknown-csv-key",
             "missing-synthetic-d", "two-datasets", "epsilons-not-a-list", "delta-string",
             "model-not-a-mapping", "convex-logistic", "dca-logistic", "grid-d3", "csv-grid-d3",
-            "repeated-epsilon", "repeated-target-size"])
+            "repeated-epsilon", "repeated-target-size", "synthetic-r-over-loss-r",
+            "csv-r-target-over-loss-r"])
     def test_sweep_input_errors_exit_2(self, tmp_path, capsys, cfg, match):
         (tmp_path / "empty.csv").write_text("")
         data, _ = generate_synthetic(SyntheticShiftSpec(d=3), 20, 25, derive_rng(3, "csv"))

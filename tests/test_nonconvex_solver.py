@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -213,6 +214,17 @@ class TestDefaultT:
         assert T(large) > DEFAULT_T_CEILING
         assert column_runs(None, [large, non_private()], T) == [DEFAULT_T_CEILING] * 2
         assert column_runs(None, [non_private()], T) == [DEFAULT_T_CEILING]
+
+    @pytest.mark.parametrize("epsilon, count", [(1e200, int), (1e308, float),
+                                                (sys.float_info.max, float)])
+    def test_huge_epsilon_takes_the_ceiling(self, epsilon, count):
+        # at n = 10^6 the count passes the float range from about 1e300: it is
+        # inf, not an OverflowError, and column_runs caps it
+        def T(budget):
+            return default_T_nonconvex(budget, 10**6, 20, 0.5, 1.0, 1.0, 1.0, 1.0)
+        budget = PrivacyBudget(epsilon, 0.01)
+        assert type(T(budget)) is count and T(budget) > DEFAULT_T_CEILING
+        assert column_runs(None, [budget, non_private()], T) == [DEFAULT_T_CEILING] * 2
 
     def test_rejects_bad_delta(self):
         # PrivacyBudget alone checks delta, and the analytic count takes a
