@@ -21,13 +21,8 @@ from .data_io import (
     load_dataset,
     write_csv,
 )
-from .discrepancy import discrepancy_dca, discrepancy_grid
-from .harness import (
-    emit_results,
-    raw_d_hat,
-    run_sweep,
-    spec_from_config,
-)
+from .discrepancy import raw_d_hat
+from .harness import emit_results, run_sweep, spec_from_config
 from .mechanisms import derive_rng, privatize_discrepancy
 from .nonconvex_solver import NonConvexRunConfig, fit_nonconvex
 
@@ -50,11 +45,10 @@ def _add_fit_args(sub):
 
 def _fit_common(args, kind: str):
     budget = PrivacyBudget(args.epsilon, args.delta, args.disc_fraction)  # before the CSV
-    manifest = DatasetManifest(path=args.data)
-    data = load_dataset(manifest)
-    model = LossModel(kind=kind, r=manifest.r_target, lam=args.lam)
+    model = LossModel(kind=kind, lam=args.lam)
+    data = load_dataset(DatasetManifest(path=args.data), model.r)
     rng = derive_rng(args.seed, "cli-fit")
-    d_dp = privatize_discrepancy(raw_d_hat(args.d_hat, data, model), model.B,
+    d_dp = privatize_discrepancy(raw_d_hat(args.d_hat, data, model).d_hat, model.B,
                                  budget.epsilon_disc, data.n, rng)
     return data, model, budget, d_dp, rng
 
@@ -88,10 +82,9 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     check_epsilon(args.epsilon)  # before the CSV
-    manifest = DatasetManifest(path=args.data)
-    data = load_dataset(manifest)
-    model = LossModel(kind=SQUARED, r=manifest.r_target, lam=args.lam)
-    est = (discrepancy_grid if args.solver == "grid" else discrepancy_dca)(data, model)
+    model = LossModel(kind=SQUARED, lam=args.lam)
+    data = load_dataset(DatasetManifest(path=args.data), model.r)
+    est = raw_d_hat(args.solver, data, model)
     d_dp = privatize_discrepancy(est.d_hat, model.B, args.epsilon, data.n,
                                  derive_rng(args.seed, "cli-discrepancy"))
     _print_result({"d_hat": est.d_hat, "d_dp": d_dp, "solver": est.solver,

@@ -1,5 +1,7 @@
 """Dataset ingestion, rescaling to the bounded-norm geometry, target
-resampling, and synthetic domain-shift generation.
+resampling, and synthetic domain-shift generation.  Both data constructors
+take the feature radius r as an argument, which the sweep and the CLI take
+from the loss (``LossModel.r``), the one radius its constants assume.
 
 CSV schema: header ``f0,...,f{d-1},label,domain`` with domain values
 ``source`` / ``target``.  A large file is parsed in byte ranges, one per
@@ -27,11 +29,6 @@ class DatasetManifest:
     feature_columns: list[str] | None = None  # None -> every f* column
     label_column: str = "label"
     domain_column: str = "domain"
-    r_target: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.r_target < np.inf:
-            raise ValueError("r_target must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -40,9 +37,9 @@ class SyntheticShiftSpec:
     uniform ball.
 
     Each source point is Gaussian with probability
-    ``source_gaussian_fraction`` and otherwise uniform on the radius-r
-    ball; likewise the target with ``target_gaussian_fraction``.  Labels
-    come from a hidden weight vector.
+    ``source_gaussian_fraction`` and otherwise uniform on the ball of
+    ``generate_synthetic``'s radius r; likewise the target with
+    ``target_gaussian_fraction``.  Labels come from a hidden weight vector.
     """
 
     d: int
@@ -50,7 +47,6 @@ class SyntheticShiftSpec:
     target_gaussian_fraction: float = 0.05
     label_rule: str = "linear_regression"
     noise_std: float = 0.0
-    r: float = 1.0
 
     def __post_init__(self):
         for frac in (self.source_gaussian_fraction, self.target_gaussian_fraction):
@@ -58,8 +54,6 @@ class SyntheticShiftSpec:
                 raise ValueError("mixture fractions must lie in [0, 1]")
         if not 0.0 <= self.noise_std < np.inf:  # NaN fails
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
-        if not 0.0 < self.r < np.inf:
-            raise ValueError(f"r must be positive and finite, got {self.r!r}")
         if self.label_rule not in ("linear_regression", "linear_classification"):
             raise ValueError(f"unknown label_rule {self.label_rule!r}")
         check_integer("d", self.d, 1)
@@ -72,10 +66,15 @@ def _uniform_ball(rng: np.random.Generator, count: int, d: int, r: float) -> np.
     return g * radii[:, None]
 
 
-def _draw_domain(spec: SyntheticShiftSpec, count: int, gaussian_fraction: float,
+def _check_radius(r: float) -> None:
+    if not 0.0 < r < np.inf:  # NaN fails too
+        raise ValueError(f"r must be positive and finite, got {r!r}")
+
+
+def _draw_domain(spec: SyntheticShiftSpec, count: int, gaussian_fraction: float, r: float,
                  rng: np.random.Generator) -> np.ndarray:
     from_gaussian = rng.random(count) < gaussian_fraction
-    x = _uniform_ball(rng, count, spec.d, spec.r)
+    x = _uniform_ball(rng, count, spec.d, r)
     k = int(from_gaussian.sum())
     if k:
         x[from_gaussian] = rng.multivariate_normal(np.zeros(spec.d), np.eye(spec.d), size=k)
@@ -94,24 +93,26 @@ def _labels(spec: SyntheticShiftSpec, x: np.ndarray, w_star: np.ndarray,
     return y
 
 
-def generate_synthetic(spec: SyntheticShiftSpec, m: int, n: int,
-                       rng: np.random.Generator) -> tuple[AdaptDataset, np.ndarray]:
-    """Draw an (m public, n private) dataset; returns it with the hidden w*."""
+def generate_synthetic(spec: SyntheticShiftSpec, m: int, n: int, rng: np.random.Generator,
+                       r: float = 1.0) -> tuple[AdaptDataset, np.ndarray]:
+    """Draw an (m public, n private) dataset with features in the r-ball;
+    returns it with the hidden w*."""
+    _check_radius(r)
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     w_star = rng.standard_normal(spec.d)
     w_star /= max(np.linalg.norm(w_star), 1e-12)
-    xs = _draw_domain(spec, m, spec.source_gaussian_fraction, rng)
-    xt = _draw_domain(spec, n, spec.target_gaussian_fraction, rng)
+    xs = _draw_domain(spec, m, spec.source_gaussian_fraction, r, rng)
+    xt = _draw_domain(spec, n, spec.target_gaussian_fraction, r, rng)
     # load_dataset's rule: the public rows alone set the scale, and target
     # rows still outside the r-ball are clipped to it; a draw whose public
     # rows lie inside the ball keeps its scale
     top = np.linalg.norm(xs, axis=1).max()
-    if top > spec.r:
-        xs *= spec.r / top  # both are fresh draws
-        xt *= spec.r / top
+    if top > r:
+        xs *= r / top  # both are fresh draws
+        xt *= r / top
     norms = np.linalg.norm(xt, axis=1)
-    xt[norms > spec.r] *= (spec.r / norms[norms > spec.r])[:, None]
+    xt[norms > r] *= (r / norms[norms > r])[:, None]
     # each draw is labelled, then copied into the dataset layout and freed
     ys = _labels(spec, xs, w_star, rng)
     xs = sample_major(xs)
@@ -214,19 +215,20 @@ def _parse_rows(path: str, reader: csv.DictReader, cols: list[str], domain_col: 
     return np.array(num, dtype=float).reshape(len(num), len(cols)), np.array(domains)
 
 
-def load_dataset(manifest: DatasetManifest) -> AdaptDataset:
-    """Read a CSV, route rows by domain, scale the features by ``r_target``
-    over the largest public (source) row norm and clip each private
-    (target) row to the ``r_target`` ball, so replacing one target row
-    changes no other loaded row; regression labels are clipped to [-1, 1].
-    Each clip warns with its count, which is not private.
+def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
+    """Read a CSV, route rows by domain, scale the features by r over the
+    largest public (source) row norm and clip each private (target) row to
+    the r-ball, so replacing one target row changes no other loaded row;
+    regression labels are clipped to [-1, 1].  Each clip warns with its
+    count, which is not private.
 
     numpy's parser reads the file, in ranges on forked processes when it is
     large (``_parse_parts``); a file it rejects, or with a bad domain
     value, is parsed again row by row, which names the first offending row
     (or reads what Python's ``float`` accepts and numpy's parser does not).
     """
-    path, r = manifest.path, manifest.r_target
+    _check_radius(r)
+    path = manifest.path
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first:
@@ -273,8 +275,8 @@ def load_dataset(manifest: DatasetManifest) -> AdaptDataset:
     norms = row_norms(xt)
     if (over := norms > r).any():
         xt[over] *= (r / norms[over])[:, None]
-        warnings.warn(f"{int(over.sum())} target feature row(s) outside the r_target "
-                      "ball were clipped to it (a non-private count)")
+        warnings.warn(f"{int(over.sum())} target feature row(s) outside the r-ball "
+                      "were clipped to it (a non-private count)")
     clipped = int((np.abs(ys) > 1).sum() + (np.abs(yt) > 1).sum())
     if clipped:
         warnings.warn(f"{clipped} label(s) outside [-1, 1] were clipped")

@@ -6,11 +6,16 @@ exact trust-region solve for the squared loss in any dimension (one
 eigendecomposition per sign of the gap), and a brute-force grid oracle
 restricted to d <= 2.  Both read a squared-loss gap from the dataset's
 moments (``AdaptDataset.moments``).
+
+A d_hat policy ("dca", "grid" or a fixed value) is parsed by
+``d_hat_policy``, checked by ``check_solver`` and run by ``raw_d_hat``,
+for the sweep and every CLI command alike.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +27,7 @@ from .core import AdaptDataset, LossModel, SQUARED, loss_values
 class DiscrepancyEstimate:
     d_hat: float
     solver: str
-    witness_w: np.ndarray
+    witness_w: np.ndarray | None  # None for a fixed value
 
 
 def loss_gap(data: AdaptDataset, model: LossModel, w: np.ndarray) -> float:
@@ -30,6 +35,20 @@ def loss_gap(data: AdaptDataset, model: LossModel, w: np.ndarray) -> float:
     lp = loss_values(model, w, data.private_x, data.private_y).mean()
     lq = loss_values(model, w, data.public_x, data.public_y).mean()
     return float(lp - lq)
+
+
+def d_hat_policy(policy: float | str) -> float | str:
+    """The d_hat policy ``policy``: "dca", "grid" or a finite fixed number,
+    returned as a float; raises ValueError for anything else."""
+    if policy in ("dca", "grid"):
+        return policy
+    try:
+        value = float(policy)
+    except (TypeError, ValueError):
+        raise ValueError(f"unknown d_hat policy {policy!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"d_hat must be finite, got {policy!r}")
+    return value
 
 
 def check_solver(policy, model: LossModel, d: int) -> None:
@@ -165,3 +184,17 @@ def discrepancy_dca(data: AdaptDataset, model: LossModel) -> DiscrepancyEstimate
         if val + sign * c > best[0]:
             best = (val + sign * c, w)
     return DiscrepancyEstimate(float(best[0]), "dca", best[1])
+
+
+def raw_d_hat(policy: float | str, data: AdaptDataset, model: LossModel) -> DiscrepancyEstimate:
+    """The non-private estimate under a d_hat policy, its d_hat clamped to
+    [0, B]."""
+    policy = d_hat_policy(policy)
+    if policy == "dca":
+        est = discrepancy_dca(data, model)
+    elif policy == "grid":
+        est = discrepancy_grid(data, model)
+    else:
+        est = DiscrepancyEstimate(policy, "fixed", None)
+    est.d_hat = min(max(est.d_hat, 0.0), model.B)
+    return est

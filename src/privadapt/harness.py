@@ -8,8 +8,8 @@ numbers that make per-trial utility nearly monotone in the budget.  Reruns
 with the same master seed produce byte-identical record output.
 
 The sweep runs (n, trial) on the outside and epsilon on the inside: the
-data draw, the raw discrepancy and the reference fit are made once per
-(n, trial).  Every cell's discrepancy release takes one draw from its
+data draw (in the loss's r-ball), the raw discrepancy (``raw_d_hat``) and
+the reference fit are made once per (n, trial).  Every cell's discrepancy release takes one draw from its
 noise stream, so the streams then stand in one state, and the convex or
 non-convex cells of an (n, trial) make one solver call with one column per
 epsilon (``fit_convex_columns`` or ``fit_nonconvex_columns``).  The solver
@@ -64,7 +64,7 @@ from .data_io import (
     load_dataset,
     resample_target,
 )
-from .discrepancy import check_solver, discrepancy_dca, discrepancy_grid
+from .discrepancy import check_solver, d_hat_policy, raw_d_hat
 from .mechanisms import derive_rng, privatize_discrepancy
 from .nonconvex_solver import fit_nonconvex_columns
 
@@ -118,10 +118,6 @@ class SweepSpec:
             check_integer("T", self.T, 1)
         if self.algorithm == CONVEX:
             check_convex_loss(self.model)
-        # the loss's constants hold for rows within its r
-        key = "r" if isinstance(self.dataset, SyntheticShiftSpec) else "r_target"
-        if (radius := getattr(self.dataset, key)) > self.model.r:
-            raise ValueError(f"the dataset's {key}={radius} exceeds the loss's r={self.model.r}")
 
 
 @dataclass
@@ -149,7 +145,8 @@ def _cell_data(spec: SweepSpec, base: AdaptDataset | None, n: int,
     """Training data plus a held-out target test split for one cell."""
     rng = derive_rng(spec.master_seed, "data", n_idx, trial)
     if isinstance(spec.dataset, SyntheticShiftSpec):
-        full, _ = generate_synthetic(spec.dataset, spec.m, n + spec.test_size, rng)
+        full, _ = generate_synthetic(spec.dataset, spec.m, n + spec.test_size, rng,
+                                     spec.model.r)
         train = AdaptDataset(full.public_x, full.public_y,
                              full.private_x[:n], full.private_y[:n])
         test_x, test_y = full.private_x[n:], full.private_y[n:]
@@ -173,33 +170,6 @@ def _reference_fit(spec: SweepSpec, train: AdaptDataset, n_idx: int, trial: int)
     rng = derive_rng(spec.master_seed, "reference", n_idx, trial)
     return fit_baseline(baselines.TARGET_ONLY, train, spec.model,
                         T=spec.baseline_T, rng=rng)
-
-
-def d_hat_policy(policy: float | str) -> float | str:
-    """The d_hat policy ``policy``: "dca" (the exact solve), "grid" (the
-    d <= 2 oracle) or a finite fixed number, returned as a float; raises
-    ValueError for anything else."""
-    if policy in ("dca", "grid"):
-        return policy
-    try:
-        value = float(policy)
-    except (TypeError, ValueError):
-        raise ValueError(f"unknown d_hat policy {policy!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"d_hat must be finite, got {policy!r}")
-    return value
-
-
-def raw_d_hat(policy: float | str, data: AdaptDataset, model: LossModel) -> float:
-    """The non-private discrepancy under a d_hat policy, clamped to [0, B]."""
-    policy = d_hat_policy(policy)
-    if policy == "dca":
-        raw = discrepancy_dca(data, model).d_hat
-    elif policy == "grid":
-        raw = discrepancy_grid(data, model).d_hat
-    else:
-        raw = policy
-    return min(max(raw, 0.0), model.B)
 
 
 def _per_cell(spec: SweepSpec, n: int, trial: int, fn, *columns) -> list:
@@ -226,7 +196,7 @@ def _run_group(spec: SweepSpec, base: AdaptDataset | None, n: int, n_idx: int,
     rngs = [derive_rng(spec.master_seed, "noise", n_idx, trial) for _ in budgets]
 
     if spec.algorithm in (CONVEX, NONCONVEX):
-        d_hat = raw_d_hat(spec.d_hat, train, spec.model)
+        d_hat = raw_d_hat(spec.d_hat, train, spec.model).d_hat
         d_dps = _per_cell(spec, n, trial, lambda budget, rng: privatize_discrepancy(
             d_hat, spec.model.B, budget.epsilon_disc, train.n, rng), budgets, rngs)
         # every release took one draw, so all the streams stand in one state
@@ -323,7 +293,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     before any group runs.
     """
     t0 = time.perf_counter()
-    base = load_dataset(spec.dataset) if isinstance(spec.dataset, DatasetManifest) else None
+    base = (load_dataset(spec.dataset, spec.model.r)
+            if isinstance(spec.dataset, DatasetManifest) else None)
     if base is not None and base.n - spec.test_size < max(spec.target_sizes):
         raise ValueError(f"{spec.dataset.path}: its {base.n} target rows cannot hold a test "
                          f"split of {spec.test_size} and a sample of {max(spec.target_sizes)}")

@@ -89,7 +89,7 @@ def _write(tmp_path, text):
 
 
 def _arrays(path):
-    data = load_dataset(DatasetManifest(path=path, feature_columns=["f0", "f1"], r_target=2.0))
+    data = load_dataset(DatasetManifest(path=path, feature_columns=["f0", "f1"]), 2.0)
     return [getattr(data, name).tobytes()
             for name in ("public_x", "public_y", "private_x", "private_y")]
 

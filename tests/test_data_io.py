@@ -29,7 +29,7 @@ def _write(tmp_path, rows, header="f0,f1,label,domain"):
 class TestLoad:
     def test_global_rescale(self, tmp_path):
         path = _write(tmp_path, ["2,0,0.5,source", "1,0,0.2,target"])
-        data = load_dataset(DatasetManifest(path=path, r_target=1.0))
+        data = load_dataset(DatasetManifest(path=path), 1.0)
         assert np.linalg.norm(data.public_x[0]) == pytest.approx(1.0)
         assert np.linalg.norm(data.private_x[0]) == pytest.approx(0.5)
 
@@ -77,12 +77,12 @@ class TestLoad:
         assert np.allclose(back.private_y, data.private_y)
 
     def test_round_trip_is_exact(self, tmp_path):
-        # r_target at the data's own top norm makes the rescale factor 1.0
+        # r at the data's own top norm makes the rescale factor 1.0
         data, _ = generate_synthetic(SyntheticShiftSpec(d=4, noise_std=0.3), 25, 40,
                                      derive_rng(1, "rt"))
         path = str(tmp_path / "rt.csv")
         write_csv(data, path)
-        back = load_dataset(DatasetManifest(path=path, r_target=data.max_feature_norm()))
+        back = load_dataset(DatasetManifest(path=path), data.max_feature_norm())
         for name in ("public_x", "public_y", "private_x", "private_y"):
             assert np.array_equal(getattr(back, name), getattr(data, name))
 
@@ -155,7 +155,7 @@ class TestLoad:
     def test_scale_comes_from_public_rows_and_target_rows_are_clipped(self, tmp_path):
         path = _write(tmp_path, ["2,0,0.5,source", "0,4,0.2,target", "0.5,0,0.1,target"])
         with pytest.warns(UserWarning, match="1 target feature row.*non-private"):
-            data = load_dataset(DatasetManifest(path=path, r_target=1.0))
+            data = load_dataset(DatasetManifest(path=path), 1.0)
         assert data.public_x.tolist() == [[1.0, 0.0]]
         assert data.private_x.tolist() == [[0.0, 1.0], [0.25, 0.0]]
 
@@ -215,7 +215,7 @@ class TestLoad:
         rows = [f"{v},{w},0.1,{dom}" for v, w, dom in
                 [(3, 4, "source"), (0.1, 0.2, "target"), (1, 1, "target")]]
         path = _write(tmp_path, rows)
-        data = load_dataset(DatasetManifest(path=path, r_target=2.0))
+        data = load_dataset(DatasetManifest(path=path), 2.0)
         assert data.max_feature_norm() <= 2.0 + 1e-12
 
 
@@ -326,9 +326,9 @@ class TestSynthetic:
         # the target: the uniform ball, then N(0, I), whose norms in d = 3
         # mostly exceed r = 0.5
         for frac in (0.0, 1.0):
-            spec = SyntheticShiftSpec(d=3, r=0.5, source_gaussian_fraction=0.0,
+            spec = SyntheticShiftSpec(d=3, source_gaussian_fraction=0.0,
                                       target_gaussian_fraction=frac)
-            draws[frac], _ = generate_synthetic(spec, 300, 300, derive_rng(14, "scale"))
+            draws[frac], _ = generate_synthetic(spec, 300, 300, derive_rng(14, "scale"), 0.5)
         for data in draws.values():  # the public ball draw lies inside the ball: no rescale
             assert 0.475 < np.linalg.norm(data.public_x, axis=1).max() <= 0.5
             assert np.linalg.norm(data.private_x, axis=1).max() <= 0.5 * (1.0 + 1e-12)
@@ -352,15 +352,17 @@ class TestSynthetic:
             generate_synthetic(SyntheticShiftSpec(d=2), 0, 5, derive_rng(0))
 
 
+# the radius a CSV is scaled to, once the manifest's r_target, is load_dataset's
+# argument; it is checked before the file is opened (x.csv does not exist)
 def test_manifest_validation():
     with pytest.raises(ValueError):
-        DatasetManifest(path="x.csv", r_target=0.0)
+        load_dataset(DatasetManifest(path="x.csv"), 0.0)
 
 
 @pytest.mark.parametrize("r_target", [float("nan"), float("inf"), -1.0])
 def test_manifest_rejects_non_finite_and_negative_r_target(r_target):
-    with pytest.raises(ValueError, match="r_target must be positive and finite"):
-        DatasetManifest(path="x.csv", r_target=r_target)
+    with pytest.raises(ValueError, match="r must be positive and finite"):
+        load_dataset(DatasetManifest(path="x.csv"), r_target)
 
 
 @pytest.mark.parametrize("field, value, match", [
@@ -372,6 +374,10 @@ def test_manifest_rejects_non_finite_and_negative_r_target(r_target):
     ("r", -1.0, "r must be positive and finite"),
     ("r", 0.0, "r must be positive and finite")])
 def test_synthetic_spec_rejects_bad_noise_std_and_r(field, value, match):
-    # a NaN or negative noise_std once meant noise-free labels
+    # a NaN or negative noise_std once meant noise-free labels; r, once a
+    # field of the spec, is generate_synthetic's argument
     with pytest.raises(ValueError, match=match):
-        SyntheticShiftSpec(d=2, **{field: value})
+        if field == "r":
+            generate_synthetic(SyntheticShiftSpec(d=2), 5, 5, derive_rng(0), value)
+        else:
+            SyntheticShiftSpec(d=2, **{field: value})

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from privadapt import cli, convex_solver, harness, processes
+from privadapt import cli, convex_solver, discrepancy, harness, processes
 from privadapt.baselines import fit_baseline
 from privadapt.convex_solver import DEFAULT_T_CEILING
 from privadapt.core import LossModel, RegularizerConfig
@@ -26,12 +26,11 @@ from privadapt.harness import (
     SweepCellError,
     SweepSpec,
     emit_results,
-    raw_d_hat,
     read_results,
     run_sweep,
     spec_from_config,
 )
-from privadapt.discrepancy import discrepancy_dca, discrepancy_grid
+from privadapt.discrepancy import discrepancy_dca, discrepancy_grid, raw_d_hat
 from privadapt.mechanisms import derive_rng
 
 
@@ -195,18 +194,38 @@ class TestRunSweep:
                           trials=1, epsilons=[math.inf])
         assert len(run_sweep(spec).records) == 1
 
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_data_take_the_loss_radius(self, tmp_path, monkeypatch, source):
+        # at r = 2 the largest public row norm is scaled to 2 and every row
+        # lies in the 2-ball: the loss's r is the one feature radius
+        trains = []
+        original = harness._cell_data
+
+        def kept(*args):
+            trains.append(original(*args)[0])
+            return original(*args)
+        monkeypatch.setattr(harness, "_cell_data", kept)
+        dataset = _csv_dataset(tmp_path) if source == "csv" else SyntheticShiftSpec(d=2)
+        run_sweep(small_spec(dataset=dataset, model=LossModel("squared", r=2.0, lam=1.0),
+                             trials=1, epsilons=[math.inf]))
+        (train,) = trains
+        assert np.linalg.norm(train.public_x, axis=1).max() == pytest.approx(2.0, rel=1e-12)
+        assert np.linalg.norm(train.private_x, axis=1).max() <= 2.0 * (1.0 + 1e-12)
+
     def test_shared_work_once_per_n_and_trial(self, monkeypatch):
         # shared-memory counters, so calls made in forked workers count too
         calls = {"discrepancy_dca": multiprocessing.Value("i", 0),
                  "generate_synthetic": multiprocessing.Value("i", 0)}
+        # raw_d_hat calls the solver through the discrepancy module's own name
+        homes = {"discrepancy_dca": discrepancy, "generate_synthetic": harness}
         for name, counter in calls.items():
-            original = getattr(harness, name)
+            original = getattr(homes[name], name)
 
             def counted(*args, _counter=counter, _original=original, **kwargs):
                 with _counter.get_lock():
                     _counter.value += 1
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(harness, name, counted)
+            monkeypatch.setattr(homes[name], name, counted)
         res = run_sweep(small_spec(epsilons=[0.5, 1.0, 5.0, math.inf],
                                    target_sizes=[30, 40], d_hat="dca"))
         assert len(res.records) == 16
@@ -426,11 +445,14 @@ class TestRawDHat:
     def test_policies(self):
         data, _ = generate_synthetic(SyntheticShiftSpec(d=2), 30, 30, derive_rng(1, "d"))
         model = LossModel("squared", r=1.0, lam=1.0)
-        assert raw_d_hat("dca", data, model) == discrepancy_dca(data, model).d_hat
-        assert raw_d_hat("grid", data, model) == discrepancy_grid(data, model).d_hat
-        assert raw_d_hat("0.25", data, model) == raw_d_hat(0.25, data, model) == 0.25
-        assert raw_d_hat(-1.0, data, model) == 0.0
-        assert raw_d_hat(9.0, data, model) == model.B
+        for policy, solver in (("dca", discrepancy_dca), ("grid", discrepancy_grid)):
+            est, exact = raw_d_hat(policy, data, model), solver(data, model)
+            assert (est.d_hat, est.solver) == (exact.d_hat, policy)
+            assert est.witness_w.tobytes() == exact.witness_w.tobytes()
+        assert raw_d_hat("0.25", data, model).d_hat == raw_d_hat(0.25, data, model).d_hat == 0.25
+        assert raw_d_hat(0.25, data, model).witness_w is None
+        assert raw_d_hat(-1.0, data, model).d_hat == 0.0
+        assert raw_d_hat(9.0, data, model).d_hat == model.B
 
     @pytest.mark.parametrize("policy", ["exact", "nan", math.inf])
     def test_rejects_unknown_and_non_finite(self, policy):
@@ -702,8 +724,8 @@ class TestCli:
     @pytest.mark.parametrize("synthetic", [
         {"noise_std": math.nan}, {"noise_std": math.inf}, {"noise_std": -1.0},
         {"r": math.nan}, {"r": math.inf}, {"r": -1.0}, {"d": 2.5},
-        # base_mean and base_cov, once checked here, are no longer settings:
-        # the section refuses them as unknown keys
+        # r (now the loss's alone), base_mean and base_cov, once checked here,
+        # are no longer settings: the section refuses them as unknown keys
         {"base_mean": [0.0, 0.0, 0.0]}, {"base_mean": [0.0, math.nan]},
         {"base_cov": [[1.0, 0.0], [0.0, math.nan]]}, {"base_cov": [1.0, 1.0]}])
     def test_sweep_rejects_bad_synthetic_settings_before_any_cell(self, tmp_path, capsys,
@@ -833,18 +855,17 @@ class TestCli:
         ({"synthetic": {"d": 2}, "epsilons": [1, 1]}, "epsilons must not repeat a value"),
         ({"synthetic": {"d": 2}, "target_sizes": [5, 5]},
          "target_sizes must not repeat a value"),
-        # rows outside the loss's r once failed every cell and exited 1
-        ({"synthetic": {"d": 2, "r": 2.0}}, "the dataset's r=2.0 exceeds the loss's r=1.0"),
+        # the feature radius is the loss's r alone, so the data sections have none
+        ({"synthetic": {"d": 2, "r": 2.0}}, "synthetic has unknown keys: r"),
         ({"csv": {"path": "d3.csv", "r_target": 1.5}, "test_size": 5},
-         "the dataset's r_target=1.5 exceeds the loss's r=1.0"),
+         "csv has unknown keys: r_target"),
     ], ids=["missing-csv", "empty-csv", "bad-epsilon", "missing-key", "bad-delta",
             "bad-disc-fraction", "bad-d-hat", "fractional-trials", "fractional-target-size",
             "fractional-T", "fractional-seed", "bool-m", "unknown-key", "unknown-model-key",
             "unknown-reg-key", "unknown-synthetic-key", "unknown-csv-key",
             "missing-synthetic-d", "two-datasets", "epsilons-not-a-list", "delta-string",
             "model-not-a-mapping", "convex-logistic", "dca-logistic", "grid-d3", "csv-grid-d3",
-            "repeated-epsilon", "repeated-target-size", "synthetic-r-over-loss-r",
-            "csv-r-target-over-loss-r"])
+            "repeated-epsilon", "repeated-target-size", "synthetic-r", "csv-r-target"])
     def test_sweep_input_errors_exit_2(self, tmp_path, capsys, cfg, match):
         (tmp_path / "empty.csv").write_text("")
         data, _ = generate_synthetic(SyntheticShiftSpec(d=3), 20, 25, derive_rng(3, "csv"))

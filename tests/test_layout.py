@@ -23,7 +23,7 @@ from privadapt.data_io import (
 )
 from privadapt.mechanisms import derive_rng
 
-SPEC = SyntheticShiftSpec(d=3, noise_std=0.1, r=0.5)
+SPEC, R = SyntheticShiftSpec(d=3, noise_std=0.1), 0.5
 
 
 def has_unit_sample_stride(x):
@@ -31,14 +31,15 @@ def has_unit_sample_stride(x):
 
 
 def _synthetic_reference(spec, m, n, rng):
-    """generate_synthetic's draw on row-major arrays: draw, rescale, label."""
+    """generate_synthetic's draw at radius R on row-major arrays: draw,
+    rescale, label."""
     w_star = rng.standard_normal(spec.d)
     w_star /= max(np.linalg.norm(w_star), 1e-12)
-    xs = _draw_domain(spec, m, spec.source_gaussian_fraction, rng)
-    xt = _draw_domain(spec, n, spec.target_gaussian_fraction, rng)
+    xs = _draw_domain(spec, m, spec.source_gaussian_fraction, R, rng)
+    xt = _draw_domain(spec, n, spec.target_gaussian_fraction, R, rng)
     top = max(np.linalg.norm(xs, axis=1).max(), np.linalg.norm(xt, axis=1).max())
-    if top > spec.r:
-        xs, xt = xs * (spec.r / top), xt * (spec.r / top)
+    if top > R:
+        xs, xt = xs * (R / top), xt * (R / top)
     return xs, _labels(spec, xs, w_star, rng), xt, _labels(spec, xt, w_star, rng)
 
 
@@ -69,7 +70,7 @@ def _direct(tmp_path):
 
 
 def _generate_synthetic(tmp_path):
-    data, _ = generate_synthetic(SPEC, 40, 60, derive_rng(3, "gen"))
+    data, _ = generate_synthetic(SPEC, 40, 60, derive_rng(3, "gen"), R)
     return data, _synthetic_reference(SPEC, 40, 60, derive_rng(3, "gen"))
 
 
@@ -84,7 +85,7 @@ def _load_row_path(tmp_path):
 
 
 def _resample_target(tmp_path):
-    base, _ = generate_synthetic(SPEC, 20, 30, derive_rng(4, "gen"))
+    base, _ = generate_synthetic(SPEC, 20, 30, derive_rng(4, "gen"), R)
     idx = derive_rng(4, "resample").choice(base.n, 20, replace=False)
     rows = np.ascontiguousarray(base.private_x)[idx]  # the row-major gather
     data = resample_target(base, 20, derive_rng(4, "resample"))
@@ -94,7 +95,7 @@ def _resample_target(tmp_path):
 def _cell_data_synthetic(tmp_path):
     spec = harness.SweepSpec(dataset=SPEC, algorithm="convex", epsilons=[1.0],
                              target_sizes=[25], trials=1, master_seed=9,
-                             model=LossModel("squared", 1.0, 1.0), m=30, test_size=10)
+                             model=LossModel("squared", R, 1.0), m=30, test_size=10)
     train, _, _ = harness._cell_data(spec, None, 25, 0, 0)
     xs, ys, xt, yt = _synthetic_reference(SPEC, 30, 35, derive_rng(9, "data", 0, 0))
     return train, (xs, ys, xt[:25], yt[:25])
