@@ -41,11 +41,12 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
 
     target_only_dp adds per-step Gaussian noise at the solvers' w-noise
     level with all the weight on the private sample (``calibrate`` at
-    alpha = 0); every kind steps by ``w_step``.  The target-only kinds put
-    no weight on the public sample, whatever ``alpha``, and report the box
-    of alpha = 0.  A missing rng takes a fixed stream.  For the squared
-    loss each step is one d x d matrix-vector product; the logistic loss
-    takes a pass over the data.
+    alpha = 0); every kind steps by ``w_step`` and, as the solvers do,
+    refuses rows outside ``model.r``.  The target-only kinds put no weight
+    on the public sample, whatever ``alpha``, and report the box of
+    alpha = 0.  A missing rng takes a fixed stream.  For the squared loss
+    each step is one d x d matrix-vector product; the logistic loss takes
+    a pass over the data.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
@@ -53,6 +54,7 @@ def fit_baseline(kind: str, data: AdaptDataset, model: LossModel, T: int,
         raise ValueError("T must be >= 1")
     if not 0.0 <= alpha < 1.0:  # alpha = 1 would leave no weight on the private sample
         raise ValueError("alpha must lie in [0, 1)")
+    data.check_feature_bound(model.r)  # G, and so the noise, holds within r only
     private = kind == TARGET_ONLY_DP
     if private and budget is None:
         raise ValueError("the private baseline requires a budget")

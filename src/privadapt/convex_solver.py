@@ -87,7 +87,12 @@ def default_step_sizes(model: LossModel, cfg: RegularizerConfig,
     a, om = cfg.alpha, 1.0 - cfg.alpha
     eta_w = w_step(model.lam, model.G, d, schedule.sigma1, T)
     eta_u_pub = m ** 1.5 / (math.sqrt(T) * a ** 2 * (B + b_bar))
-    eta_u_priv = n ** 1.5 / math.sqrt(T * (om ** 4 * b_bar ** 2 + n ** 4 * schedule.sigma2 ** 2))
+    try:
+        eta_u_priv = n ** 1.5 / math.sqrt(T * (om ** 4 * b_bar ** 2
+                                               + n ** 4 * schedule.sigma2 ** 2))
+    except OverflowError:  # a square past the float range: the same step unsquared
+        eta_u_priv = n ** 1.5 / (math.sqrt(T) * math.hypot(om ** 2 * b_bar,
+                                                           n ** 2 * schedule.sigma2))
     return eta_w, eta_u_pub, eta_u_priv
 
 

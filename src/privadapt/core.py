@@ -6,13 +6,14 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 SQUARED = "squared"
 LOGISTIC = "logistic"
-# the slack of the feature bound (absolute) and of the feasible set (relative)
+# the relative slack of the feature bound and of the feasible set
 TOL = 1e-9
 
 
@@ -128,7 +129,7 @@ class AdaptDataset:
         return float(max(self.tops[0][0], self.tops[1][0]))
 
     def check_feature_bound(self, r: float):
-        if self.max_feature_norm() > r + TOL:
+        if self.max_feature_norm() > r * (1.0 + TOL):  # rows scaled to r round to it
             raise ValueError(f"feature norms exceed the bound r={r}")
 
 
@@ -153,6 +154,13 @@ class LossModel:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if not (0.0 < self.r < math.inf and 0.0 < self.lam < math.inf):  # NaN fails too
             raise ValueError("r and lam must be positive and finite")
+        try:  # the step sizes and the analytic T divide by these squares
+            squares = [c * c for c in (self.B, self.G, self.beta)]
+        except OverflowError:
+            squares = [math.inf]
+        if not all(sys.float_info.min <= sq < math.inf for sq in squares):
+            raise ValueError(f"r={self.r!r} and lam={self.lam!r} put the square of B, G or "
+                             "beta outside the float range")
 
     @property
     def B(self) -> float:
@@ -262,10 +270,18 @@ def check_integer(name: str, value, least: float = -math.inf) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+# The least epsilon, part of an epsilon, delta and alpha accepted: the noise
+# levels scale as 1/epsilon and sqrt(ln(1/delta)), and the public u-step as
+# 1/alpha^2, and these must stay within the float range.
+FLOOR = 1e-100
+
+
 def check_epsilon(epsilon: float) -> None:
     """PrivacyBudget's rule for epsilon, which SweepSpec and the CLI apply too."""
     if not epsilon > 0:  # NaN fails
         raise ValueError(f"epsilon must be positive or inf, got {epsilon!r}")
+    if epsilon < FLOOR:
+        raise ValueError(f"epsilon must be at least {FLOOR} or inf, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -281,8 +297,13 @@ class PrivacyBudget:
         check_epsilon(self.epsilon_total)
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
+        if self.delta < FLOOR:  # the noise levels grow as sqrt(ln(1/delta))
+            raise ValueError(f"delta must be at least {FLOOR}, got {self.delta!r}")
         if not (0.0 < self.disc_fraction < 1.0):
             raise ValueError("disc_fraction must lie in (0, 1)")
+        if min(self.epsilon_disc, self.epsilon_opt) < FLOOR:
+            raise ValueError(f"disc_fraction={self.disc_fraction!r} leaves a part of "
+                             f"epsilon={self.epsilon_total!r} below {FLOOR}")
 
     @property
     def epsilon_disc(self) -> float:
@@ -325,8 +346,8 @@ class RegularizerConfig:
     mu: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        if not (FLOOR <= self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in [{FLOOR}, 1)")
         for name in ("kappa1", "kappa2", "kappa_inf", "lambda1", "lambda2", "lambda_inf"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")

@@ -30,6 +30,13 @@ class DatasetManifest:
     label_column: str = "label"
     domain_column: str = "domain"
 
+    def __post_init__(self):
+        columns = [] if self.feature_columns is None else self.feature_columns
+        if not (isinstance(columns, list) and all(isinstance(v, str) for v in (
+                self.path, self.label_column, self.domain_column, *columns))):
+            raise ValueError("the path and the column names must be strings, and "
+                             "feature_columns None or a list of them")
+
 
 @dataclass(frozen=True)
 class SyntheticShiftSpec:

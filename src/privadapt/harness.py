@@ -75,6 +75,10 @@ ALGORITHMS = (CONVEX, NONCONVEX) + baselines.KINDS
 RELATIVE_MSE = "relative_mse"
 ACCURACY = "accuracy"
 
+# record fields computed from target data without noise: the metric on the
+# held-out target split, the objective and the gradient mapping norm
+NON_PRIVATE = ("metric_value", "objective_value", "grad_mapping_norm")
+
 
 @dataclass
 class SweepSpec:
@@ -347,14 +351,18 @@ def emit_results(result: SweepResult, path: str) -> None:
 
     Timing, and the workers and lanes the sweep ran on, live only in the
     trailing object so the records section is byte-identical across reruns
-    and across machines.  A CSV projection of the aggregates is
-    written next to the JSONL file for plotting.
+    and across machines.  The trailing object also lists, as
+    ``non_private``, the record fields computed from target data without
+    noise.  A CSV projection of the aggregates is written next to the JSONL
+    file for plotting.
     """
+    non_private = [key for key in NON_PRIVATE if any(key in rec for rec in result.records)]
     with open(path, "w") as fh:
         for rec in result.records:
             fh.write(json.dumps(rec) + "\n")
         fh.write(json.dumps({"aggregates": result.aggregates, "wall_time": result.wall_time,
-                             "workers": result.workers, "lanes": result.lanes}) + "\n")
+                             "workers": result.workers, "lanes": result.lanes,
+                             "non_private": non_private}) + "\n")
     csv_path = path + ".csv"
     with open(csv_path, "w") as fh:
         fh.write("epsilon,n,count,metric_mean,metric_std\n")

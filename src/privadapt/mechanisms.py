@@ -84,7 +84,10 @@ def calibrate(budget: PrivacyBudget, alpha: float, G: float, B: float,
 def w_step(lam: float, G: float, d: int, sigma: float, T: int) -> float:
     """The step on w, lam / sqrt(T (G^2 + d sigma^2)), matched to the
     gradient-norm bound G and the noise level sigma of a T-step run."""
-    return lam / math.sqrt(T * (G ** 2 + d * sigma ** 2))
+    try:
+        return lam / math.sqrt(T * (G ** 2 + d * sigma ** 2))
+    except OverflowError:  # sigma's square past the float range: the same step unsquared
+        return lam / (math.sqrt(T) * math.hypot(G, math.sqrt(d) * sigma))
 
 
 def privatize_discrepancy(d_hat: float, B: float, epsilon_disc: float,
@@ -92,9 +95,10 @@ def privatize_discrepancy(d_hat: float, B: float, epsilon_disc: float,
     """Laplace release of the discrepancy estimate, clamped back to [0, B].
 
     The Laplace scale is 2B/(epsilon_disc * n), matching the B/n sensitivity
-    of the estimate with half the budget spent here.  epsilon_disc = inf
-    returns d_hat, but still takes the draw, so the stream after a release
-    stands in the same state for every budget.
+    of the estimate with half the budget spent here.  epsilon_disc = inf, or
+    one so large that the scale rounds to 0, returns d_hat, but still takes
+    the draw, so the stream after a release stands in the same state for
+    every budget.
     """
     if not (0.0 <= d_hat <= B + 1e-12):
         raise ValueError("d_hat must lie in [0, B]")
@@ -102,8 +106,9 @@ def privatize_discrepancy(d_hat: float, B: float, epsilon_disc: float,
         raise ValueError("n must be >= 1")
     if not epsilon_disc > 0:  # NaN and -inf fail too
         raise ValueError("epsilon_disc must be positive")
-    if math.isinf(epsilon_disc):
+    scale = 2.0 * B / (epsilon_disc * n)
+    if scale == 0.0:  # an infinite epsilon_disc, or one whose noise is below the float range
         rng.laplace()
         return float(d_hat)
-    noisy = d_hat + laplace_sample(2.0 * B / (epsilon_disc * n), rng)
+    noisy = d_hat + laplace_sample(scale, rng)
     return float(min(max(noisy, 0.0), B))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from privadapt.baselines import (
+    KINDS,
     MIXTURE_ALPHA,
     TARGET_ONLY,
     TARGET_ONLY_DP,
@@ -20,6 +21,15 @@ def test_target_only_realizable_instance():
     res = fit_baseline(TARGET_ONLY, data, SQ, T=2000)
     loss = float((res.point.w @ [1.0] - 1.0) ** 2)
     assert loss <= 1e-6
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rows_outside_the_loss_radius_rejected(kind):
+    # rows of norm 5 against r = 1: the G = 4 of r = 1 does not bound the
+    # gradients, so the private fit's (epsilon, delta) would not hold
+    data = AdaptDataset([[5.0]], [1.0], [[5.0], [4.0]], [1.0, 0.5])
+    with pytest.raises(ValueError, match=r"feature norms exceed the bound r=1\.0"):
+        fit_baseline(kind, data, SQ, T=10, budget=PrivacyBudget(1.0, 0.01))
 
 
 def test_dp_with_infinite_budget_matches_plain():

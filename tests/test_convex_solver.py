@@ -85,6 +85,15 @@ class TestDeterminismAndNoise:
         assert noisy.point.u_pub[0] - 2.0 == pytest.approx(eta_noisy * 0.375)
         assert clean.point.u_pub[0] - 2.0 == pytest.approx(eta_clean * 0.375)
 
+    def test_u_priv_step_of_a_huge_kappa(self):
+        # b_bar = 1e300 once raised OverflowError in a sweep cell: its
+        # square passes the float range, the step n^1.5 / (sqrt(T) (1-a)^2
+        # b_bar) does not
+        sch = calibrate(PrivacyBudget(1.0, 0.05), 0.5, SQ.G, SQ.B, 10, 5)
+        etas = default_step_sizes(SQ, RegularizerConfig(kappa1=1e300), sch, 10, 10, 2)
+        assert all(0.0 < eta < math.inf for eta in etas)
+        assert etas[2] == pytest.approx(10 ** 1.5 / (math.sqrt(5) * 0.25 * 1e300), rel=1e-9)
+
     def test_privacy_spent_recorded(self):
         budget = PrivacyBudget(2.0, 0.05)
         res = fit_convex(TINY, budget, RegularizerConfig(),

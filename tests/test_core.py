@@ -70,6 +70,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.check_feature_bound(1.0)
         data.check_feature_bound(2.0)
+        # the slack is relative: rows scaled to r = 5.6e16 once read about 5
+        # over it and failed their sweep cell, and r = 1e-50 took rows 1e41
+        # times over it
+        AdaptDataset([[5.6e16 * (1 + 4e-16)]], [0.0], [[1.0]], [0.0]).check_feature_bound(5.6e16)
+        with pytest.raises(ValueError):
+            AdaptDataset([[1e-9]], [0.0], [[1e-9]], [0.0]).check_feature_bound(1e-50)
 
 
 class TestLossModel:
@@ -99,6 +105,16 @@ class TestLossModel:
         # lam = inf once gave NaN weights from fit-convex with exit code 0
         with pytest.raises(ValueError, match="positive and finite"):
             LossModel("squared", **{"r": 1.0, "lam": 1.0} | {field: value})
+
+    @pytest.mark.parametrize("kind", ["squared", "logistic"])
+    @pytest.mark.parametrize("r, lam", [(1e200, 1.0), (1e200, 1e-200), (1e-200, 1.0),
+                                        (1.0, 1e300)])
+    def test_rejects_constants_whose_squares_leave_the_float_range(self, kind, r, lam):
+        # the step sizes square G (and the analytic T, B): at r = 1e200 a
+        # sweep cell failed with OverflowError, at r = 1e-200 with a
+        # division by zero
+        with pytest.raises(ValueError, match="outside the float range"):
+            LossModel(kind, r, lam)
 
 
 class TestLossValues:
@@ -205,6 +221,20 @@ class TestBudget:
         with pytest.raises(ValueError):
             PrivacyBudget(1.0, 0.1, disc_fraction=1.0)
 
+    @pytest.mark.parametrize("args, match", [
+        ((1e-101, 0.01), "epsilon must be at least 1e-100 or inf, got 1e-101"),
+        ((1.5e-100, 0.01, 0.5), "disc_fraction=0.5 leaves a part of epsilon=1.5e-100 below"),
+        ((1.0, 0.01, 1e-300), "disc_fraction=1e-300 leaves a part"),
+        ((1e-90, 0.01, 1.0 - 1e-16), "leaves a part"),
+        ((1.0, 2.2250738585e-313), "delta must be at least 1e-100, got 2.2250738585e-313")])
+    def test_rejects_settings_below_the_floor(self, args, match):
+        # the noise levels scale as 1/epsilon and sqrt(ln(1/delta)): at
+        # epsilon = 5e-324 a sweep cell failed ("epsilon_disc must be
+        # positive") as its half rounded to 0, and at delta = 2.2e-313 a
+        # sweep wrote NaN records
+        with pytest.raises(ValueError, match=match):
+            PrivacyBudget(*args)
+
     @pytest.mark.parametrize("epsilon", [math.nan, -math.inf, -1.0, 0.0])
     def test_rejects_epsilon_that_is_not_positive(self, epsilon):
         # a NaN epsilon was accepted, and fit_convex then returned NaN weights
@@ -226,6 +256,9 @@ class TestRegularizerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             RegularizerConfig(alpha=0.0)
+        # the public u-step divides by alpha's square
+        with pytest.raises(ValueError, match=r"alpha must lie in \[1e-100, 1\)"):
+            RegularizerConfig(alpha=1e-101)
         with pytest.raises(ValueError):
             RegularizerConfig(kappa1=-1.0)
 

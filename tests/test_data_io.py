@@ -359,6 +359,15 @@ def test_manifest_validation():
         load_dataset(DatasetManifest(path="x.csv"), 0.0)
 
 
+@pytest.mark.parametrize("fields", [{"path": None}, {"path": ["a.csv"]},
+                                    {"feature_columns": True}, {"feature_columns": [1.0]},
+                                    {"label_column": {}}, {"domain_column": None}])
+def test_manifest_rejects_what_is_not_a_name(fields):
+    # a list as a sweep's csv path once escaped the CLI as a TypeError traceback
+    with pytest.raises(ValueError, match="must be strings"):
+        DatasetManifest(**{"path": "x.csv"} | fields)
+
+
 @pytest.mark.parametrize("r_target", [float("nan"), float("inf"), -1.0])
 def test_manifest_rejects_non_finite_and_negative_r_target(r_target):
     with pytest.raises(ValueError, match="r must be positive and finite"):

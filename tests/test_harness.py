@@ -523,6 +523,20 @@ class TestEmitRead:
         assert back.wall_time == res.wall_time
         assert (back.workers, back.lanes) == (res.workers, res.lanes)
 
+    @pytest.mark.parametrize("overrides, labelled", [
+        ({}, ["metric_value", "objective_value"]),
+        (NONCONVEX, ["metric_value", "objective_value", "grad_mapping_norm"]),
+    ], ids=["convex", "nonconvex"])
+    def test_trailing_object_lists_the_non_private_fields(self, tmp_path, overrides,
+                                                          labelled):
+        res = run_sweep(small_spec(**overrides))
+        path = tmp_path / "out.jsonl"
+        emit_results(res, str(path))
+        *records, tail = path.read_text().splitlines()
+        assert json.loads(tail)["non_private"] == labelled
+        assert records == [json.dumps(rec) for rec in res.records]
+        assert all(set(labelled) <= set(rec) for rec in res.records)
+
     def test_infinite_epsilon_serializes(self, tmp_path):
         res = run_sweep(small_spec(epsilons=[math.inf], trials=1))
         path = tmp_path / "inf.jsonl"

@@ -14,6 +14,7 @@ from privadapt.mechanisms import (
     gaussian_vector,
     laplace_sample,
     privatize_discrepancy,
+    w_step,
 )
 from tests.test_harness import small_spec
 
@@ -145,6 +146,14 @@ class TestPrivatizeDiscrepancy:
         privatize_discrepancy(1.3, 4.0, math.inf, 10, infinite)
         assert infinite.bit_generator.state == finite.bit_generator.state
 
+    def test_budget_whose_scale_rounds_to_zero_is_noise_free(self):
+        # epsilon = the largest float once failed a sweep cell: the scale
+        # 2B / (epsilon_disc n) rounds to 0, which laplace_sample refuses
+        huge, finite = derive_rng(3, "pd"), derive_rng(3, "pd")
+        assert privatize_discrepancy(1.3, 4.0, 1.7976931348623157e308 / 2, 20, huge) == 1.3
+        privatize_discrepancy(1.3, 4.0, 0.5, 10, finite)
+        assert huge.bit_generator.state == finite.bit_generator.state
+
     def test_laplace_scale(self):
         # B=4, eps=1, n=100 -> scale 0.08; check empirically via variance
         rng = derive_rng(5, "scale")
@@ -185,3 +194,10 @@ def test_delta_outside_unit_interval_is_rejected_at_every_entry(delta, tmp_path,
         assert cli.main([command, "--data", str(tmp_path / "missing.csv"), "--epsilon", "1",
                          f"--delta={delta}"]) == 2
         assert capsys.readouterr().err == "privadapt: error: delta must lie in (0, 1)\n"
+
+
+def test_w_step_of_a_noise_level_whose_square_overflows():
+    # sigma = 1e300 once raised OverflowError; the step is the same quantity
+    # lam / sqrt(T (G^2 + d sigma^2)), computed without the squares
+    assert w_step(1.0, 4.0, 20, 1e300, 5) == pytest.approx(1e-300 / 10.0, rel=1e-12)
+    assert w_step(1.0, 4.0, 20, 1.0, 5) == 1.0 / math.sqrt(5 * (16.0 + 20.0))
