@@ -9,14 +9,14 @@ with the same master seed produce byte-identical record output.
 
 The sweep runs (n, trial) on the outside and epsilon on the inside: the
 data draw (in the loss's r-ball), the raw discrepancy (``raw_d_hat``) and
-the reference fit are made once per (n, trial).  Every cell's discrepancy release takes one draw from its
-noise stream, so the streams then stand in one state, and the convex or
-non-convex cells of an (n, trial) make one solver call with one column per
-epsilon (``fit_convex_columns`` or ``fit_nonconvex_columns``).  The solver
-decides which columns share an engine run and for how many steps
-(``convex_solver.column_runs``); the common random numbers make each cell
-equal to its own single-epsilon sweep.  Records still come out in
-(epsilon, n, trial) order.
+the reference fit are made once per (n, trial).  Every cell's discrepancy
+release takes one draw from its noise stream, so the streams then stand in
+one state, and the convex or non-convex cells of an (n, trial) make one
+solver call with one column per epsilon (``fit_convex_columns`` or
+``fit_nonconvex_columns``).  The solver decides which columns share an
+engine run and for how many steps (``convex_solver.column_runs``); the
+common random numbers make each cell equal to its own single-epsilon
+sweep.  Records still come out in (epsilon, n, trial) order.
 
 Each (n, trial) group is a pure function of its keyed streams, so the
 groups of one sweep run on forked worker processes, one pool per sweep
