@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 import sys
 import warnings
@@ -59,8 +60,13 @@ class SyntheticShiftSpec:
         for frac in (self.source_gaussian_fraction, self.target_gaussian_fraction):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("mixture fractions must lie in [0, 1]")
-        if not 0.0 <= self.noise_std < np.inf:  # NaN fails
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        try:  # the label noise's scale, squared in range as LossModel's B, G and beta
+            in_range = 0.0 <= self.noise_std and math.pow(self.noise_std, 2) < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:  # NaN fails too
+            raise ValueError(f"noise_std must be finite and >= 0, with its square in the "
+                             f"float range, got {self.noise_std!r}")
         if self.label_rule not in ("linear_regression", "linear_classification"):
             raise ValueError(f"unknown label_rule {self.label_rule!r}")
         check_integer("d", self.d, 1)

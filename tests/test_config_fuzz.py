@@ -37,7 +37,7 @@ WRONG_TYPE = st.sampled_from([None, True, "", "x", [], [1.0], {}, {"a": 1}])
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-12,
-                     0.5, 1e12, 1e300, 1.7976931348623157e308]))
+                     0.5, 1e12, 1e300, 1e308, 1.7976931348623157e308]))
 SETTING = st.one_of(FLOATS, st.integers(-3, 3), WRONG_TYPE)
 # counts stay small: a valid one sizes the arrays and the steps of the run
 COUNT = st.one_of(st.integers(-2, 3), st.sampled_from([0.5, 2.0, math.nan, math.inf]),
@@ -111,6 +111,18 @@ def _apply(cfg: dict, path: tuple, value) -> None:
         cfg[key] = copy.deepcopy(value)  # a drawn list or mapping is shared
 
 
+def _sweep(cfg: dict, work_dir):
+    """``privadapt sweep`` of cfg: (exit code, its stderr, the output path)."""
+    spec, out = work_dir / "spec.json", work_dir / "out.jsonl"
+    spec.write_text(json.dumps(cfg))
+    if out.exists():
+        os.remove(out)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["sweep", "--spec", str(spec), "--out", str(out)])
+    return code, err, out
+
+
 @settings(max_examples=800, deadline=None)
 @given(data=st.data())
 def test_sweep_config_exits_2_or_runs_to_finite_records(work_dir, data):
@@ -125,13 +137,7 @@ def test_sweep_config_exits_2_or_runs_to_finite_records(work_dir, data):
     for path in paths:
         _apply(cfg, path, data.draw(st.one_of(st.just(DELETE), values[path])))
 
-    spec, out = work_dir / "spec.json", work_dir / "out.jsonl"
-    spec.write_text(json.dumps(cfg))
-    if out.exists():
-        os.remove(out)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["sweep", "--spec", str(spec), "--out", str(out)])
+    code, err, out = _sweep(cfg, work_dir)
     assert code in (0, 2), (cfg, err.getvalue())
     if code == 2:
         assert err.getvalue().startswith("privadapt: error: ") \
@@ -143,3 +149,10 @@ def test_sweep_config_exits_2_or_runs_to_finite_records(work_dir, data):
     for rec in records:
         for key in harness.NON_PRIVATE:
             assert math.isfinite(rec.get(key, 0.0)), (cfg, rec)
+
+
+@pytest.mark.parametrize("noise_std, code", [(1e308, 2), (1e150, 0)])
+def test_noise_std_needs_its_square_in_range(work_dir, noise_std, code):
+    # 1e308 once ran, its label noise overflowing to +-inf before the clip
+    cfg = BASE | {"synthetic": {"d": 2, "noise_std": noise_std}}
+    assert _sweep(cfg, work_dir)[0] == code

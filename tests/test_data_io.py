@@ -378,6 +378,7 @@ def test_manifest_rejects_non_finite_and_negative_r_target(r_target):
     ("noise_std", float("nan"), "noise_std must be finite and >= 0"),
     ("noise_std", float("inf"), "noise_std must be finite and >= 0"),
     ("noise_std", -1.0, "noise_std must be finite and >= 0"),
+    ("noise_std", 1e308, "with its square in the float range"),
     ("r", float("nan"), "r must be positive and finite"),
     ("r", float("inf"), "r must be positive and finite"),
     ("r", -1.0, "r must be positive and finite"),
@@ -390,3 +391,12 @@ def test_synthetic_spec_rejects_bad_noise_std_and_r(field, value, match):
             generate_synthetic(SyntheticShiftSpec(d=2), 5, 5, derive_rng(0), value)
         else:
             SyntheticShiftSpec(d=2, **{field: value})
+
+
+def test_synthetic_noise_std_with_its_square_in_range_runs():
+    # 1e308 overflowed the label noise, which made each label its noise's sign
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=2, noise_std=1e150), 50, 50,
+                                     derive_rng(0))
+    assert np.isfinite(data.private_y).all()
