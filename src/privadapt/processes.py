@@ -94,7 +94,12 @@ def fork(child, name: str):
     ``receive`` raise RuntimeError.  Leaving the block kills the child if
     the block raised, then reaps it and closes its pipe ends."""
     (from_child, to_parent), (from_parent, to_child) = os.pipe(), os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:  # no child: the pipes are closed here
+        for fd in (from_child, to_parent, from_parent, to_child):
+            os.close(fd)
+        raise
     if pid == 0:  # the child: reports to the parent and never returns
         status, link = 1, Link(from_parent, to_parent, name)
         try:
