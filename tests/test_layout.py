@@ -31,15 +31,18 @@ def has_unit_sample_stride(x):
 
 
 def _synthetic_reference(spec, m, n, rng):
-    """generate_synthetic's draw at radius R on row-major arrays: draw,
-    rescale, label."""
+    """generate_synthetic's draw at radius R on row-major arrays: draw; if
+    the public rows' top norm exceeds R, scale both samples by R over it;
+    clip the target rows still outside the R-ball to it; label."""
     w_star = rng.standard_normal(spec.d)
     w_star /= max(np.linalg.norm(w_star), 1e-12)
     xs = _draw_domain(spec, m, spec.source_gaussian_fraction, R, rng)
     xt = _draw_domain(spec, n, spec.target_gaussian_fraction, R, rng)
-    top = max(np.linalg.norm(xs, axis=1).max(), np.linalg.norm(xt, axis=1).max())
+    top = np.linalg.norm(xs, axis=1).max()
     if top > R:
         xs, xt = xs * (R / top), xt * (R / top)
+    norms = np.linalg.norm(xt, axis=1)
+    xt[norms > R] *= (R / norms[norms > R])[:, None]
     return xs, _labels(spec, xs, w_star, rng), xt, _labels(spec, xt, w_star, rng)
 
 
@@ -72,6 +75,17 @@ def _direct(tmp_path):
 def _generate_synthetic(tmp_path):
     data, _ = generate_synthetic(SPEC, 40, 60, derive_rng(3, "gen"), R)
     return data, _synthetic_reference(SPEC, 40, 60, derive_rng(3, "gen"))
+
+
+def _generate_synthetic_clip(tmp_path):
+    # three public rows set the scale, and a target row past their top norm
+    # is clipped to the R-ball, where a scale set by both samples would not
+    # have put the public top at R
+    data, _ = generate_synthetic(SPEC, 3, 60, derive_rng(2, "gen"), R)
+    xs, ys, xt, yt = _synthetic_reference(SPEC, 3, 60, derive_rng(2, "gen"))
+    assert np.linalg.norm(xs, axis=1).max() == pytest.approx(R, rel=1e-12)
+    assert np.isclose(np.linalg.norm(xt, axis=1), R, rtol=1e-12).any()
+    return data, (xs, ys, xt, yt)
 
 
 def _load_numpy_path(tmp_path):
@@ -116,8 +130,8 @@ def _cell_data_csv(tmp_path):
 
 
 @pytest.mark.parametrize("make", [
-    _direct, _generate_synthetic, _load_numpy_path, _load_row_path, _resample_target,
-    _cell_data_synthetic, _cell_data_csv,
+    _direct, _generate_synthetic, _generate_synthetic_clip, _load_numpy_path, _load_row_path,
+    _resample_target, _cell_data_synthetic, _cell_data_csv,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_every_constructor_stores_sample_major_features(make, tmp_path):
     data, (xs, ys, xt, yt) = make(tmp_path)
