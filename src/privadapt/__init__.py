@@ -18,8 +18,8 @@ differential privacy with respect to the target sample.  The pieces:
 - ``baselines``: target-only ERM, its private variant, alpha-mixture ERM.
 - ``data_io``: CSV ingestion, rescaling, resampling, synthetic shift.
 - ``harness`` / ``cli``: the (epsilon, n) sweep runner and entry point.
-- ``processes``: the process-slot rule, which sizes the sweep's pool and
-  the split CSV parse, and the fork helper that the parse runs on.
+- ``processes``: the process-slot rule, and the fork helper that the
+  engine's private lane and the split CSV parse run on.
 """
 
 from .core import (

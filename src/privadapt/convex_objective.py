@@ -82,8 +82,8 @@ def eval_F(ctx: ConvexObjectiveContext, p: FeasiblePoint) -> float:
 
 
 class BlockGradient:
-    """The gradient of E objectives, split by u-block so that the engine can
-    hold a block's trailing problems at its bound and step the rest.
+    """The gradient of E objectives, split by u-block so that the public and
+    the private block can step on two processes.
 
     Lane 0 is the public block, lane 1 the private one.  Problem j is column
     j of W (d, E) and row j of each u-block (E, rows), with discrepancy
@@ -96,8 +96,8 @@ class BlockGradient:
     no u-step, and ``state`` serves the finish of the live problems before
     them (None if there are none).  Once both lanes' rows are filled
     (``parts``, shaped (2, d + REDUCTIONS, E)), ``combine`` forms g_w and
-    the cross-block terms, once a step, and ``finish`` the lane's
-    u-gradient of its live problems.  Every pass over a u-block runs
+    the cross-block terms, once a step in each process, and ``finish`` the
+    lane's u-gradient of its live problems.  Every pass over a u-block runs
     on a C-contiguous (live problems, rows) array.
     """
 
@@ -128,7 +128,7 @@ class ConvexGradient(BlockGradient):
     problem, its sum of 1/u^2, its min u and that minimizer's index.  The
     forward product W^T X^T, read from the dataset's row-contiguous X^T,
     writes straight into the lane's gradient buffer, made at its first
-    step and overwritten by every step.
+    step in the process that runs the lane and overwritten by every step.
     With kappa2 = kappa_inf = 0, the held problems that a bound keeps at lb
     form their share from A = X^T X and b = X^T y, the dataset's moments,
     and the row path runs on views of the live prefix of W and U.

@@ -1,8 +1,9 @@
 """Noisy projected gradient descent on the smoothed non-convex objective.
 
 The solver runs on the convex solver's engine (``convex_solver.noisy_pgd``)
-with the same noise placement and calibration (``mechanisms.calibrate``)
-and one step size 1/beta_bar for all blocks.  Its output is one iterate sampled uniformly
+with the same noise placement and calibration (``mechanisms.calibrate``),
+the same rule for two lanes (the process's slots) and one step size
+1/beta_bar for all blocks.  Its output is one iterate sampled uniformly
 from the trajectory: t* is drawn from {1, ..., T} first, and the engine
 stops after t* steps.  ``fit_nonconvex_columns`` runs one objective per (budget, d_dp)
 column, grouped into engine runs by ``convex_solver.column_runs``, so the

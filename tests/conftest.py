@@ -1,8 +1,7 @@
 """One BLAS thread per process, as the benchmark runs, set before numpy
 loads: sweeps of several (n, trial) groups then run on forked workers.
 ``leaves_nothing`` checks that a test leaves no child process or file
-descriptor behind: a sweep's pool workers, or the split CSV parse's
-children, the only processes the package forks."""
+descriptor behind."""
 
 import os
 
@@ -14,7 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 @pytest.fixture
 def leaves_nothing():
-    """Check that every forked process is reaped and every file descriptor closed."""
+    """Check that every forked process is reaped and every pipe end closed."""
     fds = len(os.listdir("/proc/self/fd"))
     yield
     with pytest.raises(ChildProcessError):
