@@ -17,22 +17,30 @@ gives each column its steps (a finite one its analytic T up to the ceiling,
 an epsilon = inf one the longest finite run) and ``per_run`` makes one
 engine run per step count, each from the stream state at the call.
 
-The gradient comes split by u-block (``convex_objective.BlockGradient``),
-and each step runs in this process: the parts of both blocks, their
-combination into the w-gradient, then each block's u-step.  On each block,
-the trailing problems that take no noise there and sit at its lower bound
-are held while the gradient certifies that a step leaves them there: they
-take no u-step and each sums as one scalar.  ``fit_convex_columns`` puts
-its noise-free columns last, so their private rows are held too.
+The gradient comes split by u-block (``convex_objective.BlockGradient``):
+the blocks meet only through the w-gradient and a few per-problem
+reductions.  So a run in a process with two or more process slots, long
+enough to repay a fork, steps the private block on a child process while
+this one steps the public block, each with its own copy of W; the
+in-process run calls the same per-block code in sequence, and both return
+the same bits.  On each block, the trailing problems that take no noise
+there and sit at its lower bound are held while the gradient certifies
+that a step leaves them there: they take no u-step and each sums as one
+scalar.  ``fit_convex_columns`` puts its noise-free columns last, so their
+private rows are held too.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import processes
 from .core import (
     AdaptDataset,
     AdaptationResult,
@@ -54,6 +62,12 @@ from .convex_objective import (
 from .mechanisms import NoiseSchedule, calibrate, derive_rng, w_step
 
 DEFAULT_T_CEILING = 200_000
+# A run with two process slots takes two lanes once min(m, n) x steps
+# reaches this.  Forking the private lane costs about 4 ms a run; on 2 CPUs
+# with one BLAS thread (d = 20, one problem) two lanes took 0.97x the time of
+# one process at 2 000 rows x 200 steps, 0.81-0.90x at 10^6 row-steps (from
+# 200 rows x 5 000 steps to 2 000 x 500) and 0.73x at 10 000 x 100.
+LANE_MIN_ROW_STEPS = 1_000_000
 
 
 @dataclass
@@ -113,68 +127,145 @@ def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np
     u-block.  Row j of eta (E, 3) holds problem j's step sizes for w, u_pub
     and u_priv, and sigma1[j], sigma2[j] scale its noise on w and u_priv.
     A problem with zero sigmas takes no noise, and a run whose sigmas are
-    all zero draws nothing from the stream.  Each step first draws its
-    noise, d values then n values, the stream's order, and scales the n
-    values by each problem's sigma2, up to the last noisy problem.
+    all zero draws nothing from the stream.  A run of at least
+    LANE_MIN_ROW_STEPS in a process with two or more process slots steps
+    the private block on a forked process (``_two_lanes``); the points are
+    the same bits either way.
     """
     m, n, d = p.u_pub.size, p.u_priv.size, p.w.size
     if not is_feasible(p, lam, alpha, m, n):
         raise ValueError("initial point is infeasible")
     E = eta.shape[0]
-    noisy_w = sigma1.any()
-    rows = int(max(np.flatnonzero(sigma2) + 1, default=0))  # up to the last noisy problem
+    run = functools.partial(_lane_steps, grad, p, eta, sigma1, sigma2, steps, lam, alpha,
+                            rng, average)
+    # both lanes' rows of two steps, and the noise of three steps
+    shapes = [(2, 2, d + grad.REDUCTIONS, E), (3, d + _noise_rows(sigma2) * n)]
+    if min(m, n) * steps < LANE_MIN_ROW_STEPS or processes.process_slots() < 2:
+        W, U = run((0, 1), *map(np.empty, shapes), None)
+        U_pub, U_priv = U[0], U[1]
+    else:
+        W, U_pub, U_priv = _two_lanes(run, shapes, (E, n))
+    return [FeasiblePoint(W[:, j], U_pub[j], U_priv[j]) for j in range(E)]
+
+
+def _noise_rows(sigma2: np.ndarray) -> int:
+    """The problems up to the last one that takes private noise."""
+    return int(max(np.flatnonzero(sigma2) + 1, default=0))
+
+
+def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np.ndarray,
+                sigma2: np.ndarray, steps: int, lam: float, alpha: float,
+                rng: np.random.Generator, average: bool, lanes: tuple, parts: np.ndarray,
+                ring: np.ndarray, link):
+    """The steps of the u-blocks ``lanes`` (0 public, 1 private) and of a
+    replica of W; returns W and {lane: u-block}, averaged if ``average``.
+
+    Step t writes its lanes' rows into parts[t % 2] and takes its noise
+    from ring[t % 3].  Across two processes, ``link`` holds step t until
+    the other lane's rows are in; a lane reads them, and the noise, only
+    between its step t wait and its step t + 1 signal, so two row slots
+    and three noise slots keep every read ahead of the next write.  The
+    public lane draws all the noise, d values then n values a step, the
+    stream's order: step t + 1's while the other lane computes step t.  It
+    writes the n values scaled by each problem's sigma2, up to the last
+    noisy problem, so the private u-step only adds its rows.
+    """
+    m, n, d = p.u_pub.size, p.u_priv.size, p.w.size
+    E = eta.shape[0]
+    noisy_w, rows = sigma1.any(), _noise_rows(sigma2)
+    draws = 0 in lanes and (noisy_w or rows)
     sigma2 = sigma2[:rows, None]
     lower = weight_bounds(alpha, m, n)
     W = np.repeat(p.w[:, None], E, axis=1)
-    U = [np.repeat(u[None, :], E, axis=0) for u in (p.u_pub, p.u_priv)]
+    U = {lane: np.repeat(u[None, :], E, axis=0)
+         for lane, u in enumerate((p.u_pub, p.u_priv)) if lane in lanes}
     # the trailing problems that take no noise on a block at its lower bound
     # are held until a step moves them; a held problem's sum is the scalar acc
-    held = [(E - lane * rows) * bool((U[lane] == lower[lane]).all()) for lane in (0, 1)]
-    parts, g_w = np.empty((2, d + grad.REDUCTIONS, E)), np.empty((d, E))
-    z_w, z_u = np.empty(d), np.empty((rows, n))
+    held = {lane: (E - lane * rows) * bool((U[lane] == lower[lane]).all()) for lane in lanes}
+    g_w = np.empty((d, E))
     if average:
-        sum_w, sums, acc = np.zeros_like(W), [np.zeros_like(u) for u in U], [0.0, 0.0]
-    for _ in range(steps):
+        sum_w, sums = np.zeros_like(W), {lane: np.zeros_like(U[lane]) for lane in lanes}
+        acc = dict.fromkeys(lanes, 0.0)
+
+    def draw(z):
         if noisy_w:
-            rng.standard_normal(out=z_w)
+            rng.standard_normal(out=z[:d])
         if rows:
-            np.multiply(sigma2, rng.standard_normal(n), out=z_u)
-        states = []
-        for lane in (0, 1):
+            np.multiply(sigma2, rng.standard_normal(n), out=z[d:].reshape(rows, n))
+
+    if draws:
+        draw(ring[0])
+    for t in range(steps):
+        part, states = parts[t % 2], {}
+        for lane in lanes:
             k = E - held[lane]
-            held[lane], state = grad.part(lane, W, U[lane], parts[lane], held[lane])
-            states.append(state)
+            held[lane], states[lane] = grad.part(lane, W, U[lane], part[lane], held[lane])
             if average:  # problems that leave the hold start their sums from acc
                 sums[lane][k:E - held[lane]] = acc[lane]
-        shared = grad.combine(parts, g_w)
+        if link:
+            link.signal()
+        if draws and t + 1 < steps:
+            draw(ring[(t + 1) % 3])
+        if link:
+            link.wait()
+        z = ring[t % 3]
+        shared = grad.combine(part, g_w)
         if noisy_w:
-            g_w += np.outer(z_w, sigma1)
+            g_w += np.outer(z[:d], sigma1)
         g_w *= eta[:, 0]
         W -= g_w
         project_ball(W, lam)
-        for lane in (0, 1):
+        for lane in lanes:
             k = E - held[lane]
             if not k:
                 continue
             g = grad.finish(lane, U[lane][:k], shared, states[lane])
             if lane == 1 and rows:
-                g[:rows] += z_u
+                g[:rows] += z[d:].reshape(rows, n)
             g *= eta[:k, 1 + lane, None]
             u = U[lane][:k]
             u -= g
             np.maximum(u, lower[lane], out=u)
         if average:
             sum_w += W
-            for lane in (0, 1):
-                sums[lane][:E - held[lane]] += U[lane][:E - held[lane]]
+            for lane in lanes:
+                k = E - held[lane]
+                sums[lane][:k] += U[lane][:k]
                 acc[lane] += lower[lane]
     if average:
         W = sum_w / steps
         project_ball(W, lam)
-        for lane in (0, 1):
+        for lane in lanes:
             sums[lane][E - held[lane]:] = acc[lane]
             U[lane] = np.maximum(sums[lane] / steps, lower[lane])
-    return [FeasiblePoint(W[:, j], U[0][j], U[1][j]) for j in range(E)]
+    return W, U
+
+
+def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
+    """``run`` with its public lane here and its private lane on a process
+    forked for this run (``processes.fork``); returns (W, U_pub, U_priv).
+
+    The lanes share one anonymous mmap holding the rows and the noise ring
+    of ``run``, and signal each other through the fork's pipe pair once a
+    step; the private lane sends its output, of ``private_shape``, through
+    the pipe.  An exception in the private lane is raised here; a private
+    lane that exits early raises RuntimeError.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    shared = mmap.mmap(-1, 8 * sum(sizes))
+    offsets = itertools.accumulate([0] + sizes)
+    parts, ring = (np.frombuffer(shared, float, size, 8 * offset).reshape(shape)
+                   for shape, size, offset in zip(shapes, sizes, offsets))
+
+    def private(link):
+        _, U = run((1,), parts, ring, link)
+        link.signal(processes.DONE)
+        link.send(U[1])
+
+    with processes.fork(private, "the private lane of a two-lane run") as link:
+        W, U = run((0,), parts, ring, link)
+        link.wait(processes.DONE)
+        return W, U[0], link.receive(np.empty(private_shape))
 
 
 def column_runs(T: int | None, budgets: list[PrivacyBudget], default_T) -> list[int]:

@@ -24,6 +24,12 @@ groups of one sweep run on forked worker processes, one pool per sweep
 inherit the spec and a loaded CSV dataset through fork; each task returns
 only its records and the warnings it raised, which the caller re-emits in
 (n, trial) order.  Either way the records are the same bytes.
+
+Each worker is granted its share of the process slots
+(``processes.grant``), which the engine reads as any process does: a run
+in a process with two or more slots (one group on two CPUs, say), and long
+enough, steps its private block on a process of its own, again with the
+same records.
 """
 
 from __future__ import annotations
@@ -124,6 +130,7 @@ class SweepResult:
     aggregates: list[dict]
     wall_time: float
     workers: int = 1  # processes the (n, trial) groups ran on
+    lanes: int = 1  # lanes each engine run may take
 
 
 class SweepCellError(RuntimeError):
@@ -255,9 +262,10 @@ def _group(spec: SweepSpec, base: AdaptDataset | None,
 _inherited: tuple = ()  # (spec, base) in a forked worker
 
 
-def _inherit(spec: SweepSpec, base: AdaptDataset | None) -> None:
+def _inherit(spec: SweepSpec, base: AdaptDataset | None, slots: int) -> None:
     global _inherited
     _inherited = (spec, base)
+    processes.grant(slots)
 
 
 def _inherited_group(key: tuple):
@@ -299,6 +307,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     keys = [(n_idx, n, trial) for n_idx, n in enumerate(spec.target_sizes)
             for trial in range(spec.trials)]
     workers = _worker_count(len(keys))
+    share = processes.process_slots() // workers  # the slots of each worker
     pool = None
     if workers > 1:
         # imported here: the pool's modules add about 1.3 MB to the peak
@@ -306,7 +315,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_inherit, initargs=(spec, base))
+                                   initializer=_inherit, initargs=(spec, base, share))
     by_cell = {}
     try:
         groups = (pool.map(_inherited_group, keys) if pool
@@ -333,13 +342,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 "metric_mean": float(vals.mean()),
                 "metric_std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
             })
-    return SweepResult(records, aggregates, time.perf_counter() - t0, workers)
+    return SweepResult(records, aggregates, time.perf_counter() - t0, workers,
+                       2 if share >= 2 else 1)
 
 
 def emit_results(result: SweepResult, path: str) -> None:
     """JSON lines: one record per line, then a trailing aggregate object.
 
-    Timing, and the workers the sweep ran on, live only in the
+    Timing, and the workers and lanes the sweep ran on, live only in the
     trailing object so the records section is byte-identical across reruns
     and across machines.  The trailing object also lists, as
     ``non_private``, the record fields computed from target data without
@@ -351,7 +361,8 @@ def emit_results(result: SweepResult, path: str) -> None:
         for rec in result.records:
             fh.write(json.dumps(rec) + "\n")
         fh.write(json.dumps({"aggregates": result.aggregates, "wall_time": result.wall_time,
-                             "workers": result.workers, "non_private": non_private}) + "\n")
+                             "workers": result.workers, "lanes": result.lanes,
+                             "non_private": non_private}) + "\n")
     csv_path = path + ".csv"
     with open(csv_path, "w") as fh:
         fh.write("epsilon,n,count,metric_mean,metric_std\n")
@@ -368,7 +379,7 @@ def read_results(path: str) -> SweepResult:
         raise ValueError(f"{path}: missing trailing aggregate object")
     tail = lines[-1]
     return SweepResult(lines[:-1], tail["aggregates"], tail.get("wall_time", 0.0),
-                       tail.get("workers", 1))
+                       tail.get("workers", 1), tail.get("lanes", 1))
 
 
 def _from_fields(cls, cfg, where: str, **built):

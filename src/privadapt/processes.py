@@ -1,6 +1,6 @@
 """Forked helper processes: how many may compute at once (``process_slots``,
-which the sweep's pool and the split CSV parse read) and one child forked
-with a pipe pair to its parent (``fork``)."""
+which the sweep's pool, the engine's lanes and the split CSV parse all read)
+and one child forked with a pipe pair to its parent (``fork``)."""
 
 from __future__ import annotations
 
@@ -10,15 +10,25 @@ import pickle
 import signal
 import sys
 
-DONE, FAILED = b"d", b"e"
+STEP, DONE, FAILED = b"s", b"d", b"e"
+
+_granted: int | None = None  # set only in a sweep's pool worker, by its initializer
+
+
+def grant(slots: int) -> None:
+    """Make ``process_slots`` return ``slots`` here: a sweep's pool worker's share."""
+    global _granted
+    _granted = slots
 
 
 def process_slots() -> int:
-    """How many processes may compute at once: CPUs // BLAS threads, so
-    processes x BLAS threads never exceed the CPUs, or 1 off Linux, where
-    fork is unavailable or unsafe, and in a daemonic process (a
-    multiprocessing.Pool worker, say), which may not start children.  BLAS
-    threads: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS."""
+    """How many processes may compute at once: the ``grant`` of this process,
+    else CPUs // BLAS threads, so processes x BLAS threads never exceed the
+    CPUs, or 1 off Linux, where fork is unavailable or unsafe, and in a
+    daemonic process (a multiprocessing.Pool worker, say), which may not
+    start children.  BLAS threads: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS."""
+    if _granted is not None:
+        return _granted
     if sys.platform != "linux":
         return 1
     mp = sys.modules.get("multiprocessing")  # loaded in any such daemon
@@ -37,10 +47,10 @@ class Link:
     def __init__(self, read_fd: int, write_fd: int, name: str):
         self.read_fd, self.write_fd, self.name = read_fd, write_fd, name
 
-    def signal(self, message: bytes):
+    def signal(self, message: bytes = STEP):
         os.write(self.write_fd, message)
 
-    def wait(self, expect: bytes):
+    def wait(self, expect: bytes = STEP):
         """Block until the other end sends ``expect``; raise the exception
         the child failed with, or RuntimeError if it exited."""
         got = os.read(self.read_fd, 1)

@@ -521,7 +521,7 @@ class TestEmitRead:
         assert back.records == res.records
         assert back.aggregates == res.aggregates
         assert back.wall_time == res.wall_time
-        assert back.workers == res.workers
+        assert (back.workers, back.lanes) == (res.workers, res.lanes)
 
     @pytest.mark.parametrize("overrides, labelled", [
         ({}, ["metric_value", "objective_value"]),

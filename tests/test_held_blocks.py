@@ -3,7 +3,8 @@ bound, which the gradient's bound certifies stays there, takes no u-step and
 forms its w-gradient share from the d x d Gram form.  Each block holds a
 trailing run of problems that only shrinks.  These tests check the engine
 against the row-form step loop it replaces, the soundness and tightness of
-the bound, and which problems stay held on an acceptance-shaped run."""
+the bound, and which problems stay held on an acceptance-shaped run;
+``test_lanes`` checks the held lanes against one process."""
 
 import math
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from privadapt import processes
 from privadapt.convex_objective import ConvexGradient, project_ball
 from privadapt.convex_solver import noisy_pgd
 from privadapt.core import (AdaptDataset, FeasiblePoint, LossModel, PrivacyBudget,
@@ -207,11 +209,12 @@ def test_bound_declines_a_block_it_cannot_hold():
     ([0.5, 1.0, 5.0, 15.0, math.inf], 7000, 10_000, [(5, 0), (1, 4)]),
     ([math.inf], 700, 1000, [(1, 0), (1, 0)]),
 ], ids=["acceptance", "non-private"])
-def test_acceptance_shaped_run_holds_the_public_block(epsilons, m, n, held):
-    # the acceptance fixture's sweep (kappa1 = B) for one trial: the public
-    # block never leaves its bound, and neither does the private block of the
-    # epsilon = inf problem, listed last or first, so the row path runs on the
-    # noisy problems only; the two orders give the same fits
+def test_acceptance_shaped_run_holds_the_public_block(epsilons, m, n, held, monkeypatch):
+    # the acceptance fixture's sweep (kappa1 = B) for one trial, in one
+    # process: the public block never leaves its bound, and neither does the
+    # private block of the epsilon = inf problem, listed last or first, so the
+    # row path runs on the noisy problems only; the two orders give the same fits
+    monkeypatch.setattr(processes, "process_slots", lambda: 1)
     records = []
     for order in dict.fromkeys([tuple(epsilons), tuple(epsilons[-1:] + epsilons[:-1])]):
         with pytest.MonkeyPatch.context() as patch:
