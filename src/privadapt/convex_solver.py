@@ -32,6 +32,7 @@ private rows are held too.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -249,7 +250,8 @@ def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
     of ``run``, and signal each other through the fork's pipe pair once a
     step; the private lane sends its output, of ``private_shape``, through
     the pipe.  An exception in the private lane is raised here; a private
-    lane that exits early raises RuntimeError.
+    lane that exits early raises RuntimeError.  When the system refuses the
+    fork, both lanes step here, to the same bits.
     """
     sizes = [math.prod(shape) for shape in shapes]
     shared = mmap.mmap(-1, 8 * sum(sizes))
@@ -262,7 +264,13 @@ def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
         link.signal(processes.DONE)
         link.send(U[1])
 
-    with processes.fork(private, "the private lane of a two-lane run") as link:
+    with contextlib.ExitStack() as stack:
+        try:
+            link = stack.enter_context(processes.fork(private,
+                                                      "the private lane of a two-lane run"))
+        except OSError:  # no process or pipe to spare
+            W, U = run((0, 1), parts, ring, None)
+            return W, U[0], U[1]
         W, U = run((0,), parts, ring, link)
         link.wait(processes.DONE)
         return W, U[0], link.receive(np.empty(private_shape))

@@ -48,14 +48,24 @@ class Link:
         self.read_fd, self.write_fd, self.name = read_fd, write_fd, name
 
     def signal(self, message: bytes = STEP):
-        os.write(self.write_fd, message)
+        """Send ``message``; if the other end has exited, raise as ``wait``
+        does, from the first failure it sent or else its exit."""
+        try:
+            os.write(self.write_fd, message)
+        except BrokenPipeError:  # the messages it sent before are one byte each
+            while (got := os.read(self.read_fd, 1)) not in (FAILED, b""):
+                pass
+            self._raise(got)
 
     def wait(self, expect: bytes = STEP):
         """Block until the other end sends ``expect``; raise the exception
         the child failed with, or RuntimeError if it exited."""
         got = os.read(self.read_fd, 1)
-        if got == expect:
-            return
+        if got != expect:
+            self._raise(got)
+
+    def _raise(self, got: bytes):
+        """Raise the failure that starts with ``got``, or RuntimeError."""
         if got != FAILED:
             raise RuntimeError(f"{self.name} exited")
         payload = b""  # the failed child writes it, then exits

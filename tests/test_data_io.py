@@ -391,12 +391,3 @@ def test_synthetic_spec_rejects_bad_noise_std_and_r(field, value, match):
             generate_synthetic(SyntheticShiftSpec(d=2), 5, 5, derive_rng(0), value)
         else:
             SyntheticShiftSpec(d=2, **{field: value})
-
-
-def test_synthetic_noise_std_with_its_square_in_range_runs():
-    # 1e308 overflowed the label noise, which made each label its noise's sign
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        data, _ = generate_synthetic(SyntheticShiftSpec(d=2, noise_std=1e150), 50, 50,
-                                     derive_rng(0))
-    assert np.isfinite(data.private_y).all()

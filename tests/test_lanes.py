@@ -2,6 +2,7 @@
 u-block stepped on a forked process gives the same bits as one process,
 reports its failures and leaves no process or file descriptor behind."""
 
+import errno
 import json
 import math
 import multiprocessing
@@ -226,6 +227,33 @@ def test_killed_private_lane_raises(monkeypatch, forks, bounded, leaves_nothing)
     _fail_in_private_lane(monkeypatch, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited"):
         fit_convex_columns(_data(), _columns(2), CONVEX_REG, ConvexRunConfig(T=5), SQ)
+
+
+@pytest.mark.parametrize("fail, raised", [(_boom, ArithmeticError),
+                                          (lambda: os._exit(3), RuntimeError)],
+                         ids=["exception", "exit"])
+def test_signal_to_an_exited_child_raises_how_it_ended(fail, raised, bounded, leaves_nothing):
+    # a lane that ended before the other's first signal once made that
+    # signal raise BrokenPipeError in place of the lane's failure
+    with pytest.raises(raised):
+        with processes.fork(lambda link: fail(), "a lane that ends at once") as link:
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # ended, not yet reaped
+            link.signal()
+
+
+def test_refused_fork_steps_both_lanes_here(monkeypatch, bounded, leaves_nothing):
+    # a run past the size gate on two slots, with no process to fork for its
+    # private lane, returns the bits of a run on one slot
+    data, _ = generate_synthetic(SyntheticShiftSpec(d=D, noise_std=0.1), 1000, 1000,
+                                 derive_rng(5, "lanes"))
+    assert 1000 * 1000 >= convex_solver.LANE_MIN_ROW_STEPS
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "no process to fork")
+    monkeypatch.setattr(os, "fork", fork)
+    one, two = _one_and_two_lanes(monkeypatch, lambda: fit_convex_columns(
+        data, _columns(2), CONVEX_REG, ConvexRunConfig(T=1000), SQ))
+    _assert_same_bits(one, two)
 
 
 @pytest.fixture
