@@ -37,6 +37,7 @@ import functools
 import itertools
 import math
 import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,14 +253,22 @@ def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
     the pipe.  An exception in the private lane is raised here; a private
     lane that exits early raises RuntimeError.  When the system refuses the
     fork, both lanes step here, to the same bits.
+
+    The private lane runs off this lane's CPU.  Each pipe wake-up asks the
+    scheduler to run the woken lane on the waker's CPU, and on a 2-CPU
+    Linux VM it kept both lanes on one CPU for whole runs: 1.6-1.8 s a
+    ``convex_acceptance`` sweep, against 1.0 s with the lanes apart.
     """
     sizes = [math.prod(shape) for shape in shapes]
     shared = mmap.mmap(-1, 8 * sum(sizes))
     offsets = itertools.accumulate([0] + sizes)
     parts, ring = (np.frombuffer(shared, float, size, 8 * offset).reshape(shape)
                    for shape, size, offset in zip(shapes, sizes, offsets))
+    away = processes.other_cpus()
 
     def private(link):
+        if away:
+            os.sched_setaffinity(0, away)
         _, U = run((1,), parts, ring, link)
         link.signal(processes.DONE)
         link.send(U[1])

@@ -1,6 +1,8 @@
 """Forked helper processes: how many may compute at once (``process_slots``,
-which the sweep's pool, the engine's lanes and the split CSV parse all read)
-and one child forked with a pipe pair to its parent (``fork``)."""
+which the sweep's pool, the engine's lanes and the split CSV parse all read),
+the CPUs apart from the one this process runs on (``other_cpus``, for a
+child that should not share it) and one child forked with a pipe pair to its
+parent (``fork``)."""
 
 from __future__ import annotations
 
@@ -39,6 +41,17 @@ def process_slots() -> int:
     # unset or invalid: OpenBLAS starts one thread per CPU
     threads = int(setting) if setting.isdigit() and int(setting) > 0 else cpus
     return cpus // threads
+
+
+def other_cpus() -> set[int]:
+    """The CPUs this process may run on, less the one it ran on last; empty
+    if /proc does not say which that is."""
+    try:  # field 39 of the stat line, the 37th after the name's ")"
+        with open("/proc/self/stat", "rb") as stat:
+            here = int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except OSError:
+        return set()
+    return os.sched_getaffinity(0) - {here}
 
 
 class Link:

@@ -256,6 +256,38 @@ def test_refused_fork_steps_both_lanes_here(monkeypatch, bounded, leaves_nothing
     _assert_same_bits(one, two)
 
 
+def test_other_cpus_leave_out_the_one_this_process_runs_on(monkeypatch):
+    allowed = os.sched_getaffinity(0)
+    monkeypatch.setattr(processes.os, "sched_getaffinity", lambda pid: allowed)
+    try:
+        for here in sorted(allowed)[:2]:
+            os.sched_setaffinity(0, {here})  # runs on ``here`` from this call
+            assert processes.other_cpus() == allowed - {here}
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def test_private_lane_runs_on_the_other_cpus(monkeypatch, forks, bounded, leaves_nothing):
+    # the pipe's wake-ups would otherwise let the scheduler keep both lanes
+    # on one CPU; the lane's CPUs are the caller's other_cpus at the run
+    monkeypatch.setattr(processes, "process_slots", lambda: 2)
+    away = {min(os.sched_getaffinity(0))}
+    monkeypatch.setattr(processes, "other_cpus", lambda: away)
+    seen, original = multiprocessing.Array("i", 64), ConvexGradient.part
+
+    def part(self, lane, *args):
+        if lane == 1:
+            for cpu in os.sched_getaffinity(0):
+                seen[cpu] = 1
+        return original(self, lane, *args)
+    monkeypatch.setattr(ConvexGradient, "part", part)
+    before = os.sched_getaffinity(0)
+    fit_convex_columns(_data(), _columns(2), CONVEX_REG, ConvexRunConfig(T=5), SQ)
+    assert forks.value == 1
+    assert {cpu for cpu in range(64) if seen[cpu]} == away
+    assert os.sched_getaffinity(0) == before
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Take the size gate off every engine run that may take two lanes;
