@@ -16,10 +16,11 @@ differential privacy with respect to the target sample.  The pieces:
   for general Lipschitz/smooth losses and its solver on the same engine,
   with a uniformly sampled output iterate.
 - ``baselines``: target-only ERM, its private variant, alpha-mixture ERM.
-- ``data_io``: CSV ingestion, rescaling, resampling, synthetic shift.
+- ``data_io``: CSV ingestion (parsed once per file version, then read
+  from a sidecar), rescaling, resampling, synthetic shift.
 - ``harness`` / ``cli``: the (epsilon, n) sweep runner and entry point.
 - ``processes``: the process-slot rule, and the fork helper that the
-  engine's private lane and the split CSV parse run on.
+  engine's private lane runs on.
 """
 
 from .core import (

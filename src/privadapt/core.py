@@ -45,17 +45,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
-def take_rows(x, rows) -> np.ndarray:
+def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """x[rows] for an index array, gathered column by column straight into
     the ``AdaptDataset`` feature layout; x, in any layout, is never copied
-    whole, so a strided view of a parsed file costs no extra copy.  For a
-    list of arrays x with one index array each in rows, their selections
-    in order, gathered the same way without joining the arrays."""
-    if not isinstance(x, list):
-        x, rows = [x], [rows]
-    out = np.empty((x[0].shape[1], sum(map(len, rows))))
-    for row, *columns in zip(out, *(part.T for part in x)):
-        np.concatenate([column[pick] for column, pick in zip(columns, rows)], out=row)
+    whole, so a strided view of a parsed file costs no extra copy."""
+    out = np.empty((x.shape[1], len(rows)))
+    for column, row in zip(x.T, out):
+        row[...] = column[rows]
     return out.T
 
 

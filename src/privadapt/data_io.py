@@ -4,24 +4,28 @@ take the feature radius r as an argument, which the sweep and the CLI take
 from the loss (``LossModel.r``), the one radius its constants assume.
 
 CSV schema: header ``f0,...,f{d-1},label,domain`` with domain values
-``source`` / ``target``.  A large file is parsed in byte ranges, one per
-process slot, on forked processes (``_parse_parts``).
+``source`` / ``target``.  A CSV that is a regular file keeps its parsed
+rows in a sidecar, ``<path>.rows``, keyed by a SHA-256 of its bytes, so a
+file is parsed once per version however many runs load it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
+import json
 import math
 import os
+import stat
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AdaptDataset, check_integer, row_norms, sample_major, take_rows
-from .processes import DONE, fork, process_slots
 
 
 @dataclass(frozen=True)
@@ -135,97 +139,104 @@ def generate_synthetic(spec: SyntheticShiftSpec, m: int, n: int, rng: np.random.
 
 
 DOMAINS = (b"source", b"target")  # as the fast parse reads them
-# A data section is parsed in one byte range per process slot, but in no
-# range of fewer than this many bytes, so every fork is repaid.  On 2 CPUs
-# with one BLAS thread (d = 100), two ranges took 1.13x the time of one
-# parse at 0.5 MB (the fork and the wait cost about 7 ms), 0.83-0.92x at
-# 0.8-1.3 MB, 0.76-0.79x at 1.6-3.1 MB and 0.69x at 19.5 MB; ranges of
-# 1 MiB sit where the gain is clear of the noise.
-SPLIT_MIN_BYTES = 1 << 20
+# in every sidecar's key, so that one of another format or byte order misses
+ROWS_FORMAT = f"privadapt rows 1 {sys.byteorder}\n".encode()
 
 
-def _parse_fast(lines, header: list[str], cols: list[str], domain_col: str) -> np.ndarray:
-    """Numeric columns ``cols`` and the domain column of every row of
-    ``lines`` (a text file or its lines) as the fields "num" and "domain",
-    in one pass of numpy's parser; raises ValueError on any row it rejects,
-    which includes a domain value that latin-1 cannot encode."""
-    index = {c: i for i, c in enumerate(header)}  # last of a repeated name, as csv.DictReader
+def _row_dtype(cols: list[str]) -> np.dtype:
     # "S7" holds either domain value plus one byte, so a longer value is cut
     # to 7 bytes and can never read as a valid one
-    dtype = np.dtype([("num", float, (len(cols),)), ("domain", "S7")])
+    return np.dtype([("num", float, (len(cols),)), ("domain", "S7")])
+
+
+def _parse_fast(fh, header: list[str], cols: list[str], domain_col: str) -> np.ndarray:
+    """Numeric columns ``cols`` and the domain column of every row of the
+    text file ``fh`` as the fields "num" and "domain", in one pass of
+    numpy's parser; raises ValueError on any row it rejects, which includes
+    a domain value that latin-1 cannot encode."""
+    index = {c: i for i, c in enumerate(header)}  # last of a repeated name, as csv.DictReader
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows, or blank lines
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                          usecols=[index[c] for c in cols] + [index[domain_col]], ndmin=1)
-
-
-def _lines(path: str, start: int, end: int, encoding: str):
-    """The lines of bytes [start, end) of the file at ``path``, decoded."""
-    with open(path, "rb") as raw:  # a file offset of its own in each process
-        raw.seek(start)
-        while start < end:
-            line = raw.readline()
-            start += len(line)
-            yield line.decode(encoding)
-
-
-def _line_starts(raw, offsets: list[int]) -> list[int]:
-    """The first line start at or after each offset of the binary file ``raw``."""
-    return [raw.seek(offset - 1) + len(raw.readline()) for offset in offsets]
-
-
-def _parse_parts(fh, path: str, parse) -> list[np.ndarray]:
-    """``parse`` of the rest of the text file ``fh`` as arrays of rows, in
-    file order.  The rest is cut at line starts into one range per process
-    slot, or fewer, so that a range holds about SPLIT_MIN_BYTES or more:
-    this process parses the first, and a forked child each other one and
-    sends its row count, then its rows, through a pipe into an array made
-    here.  A quote before the last range could open a field across a cut,
-    so such a file is not split."""
-    start, size = fh.tell(), os.fstat(fh.fileno()).st_size
-    slots = max(1, min(process_slots(), (size - start) // SPLIT_MIN_BYTES))
-    with open(path, "rb") as raw:
-        cuts = [start, *_line_starts(raw, [start + (size - start) * i // slots
-                                           for i in range(1, slots)]), size]
-        raw.seek(start)
-        if slots == 1 or any(b'"' in raw.read(min(1 << 20, cuts[-2] - at))
-                             for at in range(start, cuts[-2], 1 << 20)):
-            return [parse(fh)]
-
-    def child(link, a: int, b: int):
-        rows = parse(_lines(path, a, b, fh.encoding))
-        link.signal(DONE)
-        link.send(np.array([len(rows)]))
-        link.send(rows)
-
-    with contextlib.ExitStack() as stack:
-        links = [stack.enter_context(fork(lambda link, a=a, b=b: child(link, a, b),
-                                          f"the parse of bytes {a}-{b} of {path}"))
-                 for a, b in zip(cuts[1:-1], cuts[2:])]
-        parts = [parse(_lines(path, cuts[0], cuts[1], fh.encoding))]
-        for link in links:
-            link.wait(DONE)
-            count = link.receive(np.empty(1, int))[0]
-            parts.append(link.receive(np.empty(count, parts[0].dtype)))
-    return parts
+        return np.loadtxt(fh, dtype=_row_dtype(cols), delimiter=",", comments=None,
+                          quotechar='"', usecols=[index[c] for c in cols] + [index[domain_col]],
+                          ndmin=1)
 
 
 def _parse_rows(path: str, reader: csv.DictReader, cols: list[str], domain_col: str):
-    """The same columns parsed row by row with Python's ``float``; raises
+    """The same rows parsed row by row with Python's ``float``; raises
     ValueError naming the first row with a non-numeric cell or a domain
     other than source/target."""
-    num, domains = [], []
+    rows = []
     for i, row in enumerate(reader):
         try:
-            num.append([float(row[c]) for c in cols])
+            num = [float(row[c]) for c in cols]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: non-numeric cell in row {i}: {exc}")
         if row[domain_col] not in ("source", "target"):
             raise ValueError(
                 f"{path}: row {i}: domain must be 'source' or "
                 f"'target', got {row[domain_col]!r}")
-        domains.append(row[domain_col].encode())
-    return np.array(num, dtype=float).reshape(len(num), len(cols)), np.array(domains)
+        rows.append((num, row[domain_col].encode()))
+    return np.array(rows, dtype=_row_dtype(cols))
+
+
+def _write_sidecar(sidecar: str, key: bytes, rows: np.ndarray, mode: int) -> None:
+    """Save ``rows`` as ``sidecar``: their count, ``key`` and their SHA-256,
+    then the rows.  A temporary file of mode 0600 beside it is filled,
+    given the permission bits of ``mode`` and moved into place; a failed
+    write removes it."""
+    fd, temp = tempfile.mkstemp(prefix=os.path.basename(sidecar) + ".",
+                                dir=os.path.dirname(sidecar) or ".")
+    try:
+        with open(fd, "wb") as out:
+            out.write(len(rows).to_bytes(8, "little") + key + hashlib.sha256(rows).digest())
+            rows.tofile(out)
+        os.chmod(temp, mode & 0o777)
+        os.replace(temp, sidecar)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
+def _load_rows(fh, path: str, header: list[str], cols: list[str], domain_col: str):
+    """The rows after the header line of the text file ``fh``.  A regular
+    file's rows are kept in the sidecar ``path + ".rows"``, keyed by the
+    SHA-256 of ROWS_FORMAT, the SHA-256 of the file's bytes, their encoding
+    and the columns; a sidecar of that key, whose size and rows' SHA-256
+    hold, is read in place of a parse.  Else numpy's parser reads the rows;
+    a file it rejects, or with a bad domain value, is parsed again row by
+    row, which names the first offending row (or reads what Python's
+    ``float`` accepts and numpy's parser does not).  The sidecar is then
+    rewritten, unless the file changed while it was hashed and parsed."""
+    before, key, dtype = os.fstat(fh.fileno()), None, _row_dtype(cols)
+    if stat.S_ISREG(before.st_mode):  # a pipe, say, can be read only once
+        start = fh.tell()
+        fh.buffer.seek(0)
+        key = hashlib.sha256(ROWS_FORMAT + hashlib.file_digest(fh.buffer, "sha256").digest()
+                             + json.dumps([fh.encoding, cols, domain_col]).encode()).digest()
+        fh.seek(start)
+        with contextlib.suppress(OSError), open(path + ".rows", "rb") as saved:
+            head = saved.read(72)
+            count = int.from_bytes(head[:8], "little")
+            if (head[8:40] == key
+                    and os.fstat(saved.fileno()).st_size == 72 + count * dtype.itemsize):
+                rows = np.fromfile(saved, dtype, count)
+                if hashlib.sha256(rows).digest() == head[40:]:
+                    return rows
+    try:
+        rows = _parse_fast(fh, header, cols, domain_col)
+        parsed = np.isin(rows["domain"], DOMAINS).all()
+    except ValueError:
+        parsed = False
+    if not parsed:
+        fh.seek(0)
+        rows = _parse_rows(path, csv.DictReader(fh), cols, domain_col)
+    after = os.fstat(fh.fileno())
+    if key and all(getattr(before, f) == getattr(after, f)
+                   for f in ("st_size", "st_mtime_ns", "st_ctime_ns")):
+        with contextlib.suppress(OSError):  # a read-only directory or a full disk, say
+            _write_sidecar(path + ".rows", key, rows, before.st_mode)
+    return rows
 
 
 def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
@@ -235,10 +246,9 @@ def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
     regression labels are clipped to [-1, 1].  Each clip warns with its
     count, which is not private.
 
-    numpy's parser reads the file, in ranges on forked processes when it is
-    large (``_parse_parts``); a file it rejects, or with a bad domain
-    value, is parsed again row by row, which names the first offending row
-    (or reads what Python's ``float`` accepts and numpy's parser does not).
+    The checks and scaling below run alike on parsed rows and on rows read
+    from the file's sidecar (``_load_rows``), so both give the same bits,
+    warnings and errors.
     """
     _check_radius(r)
     path = manifest.path
@@ -255,24 +265,16 @@ def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
         for col in feat_cols + [manifest.label_column, manifest.domain_column]:
             if col not in header:
                 raise ValueError(f"{path}: missing column {col!r}")
-        cols = feat_cols + [manifest.label_column]
-        try:
-            parts = [(rows["num"], rows["domain"]) for rows in _parse_parts(
-                fh, path, lambda lines: _parse_fast(lines, header, cols, manifest.domain_column))]
-        except ValueError:
-            parts = []
-        if not parts or not all(np.isin(domains, DOMAINS).all() for _, domains in parts):
-            fh.seek(0)
-            parts = [_parse_rows(path, csv.DictReader(fh), cols, manifest.domain_column)]
-    if not all(np.isfinite(num).all() for num, _ in parts):
+        rows = _load_rows(fh, path, header, feat_cols + [manifest.label_column],
+                          manifest.domain_column)
+    num = rows["num"]
+    if not np.isfinite(num).all():
         raise ValueError(f"{path}: features and labels must be finite")
-    src = [np.flatnonzero(domains == DOMAINS[0]) for _, domains in parts]
-    tgt = [np.flatnonzero(domains != DOMAINS[0]) for _, domains in parts]
-    if not sum(map(len, src)) or not sum(map(len, tgt)):
+    src = rows["domain"] == DOMAINS[0]
+    if src.all() or not src.any():
         raise ValueError(f"{path}: need at least one source and one target row")
-    nums = [num for num, _ in parts]
-    public, private = take_rows(nums, src), take_rows(nums, tgt)
-    del parts, nums  # free the parsed rows before the passes below (peak memory)
+    public, private = take_rows(num, np.flatnonzero(src)), take_rows(num, np.flatnonzero(~src))
+    del rows, num  # free the parsed rows before the passes below (peak memory)
     xs, ys, xt, yt = public[:, :-1], public[:, -1], private[:, :-1], private[:, -1]
     top = float(row_norms(xs).max())
     if top == 0:

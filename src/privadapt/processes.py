@@ -1,5 +1,5 @@
 """Forked helper processes: how many may compute at once (``process_slots``,
-which the sweep's pool, the engine's lanes and the split CSV parse all read),
+which the sweep's pool and the engine's lanes read),
 the CPUs apart from the one this process runs on (``other_cpus``, for a
 child that should not share it) and one child forked with a pipe pair to its
 parent (``fork``)."""

@@ -4,12 +4,13 @@ the row-major arrays it stands for, and makes no second copy of them."""
 
 import csv
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from privadapt import harness
+from privadapt import data_io, harness
 from privadapt.core import AdaptDataset, LossModel
 from privadapt.data_io import (
     DatasetManifest,
@@ -46,12 +47,16 @@ def _synthetic_reference(spec, m, n, rng):
     return xs, _labels(spec, xs, w_star, rng), xt, _labels(spec, xt, w_star, rng)
 
 
-def _csv(tmp_path, rows_only=False):
-    """A generated CSV and its rows read back row-major; with rows_only, one
-    cell numpy's parser rejects sends load_dataset down its row-by-row path."""
-    data, _ = generate_synthetic(SyntheticShiftSpec(d=3), 30, 45, derive_rng(5, "csv"))
+def _csv(tmp_path, rows_only=False, m=30, stretch=1.0):
+    """A generated CSV, its target rows stretched by ``stretch``, and its
+    rows read back row-major, as load_dataset's rule loads them: the
+    public rows' top norm sets the scale and target rows still outside the
+    unit ball are clipped to it.  With rows_only, one cell numpy's parser
+    rejects sends load_dataset down its row-by-row path."""
+    data, _ = generate_synthetic(SyntheticShiftSpec(d=3), m, 45, derive_rng(5, "csv"))
     path = tmp_path / "data.csv"
-    write_csv(data, str(path))
+    write_csv(AdaptDataset(data.public_x, data.public_y, data.private_x * stretch,
+                           data.private_y), str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     if rows_only:
@@ -61,8 +66,11 @@ def _csv(tmp_path, rows_only=False):
     num = np.array([[float(v) for v in row[:-1]] for row in rows])
     src = np.array([row[-1] == "source" for row in rows])
     xs, xt = num[src, :-1], num[~src, :-1]
-    top = max(np.linalg.norm(xs, axis=1).max(), np.linalg.norm(xt, axis=1).max())
-    return str(path), (xs * (1.0 / top), num[src, -1], xt * (1.0 / top), num[~src, -1])
+    top = np.linalg.norm(xs, axis=1).max()
+    xs, xt = xs * (1.0 / top), xt * (1.0 / top)
+    norms = np.linalg.norm(xt, axis=1)
+    xt[norms > 1.0] *= (1.0 / norms[norms > 1.0])[:, None]
+    return str(path), (xs, num[src, -1], xt, num[~src, -1])
 
 
 def _direct(tmp_path):
@@ -98,6 +106,28 @@ def _load_row_path(tmp_path):
     return load_dataset(DatasetManifest(path)), arrays
 
 
+def _load_clip(tmp_path):
+    # three public rows set the scale, and the stretched target rows past
+    # their top norm are clipped to the unit ball, where a scale set by
+    # both samples would have shrunk every row
+    path, arrays = _csv(tmp_path, m=3, stretch=2.0)
+    with pytest.warns(UserWarning, match="target feature row.*clipped"):
+        return load_dataset(DatasetManifest(path)), arrays
+
+
+def _load_cached(tmp_path):
+    # the second load reads the rows the first one kept in the sidecar
+    path, arrays = _csv(tmp_path)
+    load_dataset(DatasetManifest(path))
+
+    def parse(*args):
+        raise AssertionError("a load of unchanged bytes reads the sidecar")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_parse_fast", parse)
+        patch.setattr(data_io, "_parse_rows", parse)
+        return load_dataset(DatasetManifest(path)), arrays
+
+
 def _resample_target(tmp_path):
     base, _ = generate_synthetic(SPEC, 20, 30, derive_rng(4, "gen"), R)
     idx = derive_rng(4, "resample").choice(base.n, 20, replace=False)
@@ -131,7 +161,7 @@ def _cell_data_csv(tmp_path):
 
 @pytest.mark.parametrize("make", [
     _direct, _generate_synthetic, _generate_synthetic_clip, _load_numpy_path, _load_row_path,
-    _resample_target, _cell_data_synthetic, _cell_data_csv,
+    _load_clip, _load_cached, _resample_target, _cell_data_synthetic, _cell_data_csv,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_every_constructor_stores_sample_major_features(make, tmp_path):
     data, (xs, ys, xt, yt) = make(tmp_path)
@@ -150,18 +180,33 @@ def test_every_constructor_stores_sample_major_features(make, tmp_path):
 LOAD_PEAK_RATIO = 2.2194
 
 
-def test_load_dataset_makes_no_second_copy(tmp_path):
+def _load_peak(tmp_path, monkeypatch, sidecar: bool) -> None:
+    """Check the peak of a load that reads the CSV's sidecar, or, without
+    ``sidecar``, parses the CSV."""
     data, _ = generate_synthetic(SyntheticShiftSpec(d=20), 1500, 2500, np.random.default_rng(0))
     path = str(tmp_path / "data.csv")
     write_csv(data, path)
     load_dataset(DatasetManifest(path))  # first-call set-up stays out of the peak
+    if not sidecar:
+        os.remove(path + ".rows")
+    parses, parse = [], data_io._parse_fast
+    monkeypatch.setattr(data_io, "_parse_fast", lambda *args: parses.append(1) or parse(*args))
     tracemalloc.start()
     try:
         out = load_dataset(DatasetManifest(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(parses) == (not sidecar)
     returned = sum(a.nbytes for a in (out.public_x, out.public_y, out.private_x, out.private_y))
     # 0.01 for the row index arrays and the interpreter's own small objects
     assert peak / returned <= LOAD_PEAK_RATIO + 0.01
     assert math.isclose(out.max_feature_norm(), 1.0)
+
+
+def test_load_dataset_makes_no_second_copy(tmp_path, monkeypatch):
+    _load_peak(tmp_path, monkeypatch, sidecar=False)
+
+
+def test_sidecar_load_makes_no_second_copy(tmp_path, monkeypatch):
+    _load_peak(tmp_path, monkeypatch, sidecar=True)
