@@ -140,13 +140,13 @@ def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np
     E = eta.shape[0]
     run = functools.partial(_lane_steps, grad, p, eta, sigma1, sigma2, steps, lam, alpha,
                             rng, average)
-    # both lanes' rows of two steps, and the noise of three steps
-    shapes = [(2, 2, d + grad.REDUCTIONS, E), (3, d + _noise_rows(sigma2) * n)]
+    # both lanes' rows of two steps, the noise of three steps and the private block
+    shapes = [(2, 2, d + grad.REDUCTIONS, E), (3, d + _noise_rows(sigma2) * n), (E, n)]
     if min(m, n) * steps < LANE_MIN_ROW_STEPS or processes.process_slots() < 2:
-        W, U = run((0, 1), *map(np.empty, shapes), None)
+        W, U = run((0, 1), *map(np.empty, shapes[:2]), None)
         U_pub, U_priv = U[0], U[1]
     else:
-        W, U_pub, U_priv = _two_lanes(run, shapes, (E, n))
+        W, U_pub, U_priv = _two_lanes(run, shapes)
     return [FeasiblePoint(W[:, j], U_pub[j], U_priv[j]) for j in range(E)]
 
 
@@ -243,16 +243,17 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
     return W, U
 
 
-def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
+def _two_lanes(run, shapes: list) -> tuple:
     """``run`` with its public lane here and its private lane on a process
     forked for this run (``processes.fork``); returns (W, U_pub, U_priv).
 
-    The lanes share one anonymous mmap holding the rows and the noise ring
-    of ``run``, and signal each other through the fork's pipe pair once a
-    step; the private lane sends its output, of ``private_shape``, through
-    the pipe.  An exception in the private lane is raised here; a private
-    lane that exits early raises RuntimeError.  When the system refuses the
-    fork, both lanes step here, to the same bits.
+    The lanes share one anonymous mmap of ``shapes``: the rows and noise
+    ring of ``run`` and the private block, which the private lane fills
+    after its last step and U_priv views.  They signal each other through
+    the fork's pipe pair once a step and once when the block is in.  An
+    exception in the private lane is raised here; a private lane that
+    exits early raises RuntimeError.  When the system refuses the fork,
+    both lanes step here, to the same bits.
 
     The private lane runs off this lane's CPU.  Each pipe wake-up asks the
     scheduler to run the woken lane on the waker's CPU, and on a 2-CPU
@@ -262,16 +263,16 @@ def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
     sizes = [math.prod(shape) for shape in shapes]
     shared = mmap.mmap(-1, 8 * sum(sizes))
     offsets = itertools.accumulate([0] + sizes)
-    parts, ring = (np.frombuffer(shared, float, size, 8 * offset).reshape(shape)
-                   for shape, size, offset in zip(shapes, sizes, offsets))
+    parts, ring, block = (np.frombuffer(shared, float, size, 8 * offset).reshape(shape)
+                          for shape, size, offset in zip(shapes, sizes, offsets))
     away = processes.other_cpus()
 
     def private(link):
         if away:
             os.sched_setaffinity(0, away)
         _, U = run((1,), parts, ring, link)
-        link.signal(processes.DONE)
-        link.send(U[1])
+        block[:] = U[1]
+        link.signal()
 
     with contextlib.ExitStack() as stack:
         try:
@@ -281,8 +282,8 @@ def _two_lanes(run, shapes: list, private_shape: tuple) -> tuple:
             W, U = run((0, 1), parts, ring, None)
             return W, U[0], U[1]
         W, U = run((0,), parts, ring, link)
-        link.wait(processes.DONE)
-        return W, U[0], link.receive(np.empty(private_shape))
+        link.wait()
+        return W, U[0], block
 
 
 def column_runs(T: int | None, budgets: list[PrivacyBudget], default_T) -> list[int]:

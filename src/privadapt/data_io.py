@@ -94,7 +94,7 @@ def _draw_domain(spec: SyntheticShiftSpec, count: int, gaussian_fraction: float,
     x = _uniform_ball(rng, count, spec.d, r)
     k = int(from_gaussian.sum())
     if k:
-        x[from_gaussian] = rng.multivariate_normal(np.zeros(spec.d), np.eye(spec.d), size=k)
+        x[from_gaussian] = rng.standard_normal((k, spec.d))
     return x
 
 
@@ -207,8 +207,9 @@ def _load_rows(fh, path: str, header: list[str], cols: list[str], domain_col: st
     a file it rejects, or with a bad domain value, is parsed again row by
     row, which names the first offending row (or reads what Python's
     ``float`` accepts and numpy's parser does not).  The sidecar is then
-    rewritten, unless the file changed while it was hashed and parsed."""
-    before, key, dtype = os.fstat(fh.fileno()), None, _row_dtype(cols)
+    rewritten, unless the file changed while it was hashed and parsed.  A
+    file that is not regular is parsed row by row alone."""
+    before, key, dtype, parsed = os.fstat(fh.fileno()), None, _row_dtype(cols), False
     if stat.S_ISREG(before.st_mode):  # a pipe, say, can be read only once
         start = fh.tell()
         fh.buffer.seek(0)
@@ -223,14 +224,12 @@ def _load_rows(fh, path: str, header: list[str], cols: list[str], domain_col: st
                 rows = np.fromfile(saved, dtype, count)
                 if hashlib.sha256(rows).digest() == head[40:]:
                     return rows
-    try:
-        rows = _parse_fast(fh, header, cols, domain_col)
-        parsed = np.isin(rows["domain"], DOMAINS).all()
-    except ValueError:
-        parsed = False
+        with contextlib.suppress(ValueError):
+            rows = _parse_fast(fh, header, cols, domain_col)
+            parsed = np.isin(rows["domain"], DOMAINS).all()
+        fh.seek(start)  # for the row-by-row parse, if it runs
     if not parsed:
-        fh.seek(0)
-        rows = _parse_rows(path, csv.DictReader(fh), cols, domain_col)
+        rows = _parse_rows(path, csv.DictReader(fh, header), cols, domain_col)
     after = os.fstat(fh.fileno())
     if key and all(getattr(before, f) == getattr(after, f)
                    for f in ("st_size", "st_mtime_ns", "st_ctime_ns")):
@@ -280,11 +279,14 @@ def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
     if top == 0:
         raise ValueError(f"{path}: every source feature row is zero, so no rescaling "
                          "can meet the feature-norm bound")
-    if (scale := r / top) == np.inf:
-        raise ValueError(f"{path}: the largest source feature row norm {top!r} is too small")
-    # a target row the scale would overflow goes to norm 2 top, then to the ball
-    big = np.abs(xt).max(axis=1, initial=0.0) > sys.float_info.max / scale
-    xt[big] = xt[big] / row_norms(xt[big])[:, None] * (2.0 * top)
+    if not 0.0 < (scale := r / top) < np.inf:  # a norm past the float range is inf
+        raise ValueError(f"{path}: the largest source feature row norm {top!r} is too "
+                         f"{'small' if scale else 'large'} to rescale to r={r!r}")
+    # a target row whose (scaled) norm could overflow goes to norm 2 top, then to the ball
+    peak = np.abs(xt).max(axis=1, initial=0.0)
+    big = peak > sys.float_info.max / scale / (2 * xt.shape[1])
+    unit = xt[big] / peak[big, None]
+    xt[big] = unit / row_norms(unit)[:, None] * (2.0 * top)
     xs *= scale  # both are views of the copies take_rows made
     xt *= scale
     norms = row_norms(xt)

@@ -1,8 +1,8 @@
 """Forked helper processes: how many may compute at once (``process_slots``,
-which the sweep's pool and the engine's lanes read),
-the CPUs apart from the one this process runs on (``other_cpus``, for a
-child that should not share it) and one child forked with a pipe pair to its
-parent (``fork``)."""
+which the sweep's pool and the engine's lanes read), the CPUs apart from
+the one this process runs on (``other_cpus``, for a child that should not
+share it) and one child forked with a pipe pair to its parent (``fork``),
+which carries one-byte step signals and a failed child's exception."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pickle
 import signal
 import sys
 
-STEP, DONE, FAILED = b"s", b"d", b"e"
+STEP, FAILED = b"s", b"e"
 
 _granted: int | None = None  # set only in a sweep's pool worker, by its initializer
 
@@ -60,21 +60,21 @@ class Link:
     def __init__(self, read_fd: int, write_fd: int, name: str):
         self.read_fd, self.write_fd, self.name = read_fd, write_fd, name
 
-    def signal(self, message: bytes = STEP):
-        """Send ``message``; if the other end has exited, raise as ``wait``
+    def signal(self):
+        """Send a step byte; if the other end has exited, raise as ``wait``
         does, from the first failure it sent or else its exit."""
         try:
-            os.write(self.write_fd, message)
-        except BrokenPipeError:  # the messages it sent before are one byte each
+            os.write(self.write_fd, STEP)
+        except BrokenPipeError:  # the bytes it sent before are step bytes
             while (got := os.read(self.read_fd, 1)) not in (FAILED, b""):
                 pass
             self._raise(got)
 
-    def wait(self, expect: bytes = STEP):
-        """Block until the other end sends ``expect``; raise the exception
+    def wait(self):
+        """Block until the other end sends a step byte; raise the exception
         the child failed with, or RuntimeError if it exited."""
         got = os.read(self.read_fd, 1)
-        if got != expect:
+        if got != STEP:
             self._raise(got)
 
     def _raise(self, got: bytes):
@@ -90,22 +90,6 @@ class Link:
             exc = RuntimeError(f"{self.name} failed")
         raise exc
 
-    def send(self, data):
-        """Write all of ``data``, bytes or a C-contiguous array."""
-        view = memoryview(data).cast("B")
-        while view:
-            view = view[os.write(self.write_fd, view):]
-
-    def receive(self, array):
-        """Fill the C-contiguous ``array`` from the other end's ``send``."""
-        view = memoryview(array).cast("B")
-        while view:
-            got = os.readv(self.read_fd, [view])
-            if not got:
-                raise RuntimeError(f"{self.name} exited")
-            view = view[got:]
-        return array
-
     def fail(self, exc: BaseException):
         """Send ``exc`` to the parent, with where it was raised."""
         import traceback  # only a failing child needs it
@@ -116,16 +100,18 @@ class Link:
             payload = pickle.dumps(exc)
         except Exception:  # an exception that does not pickle goes as its text
             payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}\n{where}"))
-        self.send(FAILED + payload)
+        view = memoryview(FAILED + payload)
+        while view:
+            view = view[os.write(self.write_fd, view):]
 
 
 @contextlib.contextmanager
 def fork(child, name: str):
     """Run ``child(link)`` on a process forked here, and the with-block with
     this process's Link to it.  The child's exception is raised by the
-    parent's next ``wait``, and a child that exits early makes ``wait`` or
-    ``receive`` raise RuntimeError.  Leaving the block kills the child if
-    the block raised, then reaps it and closes its pipe ends."""
+    parent's next ``wait``, and a child that exits early makes ``wait``
+    raise RuntimeError.  Leaving the block kills the child if the block
+    raised, then reaps it and closes its pipe ends."""
     (from_child, to_parent), (from_parent, to_child) = os.pipe(), os.pipe()
     try:
         pid = os.fork()

@@ -1,9 +1,14 @@
 """The CSV sidecar: a second load of the same bytes reads the rows the first
 one parsed, with the same bits, warnings and errors; changed bytes, other
 columns and a damaged sidecar are parsed again; a file that cannot keep a
-sidecar loads without one; nothing is left open or running."""
+sidecar loads without one; nothing is left open or running.  Fuzzed CSV
+text loads to the same bits twice, inside the r-ball, or is refused with
+ValueError."""
 
+import csv
 import errno
+import fractions
+import math
 import os
 import stat
 import threading
@@ -11,8 +16,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privadapt import data_io
+from privadapt.core import TOL
 from privadapt.data_io import (DatasetManifest, SyntheticShiftSpec, generate_synthetic,
                                load_dataset, write_csv)
 from privadapt.mechanisms import derive_rng
@@ -213,24 +220,37 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, leaves_nothing):
     assert _outcome(path) == want
 
 
-def test_fifo_loads_without_a_sidecar(tmp_path, parses, leaves_nothing):
-    want = _outcome(_write(tmp_path, _text()))
+def _load_through_fifo(tmp_path, text, columns=("f0", "f1")):
+    """The outcome of loading ``text`` fed through a FIFO by another thread."""
     fifo = str(tmp_path / "pipe.csv")
     os.mkfifo(fifo)
 
     def feed():
         with open(fifo, "w") as fh:
-            fh.write(_text())
+            fh.write(text)
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
-    parses.clear()
     try:
-        got = _outcome(fifo)
+        got = _outcome(fifo, columns)
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
-    assert got == want and parses == ["fast"]
     assert not os.path.exists(fifo + ".rows")
+    return got
+
+
+def test_fifo_loads_without_a_sidecar(tmp_path, parses, leaves_nothing):
+    # a file that can be read only once is parsed row by row alone
+    want = _outcome(_write(tmp_path, _text()))
+    parses.clear()
+    assert _load_through_fifo(tmp_path, _text()) == want and parses == ["rows"]
+
+
+def test_fifo_with_a_bad_row_names_it(tmp_path, leaves_nothing):
+    # the parse once seeked back to the start, which a FIFO cannot do
+    text = "f0,label,domain\n1,0.5,source\nx,0.2,target\n"
+    loaded, _ = _load_through_fifo(tmp_path, text, columns=("f0",))
+    assert loaded[0] is ValueError and "non-numeric cell in row 1" in loaded[1]
 
 
 @pytest.mark.parametrize("mode", [0o600, 0o640, 0o444])
@@ -255,3 +275,92 @@ def test_refused_fork_does_not_fail_the_load(tmp_path, monkeypatch, leaves_nothi
     loaded = load_dataset(DatasetManifest(path))
     assert (loaded.m, loaded.n) == (3000, 5000)
     assert np.isclose(loaded.max_feature_norm(), 1.0)
+
+
+ORDINARY = st.floats(-4.0, 4.0).map(repr)
+# numbers, huge and subnormal among them ("1_0" is a float to Python alone)
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from([
+    "1e300", "1e307", "8e307", "-1e308", "1.7976931348623157e308", "1e-300", "1e-310",
+    "5e-324", "2.2250738585072014e-308", "-0.0", "1_0", '"1.5"']))
+# cells that no load accepts
+BAD = st.sampled_from(["", "x", "0x10", "1e", " 1", '"1,5"', "nan", "-inf", "Infinity", "1e309"])
+BAD_DOMAIN = st.sampled_from(["Source", "targets", "", "tar get", '"sour""ce"', "sourcé"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV of d features and 2 to 6 rows, at least one of each domain:
+    plain, constant, all-zero or with one extreme cell, labels inside or
+    outside [-1, 1], domains bare or quoted, and at most one bad cell, bad
+    domain value, or row short or long by a cell."""
+    d = draw(st.integers(1, 3))
+    domains = draw(st.permutations(["source", "target"] + draw(st.lists(
+        st.sampled_from(["source", "target", '"source"', '"target"']), max_size=4))))
+    rows = []
+    for domain in domains:
+        kind = draw(st.sampled_from(["plain", "plain", "constant", "zero", "extreme"]))
+        cells = draw(st.lists(ORDINARY, min_size=d, max_size=d))
+        if kind == "constant":
+            cells = [draw(st.one_of(ORDINARY, FINITE))] * d
+        elif kind == "zero":
+            cells = ["0"] * d
+        elif kind == "extreme":
+            cells[draw(st.integers(0, d - 1))] = draw(FINITE)
+        label = draw(st.one_of(st.floats(-1.0, 1.0).map(repr), st.floats(-1e6, 1e6).map(repr),
+                               FINITE))
+        rows.append(cells + [label, domain])
+    row = draw(st.sampled_from(rows))
+    fault = draw(st.sampled_from([None, None, None, "cell", "domain", "short", "long"]))
+    if fault == "cell":
+        row[draw(st.integers(0, d))] = draw(BAD)
+    elif fault == "domain":
+        row[-1] = draw(BAD_DOMAIN)
+    elif fault == "short":
+        del row[0]
+    elif fault == "long":
+        row.append("0")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = ",".join([f"f{j}" for j in range(d)] + ["label", "domain"])
+    return newline.join([header] + [",".join(cells) for cells in rows]) + newline
+
+
+def _sq_norm(values) -> fractions.Fraction:
+    """The exact squared norm of a row of floats."""
+    return sum((fractions.Fraction(v) ** 2 for v in values), fractions.Fraction(0))
+
+
+def _fuzz_outcome(path, r):
+    """One load's arrays' bytes, warnings and error, after checking that a
+    loaded dataset is finite, scaled so that its largest public row norm is
+    r, with each target row the source row scaled alike and clipped to the
+    r-ball, and with labels in [-1, 1]."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            data = load_dataset(DatasetManifest(path=path), r)
+        except ValueError as exc:
+            data, loaded = None, (type(exc), str(exc))
+    if data is not None:
+        loaded = [getattr(data, name).tobytes() for name in FIELDS]
+        for name in FIELDS:
+            assert np.isfinite(getattr(data, name)).all()
+            if name.endswith("_y"):
+                assert (np.abs(getattr(data, name)) <= 1.0).all()
+        with open(path, newline="") as fh:
+            raw = [([float(row[f"f{j}"]) for j in range(data.d)], row["domain"])
+                   for row in csv.DictReader(fh)]
+        top = max(_sq_norm(x) for x, domain in raw if domain == "source")
+        want = [r * math.sqrt(min(1, _sq_norm(x) / top))
+                for x, domain in raw if domain == "target"]
+        assert math.sqrt(max(map(_sq_norm, data.public_x.tolist()))) == pytest.approx(r, rel=TOL)
+        got = [math.sqrt(_sq_norm(x)) for x in data.private_x.tolist()]
+        assert got == pytest.approx(want, rel=TOL, abs=TOL * r)
+    return loaded, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_csv_texts(), r=st.sampled_from([1.0, 2.0, 0.5, 1e-3, 1e3]))
+def test_fuzzed_csv_loads_alike_twice_or_is_refused(text, r, tmp_path_factory):
+    path = _write(tmp_path_factory.mktemp("fuzz"), text)
+    first = _fuzz_outcome(path, r)
+    assert _fuzz_outcome(path, r) == first  # the second from the sidecar, if kept

@@ -213,6 +213,23 @@ class TestLoad:
         with pytest.raises(ValueError, match="too small"):
             load_dataset(DatasetManifest(path=path))
 
+    def test_public_norm_past_the_float_range_is_too_large_to_rescale(self, tmp_path):
+        # its inf norm once made a scale of 0, and a ZeroDivisionError
+        path = _write(tmp_path, ["1.7976931348623157e308,1.7976931348623157e308,0.5,source",
+                                 "1,0,0.2,target"])
+        with pytest.raises(ValueError, match="too large to rescale"):
+            load_dataset(DatasetManifest(path=path))
+
+    def test_target_row_whose_scaled_norm_overflows_is_clipped(self, tmp_path):
+        # its entries scale into the float range but its norm did not, and
+        # it was zeroed in place of being clipped to the ball
+        path = _write(tmp_path, ["0,1,0.5,source", "8e307,8e307,0.2,target",
+                                 "1.7976931348623157e308,-1.7976931348623157e308,0.2,target"])
+        with pytest.warns(UserWarning, match="2 target feature row"):
+            data = load_dataset(DatasetManifest(path=path), 2.0)
+        np.testing.assert_allclose(data.private_x, np.sqrt(2.0) * np.array([[1, 1], [1, -1]]),
+                                   rtol=1e-15)
+
     def test_post_ingestion_norm_bound(self, tmp_path):
         rows = [f"{v},{w},0.1,{dom}" for v, w, dom in
                 [(3, 4, "source"), (0.1, 0.2, "target"), (1, 1, "target")]]

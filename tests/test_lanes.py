@@ -229,6 +229,35 @@ def test_killed_private_lane_raises(monkeypatch, forks, bounded, leaves_nothing)
         fit_convex_columns(_data(), _columns(2), CONVEX_REG, ConvexRunConfig(T=5), SQ)
 
 
+def _fail_after_private_steps(monkeypatch, fail):
+    """Make the private lane call ``fail`` after its last step, before it
+    fills the shared private block and sends its last step byte."""
+    parent, original = os.getpid(), convex_solver._lane_steps
+
+    def steps(*args):
+        out = original(*args)
+        if os.getpid() != parent:
+            fail()
+        return out
+    monkeypatch.setattr(convex_solver, "_lane_steps", steps)
+
+
+@pytest.mark.parametrize("fail, raised, match", [
+    (_boom, ArithmeticError, "boom in the private lane"),
+    (lambda: os._exit(3), RuntimeError, "exited"),
+], ids=["exception", "exit"])
+def test_private_lane_failing_after_its_steps_reaches_caller(fail, raised, match, monkeypatch,
+                                                             forks, bounded, leaves_nothing):
+    # the caller's wait for the block in the shared map sees the failure
+    monkeypatch.setattr(processes, "process_slots", lambda: 2)
+    _fail_after_private_steps(monkeypatch, fail)
+    with pytest.raises(raised, match=match) as info:
+        fit_convex_columns(_data(), _columns(2), CONVEX_REG, ConvexRunConfig(T=5), SQ)
+    assert forks.value == 1
+    if raised is ArithmeticError:
+        assert any("raised in the private lane" in note for note in info.value.__notes__)
+
+
 @pytest.mark.parametrize("fail, raised", [(_boom, ArithmeticError),
                                           (lambda: os._exit(3), RuntimeError)],
                          ids=["exception", "exit"])
