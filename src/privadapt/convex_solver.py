@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import mmap
 import os
@@ -247,24 +246,21 @@ def _two_lanes(run, shapes: list) -> tuple:
     """``run`` with its public lane here and its private lane on a process
     forked for this run (``processes.fork``); returns (W, U_pub, U_priv).
 
-    The lanes share one anonymous mmap of ``shapes``: the rows and noise
-    ring of ``run`` and the private block, which the private lane fills
-    after its last step and U_priv views.  They signal each other through
-    the fork's pipe pair once a step and once when the block is in.  An
-    exception in the private lane is raised here; a private lane that
-    exits early raises RuntimeError.  When the system refuses the fork,
-    both lanes step here, to the same bits.
+    The lanes share an anonymous mmap per shape: the rows and noise ring of
+    ``run``, and the private block, which the private lane fills after its
+    last step and U_priv views, so that only the block's map outlives it.
+    They signal each other through the fork's pipe pair once a step and
+    once when the block is in.  An exception in the private lane is raised
+    here; a private lane that exits early raises RuntimeError.  When the
+    system refuses the fork, both lanes step here, to the same bits.
 
     The private lane runs off this lane's CPU.  Each pipe wake-up asks the
     scheduler to run the woken lane on the waker's CPU, and on a 2-CPU
     Linux VM it kept both lanes on one CPU for whole runs: 1.6-1.8 s a
     ``convex_acceptance`` sweep, against 1.0 s with the lanes apart.
     """
-    sizes = [math.prod(shape) for shape in shapes]
-    shared = mmap.mmap(-1, 8 * sum(sizes))
-    offsets = itertools.accumulate([0] + sizes)
-    parts, ring, block = (np.frombuffer(shared, float, size, 8 * offset).reshape(shape)
-                          for shape, size, offset in zip(shapes, sizes, offsets))
+    parts, ring, block = (np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), float)
+                          .reshape(shape) for shape in shapes)
     away = processes.other_cpus()
 
     def private(link):

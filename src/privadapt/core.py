@@ -31,12 +31,18 @@ def sample_major(x: np.ndarray) -> np.ndarray:
     return x if x.strides[0] == x.itemsize else np.ascontiguousarray(x.T).T
 
 
+@np.errstate(over="ignore")  # a norm past the float range is inf
 def row_norms(x: np.ndarray) -> np.ndarray:
     """The norm of each row of a finite x, with the same bits in either
-    layout.  A row whose squares sum to zero, a subnormal or inf is first
+    layout, in chunks of 4 096 values at most, so no temporary is the size
+    of x.  A row whose squares sum to zero, a subnormal or inf is first
     divided by its largest |entry|, so tiny and huge rows keep their norm."""
-    with np.errstate(over="ignore"):  # such rows are rescaled below
-        sq = np.add.reduce(np.multiply(x, x, order="C"), axis=1)
+    step = max(1, min(len(x), (1 << 12) // max(x.shape[1], 1)))
+    sq, squares = np.empty(len(x)), np.empty((step, x.shape[1]))
+    for i in range(0, len(x), step):
+        part = squares[:len(x) - i]
+        part[...] = x[i:i + step]
+        np.add.reduce(np.multiply(part, part, out=part), axis=1, out=sq[i:i + step])
     norms = np.sqrt(sq)
     if (odd := np.flatnonzero((sq < np.finfo(float).tiny) | (sq == np.inf))).size:
         top = np.abs(x[odd]).max(axis=1, initial=0.0)
@@ -66,7 +72,7 @@ class AdaptDataset:
     along the sample axis, so X.T is a row-contiguous (d, rows) view that
     the gradient products read without a transpose.  Other input is copied
     once into that layout here; the constructors in ``data_io`` and
-    ``harness`` build it with ``sample_major`` and ``take_rows`` instead.
+    ``harness`` build it so (``sample_major``, ``take_rows``, a CSV's map).
     """
 
     public_x: np.ndarray

@@ -4,9 +4,10 @@ take the feature radius r as an argument, which the sweep and the CLI take
 from the loss (``LossModel.r``), the one radius its constants assume.
 
 CSV schema: header ``f0,...,f{d-1},label,domain`` with domain values
-``source`` / ``target``.  A CSV that is a regular file keeps its parsed
-rows in a sidecar, ``<path>.rows``, keyed by a SHA-256 of its bytes, so a
-file is parsed once per version however many runs load it.
+``source`` / ``target``.  A CSV that is a regular file keeps its data in
+a sidecar, ``<path>.rows``, keyed by a SHA-256 of its bytes and laid out
+as ``AdaptDataset`` holds it, so a file is parsed once per version, and a
+load reads it into a map whose views are the dataset's arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import mmap
 import os
 import stat
 import sys
@@ -140,7 +142,7 @@ def generate_synthetic(spec: SyntheticShiftSpec, m: int, n: int, rng: np.random.
 
 DOMAINS = (b"source", b"target")  # as the fast parse reads them
 # in every sidecar's key, so that one of another format or byte order misses
-ROWS_FORMAT = f"privadapt rows 1 {sys.byteorder}\n".encode()
+ROWS_FORMAT = f"privadapt rows 2 {sys.byteorder}\n".encode()
 
 
 def _row_dtype(cols: list[str]) -> np.dtype:
@@ -180,36 +182,63 @@ def _parse_rows(path: str, reader: csv.DictReader, cols: list[str], domain_col: 
     return np.array(rows, dtype=_row_dtype(cols))
 
 
-def _write_sidecar(sidecar: str, key: bytes, rows: np.ndarray, mode: int) -> None:
-    """Save ``rows`` as ``sidecar``: their count, ``key`` and their SHA-256,
-    then the rows.  A temporary file of mode 0600 beside it is filled,
-    given the permission bits of ``mode`` and moved into place; a failed
-    write removes it."""
+def _read_sidecar(saved, key: bytes, width: int):
+    """The public and the private block, each (width, rows), of the sidecar
+    open as ``saved``, in an anonymous private map; raises OSError unless its
+    header's key, its size and the SHA-256 of its counts and blocks hold."""
+    head = saved.read(80)
+    m, n = int.from_bytes(head[:8], "little"), int.from_bytes(head[8:16], "little")
+    size = 8 * width * (m + n)
+    if head[16:48] != key or os.fstat(saved.fileno()).st_size != 80 + size:
+        raise OSError("a sidecar of other bytes, columns or format")
+    blocks, check = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE), hashlib.sha256(head[:16])
+    saved.readinto(blocks)  # a short read fails the check
+    check.update(blocks)
+    if check.digest() != head[48:]:
+        raise OSError("a damaged sidecar")
+    flat = np.frombuffer(blocks, float)
+    return flat[:width * m].reshape(width, m), flat[width * m:].reshape(width, n)
+
+
+def _write_sidecar(sidecar: str, key: bytes, num: np.ndarray, sides: tuple, mode: int):
+    """Save the blocks of the rows ``sides`` of ``num`` as ``sidecar``, column
+    by column, through a temporary file of mode 0600 beside it that then gets
+    the bits of ``mode`` and replaces it, or fails and is removed; returns it open."""
     fd, temp = tempfile.mkstemp(prefix=os.path.basename(sidecar) + ".",
                                 dir=os.path.dirname(sidecar) or ".")
+    out = open(fd, "w+b")
     try:
-        with open(fd, "wb") as out:
-            out.write(len(rows).to_bytes(8, "little") + key + hashlib.sha256(rows).digest())
-            rows.tofile(out)
+        counts = b"".join(len(rows).to_bytes(8, "little") for rows in sides)
+        check = hashlib.sha256(counts)
+        out.seek(80)
+        for rows in sides:
+            for column in num.T:
+                check.update(values := column[rows])
+                out.write(values)
+        out.seek(0)
+        out.write(counts + key + check.digest())
+        out.seek(0)  # flushed before the move, and rewound for the read back
         os.chmod(temp, mode & 0o777)
         os.replace(temp, sidecar)
     except BaseException:
+        out.close()
         os.remove(temp)
         raise
+    return out
 
 
-def _load_rows(fh, path: str, header: list[str], cols: list[str], domain_col: str):
-    """The rows after the header line of the text file ``fh``.  A regular
-    file's rows are kept in the sidecar ``path + ".rows"``, keyed by the
-    SHA-256 of ROWS_FORMAT, the SHA-256 of the file's bytes, their encoding
-    and the columns; a sidecar of that key, whose size and rows' SHA-256
-    hold, is read in place of a parse.  Else numpy's parser reads the rows;
-    a file it rejects, or with a bad domain value, is parsed again row by
-    row, which names the first offending row (or reads what Python's
-    ``float`` accepts and numpy's parser does not).  The sidecar is then
-    rewritten, unless the file changed while it was hashed and parsed.  A
-    file that is not regular is parsed row by row alone."""
-    before, key, dtype, parsed = os.fstat(fh.fileno()), None, _row_dtype(cols), False
+def _load_blocks(fh, path: str, header: list[str], cols: list[str], domain_col: str):
+    """The public and the private block, each (len(cols), rows), of the rows
+    after the header line of the text file ``fh``.  A regular file keeps
+    them in the sidecar ``path + ".rows"``, keyed by the SHA-256 of
+    ROWS_FORMAT, the SHA-256 of the file's bytes, their encoding and the
+    columns.  A miss runs numpy's parser, and on a file it rejects, or with
+    a bad domain value, the row-by-row parse, which names the first bad row
+    (or reads what Python's ``float`` accepts and numpy's does not); it then
+    rewrites the sidecar and reads it back once the rows are freed.  A file
+    that is not regular (parsed row by row alone), has no rows, changed
+    while it was hashed and parsed, or keeps no sidecar is split in memory."""
+    before, key, parsed = os.fstat(fh.fileno()), None, False
     if stat.S_ISREG(before.st_mode):  # a pipe, say, can be read only once
         start = fh.tell()
         fh.buffer.seek(0)
@@ -217,13 +246,7 @@ def _load_rows(fh, path: str, header: list[str], cols: list[str], domain_col: st
                              + json.dumps([fh.encoding, cols, domain_col]).encode()).digest()
         fh.seek(start)
         with contextlib.suppress(OSError), open(path + ".rows", "rb") as saved:
-            head = saved.read(72)
-            count = int.from_bytes(head[:8], "little")
-            if (head[8:40] == key
-                    and os.fstat(saved.fileno()).st_size == 72 + count * dtype.itemsize):
-                rows = np.fromfile(saved, dtype, count)
-                if hashlib.sha256(rows).digest() == head[40:]:
-                    return rows
+            return _read_sidecar(saved, key, len(cols))  # else a miss
         with contextlib.suppress(ValueError):
             rows = _parse_fast(fh, header, cols, domain_col)
             parsed = np.isin(rows["domain"], DOMAINS).all()
@@ -231,11 +254,17 @@ def _load_rows(fh, path: str, header: list[str], cols: list[str], domain_col: st
     if not parsed:
         rows = _parse_rows(path, csv.DictReader(fh, header), cols, domain_col)
     after = os.fstat(fh.fileno())
-    if key and all(getattr(before, f) == getattr(after, f)
-                   for f in ("st_size", "st_mtime_ns", "st_ctime_ns")):
+    src = rows["domain"] == DOMAINS[0]
+    sides, saved = (np.flatnonzero(src), np.flatnonzero(~src)), None
+    if key and len(rows) and all(getattr(before, f) == getattr(after, f)
+                                 for f in ("st_size", "st_mtime_ns", "st_ctime_ns")):
         with contextlib.suppress(OSError):  # a read-only directory or a full disk, say
-            _write_sidecar(path + ".rows", key, rows, before.st_mode)
-    return rows
+            saved = _write_sidecar(path + ".rows", key, rows["num"], sides, before.st_mode)
+    if saved is None:
+        return tuple(take_rows(rows["num"], side).T for side in sides)
+    del rows, sides  # the blocks are read back once the rows are freed (peak memory)
+    with saved:
+        return _read_sidecar(saved, key, len(cols))
 
 
 def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
@@ -245,9 +274,9 @@ def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
     regression labels are clipped to [-1, 1].  Each clip warns with its
     count, which is not private.
 
-    The checks and scaling below run alike on parsed rows and on rows read
-    from the file's sidecar (``_load_rows``), so both give the same bits,
-    warnings and errors.
+    The checks and scaling below run alike, in place, on the blocks of a
+    parse and of a sidecar (``_load_blocks``), so both give the same bits,
+    warnings and errors; none makes a temporary of a block's size.
     """
     _check_radius(r)
     path = manifest.path
@@ -264,17 +293,14 @@ def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
         for col in feat_cols + [manifest.label_column, manifest.domain_column]:
             if col not in header:
                 raise ValueError(f"{path}: missing column {col!r}")
-        rows = _load_rows(fh, path, header, feat_cols + [manifest.label_column],
-                          manifest.domain_column)
-    num = rows["num"]
-    if not np.isfinite(num).all():
+        public, private = _load_blocks(fh, path, header, feat_cols + [manifest.label_column],
+                                       manifest.domain_column)
+    if not all(np.isfinite((b.max(initial=0.0), b.min(initial=0.0))).all()
+               for b in (public, private)):  # with no temporary of a block's size
         raise ValueError(f"{path}: features and labels must be finite")
-    src = rows["domain"] == DOMAINS[0]
-    if src.all() or not src.any():
+    if not (public.size and private.size):
         raise ValueError(f"{path}: need at least one source and one target row")
-    public, private = take_rows(num, np.flatnonzero(src)), take_rows(num, np.flatnonzero(~src))
-    del rows, num  # free the parsed rows before the passes below (peak memory)
-    xs, ys, xt, yt = public[:, :-1], public[:, -1], private[:, :-1], private[:, -1]
+    xs, ys, xt, yt = public[:-1].T, public[-1], private[:-1].T, private[-1]
     top = float(row_norms(xs).max())
     if top == 0:
         raise ValueError(f"{path}: every source feature row is zero, so no rescaling "
@@ -282,12 +308,13 @@ def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
     if not 0.0 < (scale := r / top) < np.inf:  # a norm past the float range is inf
         raise ValueError(f"{path}: the largest source feature row norm {top!r} is too "
                          f"{'small' if scale else 'large'} to rescale to r={r!r}")
-    # a target row whose (scaled) norm could overflow goes to norm 2 top, then to the ball
-    peak = np.abs(xt).max(axis=1, initial=0.0)
-    big = peak > sys.float_info.max / scale / (2 * xt.shape[1])
-    unit = xt[big] / peak[big, None]
+    # a target row whose (scaled) norm could overflow goes to norm 2 top, then to the
+    # ball; the bound, divided by scale last, overflows only when no float is past it
+    big = np.flatnonzero(np.maximum(xt.max(axis=1, initial=0.0), -xt.min(axis=1, initial=0.0))
+                         > sys.float_info.max / (2 * xt.shape[1]) / scale)
+    unit = xt[big] / np.abs(xt[big]).max(axis=1, keepdims=True)
     xt[big] = unit / row_norms(unit)[:, None] * (2.0 * top)
-    xs *= scale  # both are views of the copies take_rows made
+    xs *= scale
     xt *= scale
     norms = row_norms(xt)
     if (over := norms > r).any():

@@ -8,15 +8,19 @@ ValueError."""
 import csv
 import errno
 import fractions
+import hashlib
+import json
 import math
+import mmap
 import os
 import stat
+import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from privadapt import data_io
 from privadapt.core import TOL
@@ -166,16 +170,21 @@ def _damage(sidecar, how):
         raw = b""
     elif how == "appended":
         raw += b"\0"
-    elif how == "count":  # a row count that does not match the file's size
+    elif how == "count":  # a public row count that does not match the file's size
         raw[0] += 1
-    else:  # a garbled byte: in the key, in the rows' SHA-256, in the rows
-        raw[{"garbled-key": 8, "garbled-check": 40, "garbled-rows": len(raw) - 20}[how]] ^= 1
+    elif how == "private-count":
+        raw[8] += 1
+    elif how == "moved-count":  # a row moved from one block to the other: the same size
+        raw[0] += 1
+        raw[8] -= 1
+    else:  # a garbled byte: in the key, in the SHA-256, in the blocks
+        raw[{"garbled-key": 16, "garbled-check": 48, "garbled-rows": len(raw) - 20}[how]] ^= 1
     with open(sidecar, "wb") as fh:
         fh.write(raw)
 
 
-@pytest.mark.parametrize("how", ["truncated", "empty", "appended", "count", "garbled-key",
-                                 "garbled-check", "garbled-rows"])
+@pytest.mark.parametrize("how", ["truncated", "empty", "appended", "count", "private-count",
+                                 "moved-count", "garbled-key", "garbled-check", "garbled-rows"])
 def test_damaged_sidecar_is_parsed_again_and_rewritten(how, tmp_path, parses, leaves_nothing):
     path = _write(tmp_path, _text())
     first = _outcome(path)
@@ -187,6 +196,74 @@ def test_damaged_sidecar_is_parsed_again_and_rewritten(how, tmp_path, parses, le
     assert parses == ["fast"]
     with open(path + ".rows", "rb") as fh:
         assert fh.read() == kept
+
+
+def _format_1_sidecar(path, columns=("f0", "f1")) -> bytes:
+    """The sidecar that format 1 kept for ``path``: the row count, the key
+    and the SHA-256 of the rows, then the structured rows as parsed."""
+    cols = list(columns) + ["label"]
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]))
+        rows = data_io._parse_fast(fh, header, cols, "domain")
+        encoding = fh.encoding
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).digest()
+    key = hashlib.sha256(f"privadapt rows 1 {sys.byteorder}\n".encode() + digest
+                         + json.dumps([encoding, cols, "domain"]).encode()).digest()
+    return len(rows).to_bytes(8, "little") + key + hashlib.sha256(rows).digest() + rows.tobytes()
+
+
+def test_format_1_sidecar_is_parsed_again_and_rewritten(tmp_path, parses, leaves_nothing):
+    path = _write(tmp_path, _text())
+    first = _outcome(path)
+    with open(path + ".rows", "rb") as fh:
+        kept = fh.read()
+    with open(path + ".rows", "wb") as fh:
+        fh.write(_format_1_sidecar(path))
+    parses.clear()
+    assert _outcome(path) == first and parses == ["fast"]
+    with open(path + ".rows", "rb") as fh:
+        assert fh.read() == kept
+
+
+def _map_of(a):
+    """The object that owns the memory of a, through its chain of views."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_loaded_arrays_are_views_of_one_map_of_their_bytes(tmp_path, parses, leaves_nothing):
+    path = _write(tmp_path, _text())
+    for ran in (["fast"], []):  # a miss, which reads back the sidecar it wrote, then a hit
+        parses.clear()
+        data = load_dataset(DatasetManifest(path=path, feature_columns=["f0", "f1"]), 2.0)
+        assert parses == ran
+        arrays = [getattr(data, name) for name in FIELDS]
+        maps = {id(_map_of(a)): _map_of(a) for a in arrays}
+        assert len(maps) == 1
+        (shared,) = maps.values()
+        assert isinstance(shared, mmap.mmap)
+        assert len(shared) == sum(a.nbytes for a in arrays)
+
+
+def test_refused_temporary_file_splits_in_memory(tmp_path, monkeypatch, parses, leaves_nothing):
+    # a miss that cannot write its sidecar loads the same bits as a hit, from
+    # arrays of its own
+    path = _write(tmp_path, _text())
+    _outcome(path)
+    parses.clear()
+    want = _outcome(path)
+    assert parses == []
+    os.remove(path + ".rows")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied")
+    monkeypatch.setattr(data_io.tempfile, "mkstemp", refuse)
+    assert _outcome(path) == want and parses == ["fast"]
+    data = load_dataset(DatasetManifest(path=path, feature_columns=["f0", "f1"]), 2.0)
+    assert not any(isinstance(_map_of(getattr(data, name)), mmap.mmap) for name in FIELDS)
+    assert os.listdir(tmp_path) == ["data.csv"]
 
 
 def test_read_only_directory_loads_without_a_sidecar(tmp_path, monkeypatch, parses,
@@ -360,6 +437,10 @@ def _fuzz_outcome(path, r):
 
 @settings(max_examples=500, deadline=None)
 @given(text=_csv_texts(), r=st.sampled_from([1.0, 2.0, 0.5, 1e-3, 1e3]))
+# a target row near the float maximum, with a public top norm above r: its
+# overflow bound overflowed, and the row was zeroed in place of clipped
+@example(text="f0,f1,f2,label,domain\n0,0,0,0,source\n0,0,0,0,source\n0,0,3,0,source\n"
+              + ",".join(["1.7976931348623157e308"] * 3) + ",0,target\n", r=2.0)
 def test_fuzzed_csv_loads_alike_twice_or_is_refused(text, r, tmp_path_factory):
     path = _write(tmp_path_factory.mktemp("fuzz"), text)
     first = _fuzz_outcome(path, r)
