@@ -17,6 +17,7 @@ from .core import (
     LossModel,
     RegularizerConfig,
     SQUARED,
+    TOL,
     is_feasible,
     loss_values,
     weight_bounds,
@@ -116,6 +117,9 @@ class BlockGradient:
         shared = self.combine(parts, g_w)
         return g_w, *(self.finish(lane, us[lane], shared, states[lane]) for lane in (0, 1))
 
+    def certify(self, lam: float):
+        """Once a run, before any step: certify what holds on the lam-ball (here nothing)."""
+
 
 class ConvexGradient(BlockGradient):
     """Block gradients of E squared-loss objectives.
@@ -131,7 +135,8 @@ class ConvexGradient(BlockGradient):
     step in the process that runs the lane and overwritten by every step.
     With kappa2 = kappa_inf = 0, the held problems that a bound keeps at lb
     form their share from A = X^T X and b = X^T y, the dataset's moments,
-    and the row path runs on views of the live prefix of W and U.
+    and the row path runs on views of the live prefix of W and U.  A hold
+    certified on the whole lam-ball, once a run, skips the per-step bound.
     """
 
     def __init__(self, data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray):
@@ -139,8 +144,20 @@ class ConvexGradient(BlockGradient):
         self.data, self.cfg = data, cfg
         self.c = (cfg.kappa1 * (cfg.alpha / data.m) ** 2,
                   cfg.kappa1 * ((1.0 - cfg.alpha) / data.n) ** 2)
-        self.g = [None, None]
+        self.g, self.sure = [None, None], [0, 0]  # sure: per lane, the problems held for the run
         self.lower = weight_bounds(cfg.alpha, data.m, data.n)
+
+    def certify(self, lam: float):
+        # |w| <= lam (1 + TOL) + TOL (is_feasible, project_ball); TOL more for summation order
+        rim = np.full(len(self.blocks[0][2]), (lam * (1.0 + TOL) + TOL) * (1.0 + TOL))
+        self.sure = [len(rim) - self._release(lane, rim, 0) for lane in (0, 1)]
+
+    def _release(self, lane: int, norms: np.ndarray, k: int) -> int:
+        """k plus the problems from k to the last one failing the bound at w norms ``norms``."""
+        (x_top, y_top), shift = self.data.tops[lane], self.blocks[lane][2]
+        bound = (x_top * norms + y_top) ** 2 + (0.0 if shift is None else shift[k:, 0])
+        return k + int(max(np.flatnonzero(~(bound <= self.cfg.kappa1 * (1.0 - 1e-9))) + 1,
+                           default=0))
 
     def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray, held: int = 0):
         X, y, shift = self.blocks[lane]
@@ -150,11 +167,9 @@ class ConvexGradient(BlockGradient):
             # at lb, g_u = kappa1 c - (r^2 + d_dp)/lb^2 with c lb^2 = 1 and |r| <=
             # x_top ||w|| + y_top: while that keeps every g_u > 0, u stays at lb, so
             # the problems after the last one that fails the bound stay held
-            (A, b, _), (x_top, y_top) = self.data.moments[lane], self.data.tops[lane]
-            bound = (x_top * np.linalg.norm(W[:, k:], axis=0) + y_top) ** 2
-            if shift is not None:
-                bound += shift[k:, 0]
-            k += int(max(np.flatnonzero(~(bound <= cfg.kappa1 * (1.0 - 1e-9))) + 1, default=0))
+            if held > self.sure[lane]:
+                k = self._release(lane, np.linalg.norm(W[:, k:], axis=0), k)
+            A, b, _ = self.data.moments[lane]
             np.matmul(A, W[:, k:], out=out[:d, k:])  # X^T (X W - y) / lb
             out[:d, k:] -= b[:, None]
             out[:d, k:] /= self.lower[lane]

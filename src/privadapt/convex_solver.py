@@ -26,8 +26,9 @@ in-process run calls the same per-block code in sequence, and both return
 the same bits.  On each block, the trailing problems that take no noise
 there and sit at its lower bound are held while the gradient certifies
 that a step leaves them there: they take no u-step and each sums as one
-scalar.  ``fit_convex_columns`` puts its noise-free columns last, so their
-private rows are held too.
+scalar.  A hold that the bound certifies at every w of the lam-ball is
+certified once per run, not once per step.  ``fit_convex_columns`` puts
+its noise-free columns last, so their private rows are held too.
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np
     m, n, d = p.u_pub.size, p.u_priv.size, p.w.size
     if not is_feasible(p, lam, alpha, m, n):
         raise ValueError("initial point is infeasible")
+    grad.certify(lam)  # once, before a fork, so both lanes read it
     E = eta.shape[0]
     run = functools.partial(_lane_steps, grad, p, eta, sigma1, sigma2, steps, lam, alpha,
                             rng, average)

@@ -7,7 +7,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,6 +79,7 @@ class AdaptDataset:
     public_y: np.ndarray
     private_x: np.ndarray
     private_y: np.ndarray
+    public_stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "public_x", sample_major(_as_matrix(self.public_x)))
@@ -94,7 +95,7 @@ class AdaptDataset:
         if self.private_x.shape[0] != self.private_y.shape[0]:
             raise ValueError("private feature/label count mismatch")
         for a in (self.public_x, self.public_y, self.private_x, self.private_y):
-            if not np.all(np.isfinite(a)):
+            if not np.isfinite((a.max(initial=0.0), a.min(initial=0.0))).all():  # no temporary
                 raise ValueError("features and labels must be finite")
         for y in (self.public_y, self.private_y):
             if np.max(np.abs(y)) > 1.0 + 1e-12:
@@ -117,15 +118,28 @@ class AdaptDataset:
         """((public_x, public_y), (private_x, private_y)): the lane order."""
         return (self.public_x, self.public_y), (self.private_x, self.private_y)
 
+    def with_target_rows(self, rows: np.ndarray) -> AdaptDataset:
+        """The private rows ``rows`` on this public sample and its statistics."""
+        data = AdaptDataset(self.public_x, self.public_y, take_rows(self.private_x, rows),
+                            self.private_y[rows])
+        object.__setattr__(data, "public_stats", self.public_stats)
+        return data
+
+    def _per_sample(self, name: str, form) -> tuple:
+        """form(x, y) per sample in lane order; public_stats keeps the public one."""
+        if name not in self.public_stats:
+            self.public_stats[name] = form(*self.samples[0])
+        return self.public_stats[name], form(*self.samples[1])
+
     @functools.cached_property
     def tops(self) -> tuple:
         """Per sample, in lane order: (the largest row norm, the largest |y|)."""
-        return tuple((row_norms(x).max(), np.abs(y).max()) for x, y in self.samples)
+        return self._per_sample("tops", lambda x, y: (row_norms(x).max(), np.abs(y).max()))
 
     @functools.cached_property
     def moments(self) -> tuple:
         """Per sample, in lane order: (X^T X, X^T y, y.y), the squared loss's."""
-        return tuple((x.T @ x, x.T @ y, float(y @ y)) for x, y in self.samples)
+        return self._per_sample("moments", lambda x, y: (x.T @ x, x.T @ y, float(y @ y)))
 
     def max_feature_norm(self) -> float:
         return float(max(self.tops[0][0], self.tops[1][0]))

@@ -328,17 +328,16 @@ def load_dataset(manifest: DatasetManifest, r: float = 1.0) -> AdaptDataset:
     return AdaptDataset(xs, ys, xt, yt)
 
 
-def resample_target(data: AdaptDataset, n_new: int,
-                    rng: np.random.Generator) -> AdaptDataset:
-    """n_new distinct rows of the private sample, drawn without replacement,
-    so that one person fills at most one row (the one-row neighbour relation
-    of the B/n sensitivity); public sample unchanged."""
-    if not 1 <= n_new <= data.n:
-        raise ValueError(f"n_new must lie in [1, {data.n}] (the rows to draw from), "
+def resample_target(data: AdaptDataset, n_new: int, rng: np.random.Generator,
+                    rows: np.ndarray | None = None) -> AdaptDataset:
+    """n_new distinct private rows, of ``rows`` if given, drawn without replacement so that
+    one person fills at most one row (the one-row neighbour relation of the B/n
+    sensitivity); the public sample and its statistics are shared (``with_target_rows``)."""
+    rows = np.arange(data.n) if rows is None else rows
+    if not 1 <= n_new <= len(rows):
+        raise ValueError(f"n_new must lie in [1, {len(rows)}] (the rows to draw from), "
                          f"got {n_new}")
-    idx = rng.choice(data.n, n_new, replace=False)
-    return AdaptDataset(data.public_x, data.public_y,
-                        take_rows(data.private_x, idx), data.private_y[idx])
+    return data.with_target_rows(rows[rng.choice(len(rows), n_new, replace=False)])
 
 
 def write_csv(data: AdaptDataset, path: str) -> None:

@@ -23,7 +23,9 @@ groups of one sweep run on forked worker processes, one pool per sweep
 (``_worker_count`` sizes it, or runs the sweep in process).  The workers
 inherit the spec and a loaded CSV dataset through fork; each task returns
 only its records and the warnings it raised, which the caller re-emits in
-(n, trial) order.  Either way the records are the same bytes.
+(n, trial) order.  Either way the records are the same bytes.  A CSV
+sweep's groups gather their target rows from the loaded dataset, and each
+process forms its public moments and top norms once (``public_stats``).
 
 Each worker is granted its share of the process slots
 (``processes.grant``), which the engine reads as any process does: a run
@@ -157,9 +159,7 @@ def _cell_data(spec: SweepSpec, base: AdaptDataset | None, n: int,
     else:
         perm = rng.permutation(base.n)
         test_idx, pool_idx = perm[:spec.test_size], perm[spec.test_size:]
-        pool = AdaptDataset(base.public_x, base.public_y,
-                            take_rows(base.private_x, pool_idx), base.private_y[pool_idx])
-        train = resample_target(pool, n, rng)
+        train = resample_target(base, n, rng, pool_idx)  # gathered once, from the base
         test_x, test_y = take_rows(base.private_x, test_idx), base.private_y[test_idx]
     return train, test_x, test_y
 

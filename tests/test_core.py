@@ -46,14 +46,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             AdaptDataset([[1.0]], [3.0], [[1.0]], [0.0])
 
-    @pytest.mark.parametrize("where, value", [
-        ("public_x", math.nan), ("private_y", math.nan),
-        ("private_x", math.inf), ("public_y", -math.inf)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["public_x", "public_y", "private_x", "private_y"])
     def test_rejects_non_finite(self, where, value):
-        arrays = {"public_x": [[1.0]], "public_y": [0.5],
-                  "private_x": [[0.5]], "private_y": [0.0]}
-        arrays[where] = [[value]] if where.endswith("_x") else [value]
-        with pytest.raises(ValueError, match="finite"):
+        # one bad entry among finite ones, in every array and either sign
+        arrays = {"public_x": np.full((3, 2), 0.5), "public_y": np.full(3, 0.5),
+                  "private_x": np.full((4, 2), -0.5), "private_y": np.zeros(4)}
+        arrays[where][1] = value
+        with pytest.raises(ValueError, match="features and labels must be finite"):
             AdaptDataset(**arrays)
 
     def test_rejects_dim_mismatch(self):

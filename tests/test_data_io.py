@@ -285,6 +285,21 @@ class TestResample:
         with pytest.raises(ValueError, match=r"n_new must lie in \[1, 7\]"):
             resample_target(data, 8, derive_rng(12, "r"))
 
+    def test_draw_from_given_rows_equals_the_pool_dataset(self):
+        # drawing from rows of the base gives the rows the old pool copy gave,
+        # and shares the base's public sample and its statistics
+        data, _ = generate_synthetic(SyntheticShiftSpec(d=3), 6, 12, derive_rng(13, "g"))
+        rows = derive_rng(14, "p").permutation(12)[4:]
+        pool = AdaptDataset(data.public_x, data.public_y, data.private_x[rows],
+                            data.private_y[rows])
+        want = resample_target(pool, 5, derive_rng(15, "r"))
+        got = resample_target(data, 5, derive_rng(15, "r"), rows)
+        assert got.private_x.tobytes() == want.private_x.tobytes()
+        assert got.private_y.tobytes() == want.private_y.tobytes()
+        assert got.public_stats is data.public_stats is not pool.public_stats
+        with pytest.raises(ValueError, match=r"n_new must lie in \[1, 8\]"):
+            resample_target(data, 9, derive_rng(16, "r"), rows)
+
 
 class TestSynthetic:
     def test_gaussian_fraction_is_respected(self):

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from privadapt import cli, convex_solver, discrepancy, harness, processes
+from privadapt import cli, convex_solver, core, discrepancy, harness, processes
 from privadapt.baselines import fit_baseline
 from privadapt.convex_solver import DEFAULT_T_CEILING
 from privadapt.core import LossModel, RegularizerConfig
@@ -232,6 +232,34 @@ class TestRunSweep:
         # 2 target sizes x 2 trials, whatever the number of epsilons
         assert {k: v.value for k, v in calls.items()} == \
             {"discrepancy_dca": 4, "generate_synthetic": 4}
+
+    def test_csv_groups_share_the_public_statistics(self, tmp_path, monkeypatch):
+        # in one process, the groups' datasets share the loaded public sample
+        # and its statistics, formed at the first group and never again
+        monkeypatch.setattr(processes, "process_slots", lambda: 1)
+        cells, tops = [], []
+        cell_data, row_norms = harness._cell_data, core.row_norms
+
+        def kept(spec, base, *args):
+            cell = cell_data(spec, base, *args)
+            cells.append((base, cell[0]))
+            return cell
+        monkeypatch.setattr(harness, "_cell_data", kept)
+        monkeypatch.setattr(core, "row_norms", lambda x: tops.append(x) or row_norms(x))
+        run_sweep(small_spec(dataset=_csv_dataset(tmp_path), target_sizes=[10, 20],
+                             test_size=20, d_hat="dca"))
+        (base,) = {id(base): base for base, _ in cells}.values()
+        assert len(cells) == 4 and set(base.public_stats) == {"tops", "moments"}
+        for _, train in cells:
+            assert train.public_stats is base.public_stats
+            assert np.shares_memory(train.public_x, base.public_x)
+            # the values each group's solvers read, as they cached them
+            assert vars(train)["moments"][0] is base.public_stats["moments"]
+            assert vars(train)["tops"][0] is base.public_stats["tops"]
+        assert sum(np.shares_memory(x, base.public_x) for x in tops) == 1
+        (G, b, c), (x, y) = base.public_stats["moments"], base.samples[0]
+        assert (G.tobytes(), b.tobytes(), c) == ((x.T @ x).tobytes(), (x.T @ y).tobytes(),
+                                                 float(y @ y))
 
     @pytest.mark.parametrize("overrides", [
         {"epsilons": [0.5, 1.0, 5.0, math.inf], "d_hat": "dca",

@@ -3,8 +3,9 @@ bound, which the gradient's bound certifies stays there, takes no u-step and
 forms its w-gradient share from the d x d Gram form.  Each block holds a
 trailing run of problems that only shrinks.  These tests check the engine
 against the row-form step loop it replaces, the soundness and tightness of
-the bound, and which problems stay held on an acceptance-shaped run;
-``test_lanes`` checks the held lanes against one process."""
+the bound, that certifying it once a run at the ball's radius holds what
+every step would hold, and which problems stay held on an acceptance-shaped
+run; ``test_lanes`` checks the held lanes against one process."""
 
 import math
 
@@ -81,7 +82,7 @@ def _start(rng, kind, alpha, m, n, d):
     if kind == "random":  # off the bound: never held
         return random_feasible_point(rng, SQ, alpha, m, n, d)
     w = np.zeros(d) if kind == "reference" else rng.standard_normal(d)
-    w *= 0.8 * rng.random() / max(np.linalg.norm(w), 1e-12)
+    w *= (SQ.lam if kind == "rim" else 0.8 * rng.random()) / max(np.linalg.norm(w), 1e-12)
     return FeasiblePoint(w, np.full(m, m / alpha), np.full(n, n / (1.0 - alpha)))
 
 
@@ -134,6 +135,66 @@ def test_engine_matches_row_form_steps(seed, E, k1, other, eps, private_noise_fr
         assert (U_last[lane][kept:] == (m / reg.alpha, n / (1.0 - reg.alpha))[lane]).all()
         # the others' steps saw a w that differs in the last bits
         np.testing.assert_allclose(mine[:kept], U_avg[lane][:kept], rtol=1e-12)
+
+
+def _certified_and_not(data, reg, d_dp, p, eta, sigma1, sigma2, seed):
+    """Run the engine with the run-level certificate and with it forced off;
+    check that every step holds the same problems and the points are the
+    same bits, and return the certified run's gradient and held counts."""
+    runs = []
+    for certify in (True, False):
+        grad = ConvexGradient(data, reg, d_dp)
+        if not certify:
+            grad.certify = lambda lam: None  # sure stays [0, 0]: every step bounds
+        with pytest.MonkeyPatch.context() as patch:
+            steps = count_held_steps(patch)
+            points = noisy_pgd(grad, p, eta, sigma1, sigma2, 30, SQ.lam, reg.alpha,
+                               derive_rng(seed, "certified"), average=True)
+        runs.append((grad, steps, [q.as_vector().tobytes() for q in points]))
+    (grad, steps, points), (_, steps_off, points_off) = runs
+    assert steps == steps_off and points == points_off
+    return grad, held_counts(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), E=st.sampled_from([1, 2, 5]),
+       k1=st.sampled_from([0.5, 1.0, 2.0]),
+       eps=st.lists(st.sampled_from([0.5, 4.0, math.inf]), min_size=5, max_size=5),
+       start=st.sampled_from(["reference", "at-bound", "rim", "random"]))
+def test_run_certificate_holds_what_every_step_holds(seed, E, k1, eps, start):
+    rng = np.random.default_rng(seed)
+    m, n, d = (int(v) for v in rng.integers(1, 30, 3))
+    data = random_dataset(rng, m, n, d, SQ)
+    reg = RegularizerConfig(alpha=float(rng.uniform(0.2, 0.8)), kappa1=k1 * SQ.B)
+    d_dp = rng.uniform(0.0, 0.3 * SQ.B, E) * rng.integers(0, 2, E)
+    schedules = [calibrate(PrivacyBudget(e, 0.05), reg.alpha, SQ.G, SQ.B, n, 30)
+                 for e in eps[:E]]
+    eta = np.column_stack([rng.uniform(0.01, 0.5, E), rng.uniform(1, 1e3, E) * m,
+                           rng.uniform(1, 1e3, E) * n])
+    grad, held = _certified_and_not(
+        data, reg, d_dp, _start(rng, start, reg.alpha, m, n, d), eta,
+        np.array([s.sigma1 for s in schedules]), np.array([s.sigma2 for s in schedules]),
+        seed)
+    if k1 == 2.0:  # (x_top lam + y_top)^2 + d_dp <= 2 B, with margin: every problem
+        assert grad.sure == [E, E]
+
+
+def test_run_certificate_declines_a_ball_it_cannot_hold():
+    # kappa1 just under (x_top Lambda + y_top)^2, from a w of half the
+    # radius: the certificate declines, and the per-step bound still holds
+    # the block while w stays short
+    rng = np.random.default_rng(8)
+    m, n, d = 20, 30, 3
+    data = random_dataset(rng, m, n, d, SQ)
+    rim = SQ.lam * (1.0 + 1e-9) + 1e-9
+    (x_top, y_top), _ = data.tops
+    reg = RegularizerConfig(alpha=0.5, kappa1=(x_top * rim + y_top) ** 2 * (1.0 - 1e-6))
+    w = rng.standard_normal(d)
+    p = FeasiblePoint(0.5 * SQ.lam * w / np.linalg.norm(w), np.full(m, m / 0.5),
+                      np.full(n, n / 0.5))
+    grad, held = _certified_and_not(data, reg, np.zeros(2), p, np.tile([1e-3, m, n], (2, 1)),
+                                    np.zeros(2), np.zeros(2), 8)
+    assert grad.sure == [0, 0] and held == [[2] * 30, [2] * 30]
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,16 +276,19 @@ def test_acceptance_shaped_run_holds_the_public_block(epsilons, m, n, held, monk
     # private block of the epsilon = inf problem, listed last or first, so the
     # row path runs on the noisy problems only; the two orders give the same fits
     monkeypatch.setattr(processes, "process_slots", lambda: 1)
-    records = []
+    records, release = [], ConvexGradient._release
     for order in dict.fromkeys([tuple(epsilons), tuple(epsilons[-1:] + epsilons[:-1])]):
         with pytest.MonkeyPatch.context() as patch:
-            steps = count_held_steps(patch)
+            steps, bounds = count_held_steps(patch), []
+            patch.setattr(ConvexGradient, "_release",
+                          lambda self, *args: bounds.append(args[0]) or release(self, *args))
             result = run_sweep(SweepSpec(
                 dataset=SyntheticShiftSpec(d=20, noise_std=0.1), algorithm="convex",
                 epsilons=list(order), target_sizes=[n], trials=1, master_seed=20260826,
                 model=SQ, reg=RegularizerConfig(alpha=0.5, kappa1=SQ.B), T=2000,
                 baseline_T=2000, m=m, test_size=1000))
         assert steps == [[held[0]] * 2000, [held[1]] * 2000]
+        assert bounds == [0, 1]  # each lane's hold certified once, before the first step
         records.append(sorted(result.records, key=lambda rec: rec["epsilon"]))
     for last, first in zip(records[0], records[-1]):
         assert last["epsilon"] == first["epsilon"]

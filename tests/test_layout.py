@@ -173,6 +173,23 @@ def test_every_constructor_stores_sample_major_features(make, tmp_path):
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()  # bitwise
 
 
+def test_dataset_checks_make_no_block_sized_temporary():
+    # the finiteness and label checks reduce each array as it lies: a
+    # dataset built from sample-major blocks peaks far below one block (a
+    # bool temporary of a 2 000 x 100 block would be 6.2 % of its bytes)
+    rng = np.random.default_rng(0)
+    arrays = [a for _ in range(2) for a in (
+        np.asfortranarray(rng.uniform(-0.05, 0.05, (2000, 100))), rng.uniform(-1, 1, 2000))]
+    tracemalloc.start()
+    try:
+        data = AdaptDataset(*arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(has_unit_sample_stride(x) for x in (data.public_x, data.private_x))
+    assert peak < 0.02 * sum(a.nbytes for a in arrays)
+
+
 # load_dataset's tracemalloc peak over the bytes it returns, on the CSV below,
 # as measured for the row-major layout: the parsed rows held while the
 # features are copied out of them once.  A copy of the features made while
