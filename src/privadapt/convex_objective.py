@@ -88,18 +88,17 @@ class BlockGradient:
 
     Lane 0 is the public block, lane 1 the private one.  Problem j is column
     j of W (d, E) and row j of each u-block (E, rows), with discrepancy
-    d_dp[j] on its public losses.  ``part(lane, W, U, out, held)`` does
-    what the lane can alone: it writes the lane's share of the w-gradient
-    into ``out[:d]`` and its per-problem reductions of U into the
-    ``REDUCTIONS`` rows below, and returns the pair (held, state).  The
-    last ``held`` problems given sit at the lower bound and take no noise;
-    those after the last one that the step might move stay held and take
-    no u-step, and ``state`` serves the finish of the live problems before
-    them (None if there are none).  Once both lanes' rows are filled
-    (``parts``, shaped (2, d + REDUCTIONS, E)), ``combine`` forms g_w and
-    the cross-block terms, once a step in each process, and ``finish`` the
-    lane's u-gradient of its live problems.  Every pass over a u-block runs
-    on a C-contiguous (live problems, rows) array.
+    d_dp[j] on its public losses.  ``held[lane]`` trailing problems, fixed
+    by ``certify`` before a run's first step, stay at the lower bound for
+    the whole run.  ``part(lane, W, U, out)`` does what the lane can alone:
+    it writes the lane's share of the w-gradient into ``out[:d]`` and its
+    per-problem reductions of U into the ``REDUCTIONS`` rows below, and
+    returns the state that serves the finish of the live problems before
+    the held ones (None if there are none).  Once both lanes' rows are
+    filled (``parts``, shaped (2, d + REDUCTIONS, E)), ``combine`` forms
+    g_w and the cross-block terms, once a step in each process, and
+    ``finish`` the lane's u-gradient of its live problems.  Every pass over
+    a u-block runs on a C-contiguous (live problems, rows) array.
     """
 
     REDUCTIONS = 3
@@ -107,18 +106,20 @@ class BlockGradient:
     def __init__(self, data: AdaptDataset, d_dp: np.ndarray):
         self.d = data.d
         self.blocks = [(x, y, shift) for (x, y), shift in zip(data.samples, (d_dp[:, None], None))]
+        self.held = (0, 0)
 
     def __call__(self, W: np.ndarray, U_pub: np.ndarray, U_priv: np.ndarray):
         """(g_w, g_u_pub, g_u_priv): both lanes' parts, then their finishes."""
         parts = np.empty((2, self.d + self.REDUCTIONS, W.shape[1]))
         us = (U_pub, U_priv)
-        states = [self.part(lane, W, U, parts[lane])[1] for lane, U in enumerate(us)]
+        states = [self.part(lane, W, U, parts[lane]) for lane, U in enumerate(us)]
         g_w = np.empty_like(W)
         shared = self.combine(parts, g_w)
         return g_w, *(self.finish(lane, us[lane], shared, states[lane]) for lane in (0, 1))
 
-    def certify(self, lam: float):
-        """Once a run, before any step: certify what holds on the lam-ball (here nothing)."""
+    def certify(self, lam: float, free: list):
+        """Once a run, before any step: hold those of each lane's ``free`` last
+        problems (noise-free, at lb) that no w of the lam-ball moves (here none)."""
 
 
 class ConvexGradient(BlockGradient):
@@ -133,10 +134,9 @@ class ConvexGradient(BlockGradient):
     forward product W^T X^T, read from the dataset's row-contiguous X^T,
     writes straight into the lane's gradient buffer, made at its first
     step in the process that runs the lane and overwritten by every step.
-    With kappa2 = kappa_inf = 0, the held problems that a bound keeps at lb
-    form their share from A = X^T X and b = X^T y, the dataset's moments,
-    and the row path runs on views of the live prefix of W and U.  A hold
-    certified on the whole lam-ball, once a run, skips the per-step bound.
+    With kappa2 = kappa_inf = 0, a held problem forms its share from A =
+    X^T X and b = X^T y, the dataset's moments, and the row path runs on
+    views of the live prefix of W and U.
     """
 
     def __init__(self, data: AdaptDataset, cfg: RegularizerConfig, d_dp: np.ndarray):
@@ -144,37 +144,32 @@ class ConvexGradient(BlockGradient):
         self.data, self.cfg = data, cfg
         self.c = (cfg.kappa1 * (cfg.alpha / data.m) ** 2,
                   cfg.kappa1 * ((1.0 - cfg.alpha) / data.n) ** 2)
-        self.g, self.sure = [None, None], [0, 0]  # sure: per lane, the problems held for the run
+        self.g = [None, None]
         self.lower = weight_bounds(cfg.alpha, data.m, data.n)
 
-    def certify(self, lam: float):
-        # |w| <= lam (1 + TOL) + TOL (is_feasible, project_ball); TOL more for summation order
-        rim = np.full(len(self.blocks[0][2]), (lam * (1.0 + TOL) + TOL) * (1.0 + TOL))
-        self.sure = [len(rim) - self._release(lane, rim, 0) for lane in (0, 1)]
+    def certify(self, lam: float, free: list):
+        if self.cfg.kappa2 == self.cfg.kappa_inf == 0:
+            # at lb, g_u = kappa1 c - (r^2 + d_dp)/lb^2 with c lb^2 = 1 stays > 0, and u at
+            # lb, while |r| <= x_top ||w|| + y_top at the rim: ||w|| <= lam (1 + TOL) +
+            # TOL (is_feasible, project_ball), and TOL more for summation order
+            rim, shift = (lam * (1.0 + TOL) + TOL) * (1.0 + TOL), self.blocks[0][2][:, 0]
+            self.held = []
+            for f, (x_top, y_top), s in zip(free, self.data.tops, (shift, np.zeros_like(shift))):
+                bound = (x_top * rim + y_top) ** 2 + s
+                fails = np.flatnonzero(~(bound <= self.cfg.kappa1 * (1.0 - 1e-9)))
+                self.held.append(min(f, len(s) - int(max(fails + 1, default=0))))
 
-    def _release(self, lane: int, norms: np.ndarray, k: int) -> int:
-        """k plus the problems from k to the last one failing the bound at w norms ``norms``."""
-        (x_top, y_top), shift = self.data.tops[lane], self.blocks[lane][2]
-        bound = (x_top * norms + y_top) ** 2 + (0.0 if shift is None else shift[k:, 0])
-        return k + int(max(np.flatnonzero(~(bound <= self.cfg.kappa1 * (1.0 - 1e-9))) + 1,
-                           default=0))
-
-    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray, held: int = 0):
+    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray):
         X, y, shift = self.blocks[lane]
         cfg, d, E = self.cfg, self.d, W.shape[1]
-        k = E - held if cfg.kappa2 == cfg.kappa_inf == 0 else E
+        k = E - self.held[lane]
         if k < E:
-            # at lb, g_u = kappa1 c - (r^2 + d_dp)/lb^2 with c lb^2 = 1 and |r| <=
-            # x_top ||w|| + y_top: while that keeps every g_u > 0, u stays at lb, so
-            # the problems after the last one that fails the bound stay held
-            if held > self.sure[lane]:
-                k = self._release(lane, np.linalg.norm(W[:, k:], axis=0), k)
             A, b, _ = self.data.moments[lane]
             np.matmul(A, W[:, k:], out=out[:d, k:])  # X^T (X W - y) / lb
             out[:d, k:] -= b[:, None]
             out[:d, k:] /= self.lower[lane]
         if not k:
-            return E, None
+            return None
         if self.g[lane] is None:
             self.g[lane] = np.empty(U.shape)
         U = U[:k]  # the row path runs on the live problems
@@ -198,7 +193,7 @@ class ConvexGradient(BlockGradient):
             i = U.argmin(axis=1)
             out[d + 1] = U[np.arange(i.size), i]
             out[d + 2] = i
-        return E - k, q
+        return q
 
     def combine(self, parts: np.ndarray, g_w: np.ndarray):
         cfg, d = self.cfg, self.d

@@ -24,11 +24,11 @@ enough to repay a fork, steps the private block on a child process while
 this one steps the public block, each with its own copy of W; the
 in-process run calls the same per-block code in sequence, and both return
 the same bits.  On each block, the trailing problems that take no noise
-there and sit at its lower bound are held while the gradient certifies
-that a step leaves them there: they take no u-step and each sums as one
-scalar.  A hold that the bound certifies at every w of the lam-ball is
-certified once per run, not once per step.  ``fit_convex_columns`` puts
-its noise-free columns last, so their private rows are held too.
+there and start at its lower bound are held for the whole run when the
+gradient certifies, once before the first step, that no w of the
+lam-ball moves them: they take no u-step, are not summed, and come out
+at the bound.  ``fit_convex_columns`` puts its noise-free columns last,
+so their private rows are held too.
 """
 
 from __future__ import annotations
@@ -137,12 +137,14 @@ def noisy_pgd(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: np
     m, n, d = p.u_pub.size, p.u_priv.size, p.w.size
     if not is_feasible(p, lam, alpha, m, n):
         raise ValueError("initial point is infeasible")
-    grad.certify(lam)  # once, before a fork, so both lanes read it
-    E = eta.shape[0]
+    E, rows = eta.shape[0], _noise_rows(sigma2)
+    # once, before a fork: a block's problems that take no noise and start at lb
+    grad.certify(lam, [(E - lane * rows) * bool((u == lb).all()) for lane, (u, lb)
+                       in enumerate(zip((p.u_pub, p.u_priv), weight_bounds(alpha, m, n)))])
     run = functools.partial(_lane_steps, grad, p, eta, sigma1, sigma2, steps, lam, alpha,
                             rng, average)
     # both lanes' rows of two steps, the noise of three steps and the private block
-    shapes = [(2, 2, d + grad.REDUCTIONS, E), (3, d + _noise_rows(sigma2) * n), (E, n)]
+    shapes = [(2, 2, d + grad.REDUCTIONS, E), (3, d + rows * n), (E, n)]
     if min(m, n) * steps < LANE_MIN_ROW_STEPS or processes.process_slots() < 2:
         W, U = run((0, 1), *map(np.empty, shapes[:2]), None)
         U_pub, U_priv = U[0], U[1]
@@ -182,13 +184,11 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
     W = np.repeat(p.w[:, None], E, axis=1)
     U = {lane: np.repeat(u[None, :], E, axis=0)
          for lane, u in enumerate((p.u_pub, p.u_priv)) if lane in lanes}
-    # the trailing problems that take no noise on a block at its lower bound
-    # are held until a step moves them; a held problem's sum is the scalar acc
-    held = {lane: (E - lane * rows) * bool((U[lane] == lower[lane]).all()) for lane in lanes}
+    live = [E - held for held in grad.held]  # a held row stays at its start, lb
     g_w = np.empty((d, E))
     if average:
-        sum_w, sums = np.zeros_like(W), {lane: np.zeros_like(U[lane]) for lane in lanes}
-        acc = dict.fromkeys(lanes, 0.0)
+        sum_w = np.zeros_like(W)
+        sums = {lane: np.zeros_like(U[lane][:live[lane]]) for lane in lanes}
 
     def draw(z):
         if noisy_w:
@@ -200,11 +200,8 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
         draw(ring[0])
     for t in range(steps):
         part, states = parts[t % 2], {}
-        for lane in lanes:
-            k = E - held[lane]
-            held[lane], states[lane] = grad.part(lane, W, U[lane], part[lane], held[lane])
-            if average:  # problems that leave the hold start their sums from acc
-                sums[lane][k:E - held[lane]] = acc[lane]
+        for lane in lanes:  # a comprehension would make W and grad closure cells here
+            states[lane] = grad.part(lane, W, U[lane], part[lane])
         if link:
             link.signal()
         if draws and t + 1 < steps:
@@ -219,28 +216,24 @@ def _lane_steps(grad: BlockGradient, p: FeasiblePoint, eta: np.ndarray, sigma1: 
         W -= g_w
         project_ball(W, lam)
         for lane in lanes:
-            k = E - held[lane]
-            if not k:
+            if not live[lane]:
                 continue
-            g = grad.finish(lane, U[lane][:k], shared, states[lane])
+            u = U[lane][:live[lane]]
+            g = grad.finish(lane, u, shared, states[lane])
             if lane == 1 and rows:
                 g[:rows] += z[d:].reshape(rows, n)
-            g *= eta[:k, 1 + lane, None]
-            u = U[lane][:k]
+            g *= eta[:live[lane], 1 + lane, None]
             u -= g
             np.maximum(u, lower[lane], out=u)
         if average:
             sum_w += W
             for lane in lanes:
-                k = E - held[lane]
-                sums[lane][:k] += U[lane][:k]
-                acc[lane] += lower[lane]
+                sums[lane] += U[lane][:live[lane]]
     if average:
         W = sum_w / steps
         project_ball(W, lam)
         for lane in lanes:
-            sums[lane][E - held[lane]:] = acc[lane]
-            U[lane] = np.maximum(sums[lane] / steps, lower[lane])
+            np.maximum(sums[lane] / steps, lower[lane], out=U[lane][:live[lane]])
     return W, U
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -155,13 +156,19 @@ def _parse_fast(fh, header: list[str], cols: list[str], domain_col: str) -> np.n
     """Numeric columns ``cols`` and the domain column of every row of the
     text file ``fh`` as the fields "num" and "domain", in one pass of
     numpy's parser; raises ValueError on any row it rejects, which includes
-    a domain value that latin-1 cannot encode."""
+    a domain value that latin-1 cannot encode.  numpy allocates the rows
+    once, to a bound of the line ends left in ``fh`` plus one (a blank line
+    or a quoted line end only raises it), instead of growing them."""
     index = {c: i for i, c in enumerate(header)}  # last of a repeated name, as csv.DictReader
+    start, ends = fh.tell(), 1
+    for chunk in iter(functools.partial(fh.read, 1 << 12), ""):
+        ends += chunk.count("\n") + chunk.count("\r") - chunk.count("\r\n")
+    fh.seek(start)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows, or blank lines
         return np.loadtxt(fh, dtype=_row_dtype(cols), delimiter=",", comments=None,
                           quotechar='"', usecols=[index[c] for c in cols] + [index[domain_col]],
-                          ndmin=1)
+                          ndmin=1, max_rows=ends)
 
 
 def _parse_rows(path: str, reader: csv.DictReader, cols: list[str], domain_col: str):

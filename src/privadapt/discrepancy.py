@@ -131,40 +131,47 @@ def discrepancy_grid(data: AdaptDataset, model: LossModel,
 def _trust_region_max(A: np.ndarray, g: np.ndarray, lam: float):
     """Global maximizer of w'Aw - 2 g'w over the ball ||w|| <= lam.
 
-    The KKT conditions (nu I - A) w = -g with nu >= max(lambda_max(A), 0)
-    and nu = 0 or ||w|| = lam are sufficient for this trust-region
-    subproblem (More & Sorensen, 1983).  In the eigenbasis of A they leave
-    one scalar unknown nu: either the interior point nu = 0, the hard case
-    (g has no component on the singular directions of nu I - A at the
-    smallest admissible nu, which are then filled up to the sphere), or
-    the root of the decreasing secular function ||w(nu)|| = lam, bracketed
-    and bisected to machine precision.
+    It is solved in v = w/lam, which maximizes v'(lam A)v - 2 g'v over the
+    unit ball, so no step squares lam or divides by it.  The KKT conditions
+    (nu I - lam A) v = -g with nu >= max(lam lambda_max(A), 0) and nu = 0 or
+    ||v|| = 1 are sufficient for this trust-region subproblem (More &
+    Sorensen, 1983).  In the eigenbasis of A they leave one scalar unknown
+    nu: either the interior point nu = 0, the hard case (g has no component
+    on the singular directions of nu I - lam A at the smallest admissible
+    nu, which are then filled up to the sphere), or the root of the
+    decreasing secular function ||v(nu)|| = 1, bracketed and bisected to
+    machine precision.  A bracket one float wide, where ||g|| is under half
+    a unit in the last place of lam lambda_max, is taken as its limit: the
+    hard-case fill.
     """
     evals, Q = np.linalg.eigh(A)
+    evals = lam * evals
     gam = Q.T @ g
     lo = max(evals[-1], 0.0)
     gap = lo - evals
-    singular = gap <= 1e-12 * max(1.0, np.abs(evals).max())
+    singular = gap <= 1e-12 * max(lam, np.abs(evals).max())
     c = np.zeros_like(gam)
-    c[~singular] = -gam[~singular] / gap[~singular]
-    if np.all(np.abs(gam[singular]) <= 1e-12 * max(1.0, np.linalg.norm(g))) \
-            and np.linalg.norm(c) <= lam:
+    with np.errstate(over="ignore"):  # a c past the float range is not inside
+        c[~singular] = -gam[~singular] / gap[~singular]
+        inside = np.linalg.norm(c) <= 1.0
+    # ||v(nu)|| <= ||g|| / (nu - lam lambda_max) <= 1 at the upper end
+    hi = lo + np.linalg.norm(g)
+    if hi == lo or (np.all(np.abs(gam[singular]) <= 1e-12 * max(1.0, np.linalg.norm(g)))
+                    and inside):
         if singular.any():
-            c[np.argmax(singular)] = np.sqrt(lam ** 2 - c @ c)
+            c[np.argmax(singular)] = np.sqrt(max(1.0 - c @ c, 0.0))
     else:
-        # ||w(nu)|| <= ||g|| / (nu - lambda_max) <= lam at the upper end
-        hi = lo + np.linalg.norm(g) / lam
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            if np.linalg.norm(gam / (mid - evals)) > lam:
+            if np.linalg.norm(gam / (mid - evals)) > 1.0:
                 lo = mid
             else:
                 hi = mid
         c = -gam / (hi - evals)
-        c *= lam / np.linalg.norm(c)
-    w = Q @ c
+        c *= 1.0 / np.linalg.norm(c)
+    w = lam * (Q @ c)
     return float(w @ (A @ w) - 2.0 * g @ w), w
 
 

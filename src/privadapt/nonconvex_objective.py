@@ -86,7 +86,7 @@ class SmoothGradient(BlockGradient):
         self.cfg, self.model = cfg, model
         self.mu = cfg.softmax_mu(data.m, data.n)
 
-    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray, held: int = 0):
+    def part(self, lane: int, W: np.ndarray, U: np.ndarray, out: np.ndarray):
         X, y, shift = self.blocks[lane]
         cfg, d = self.cfg, self.d
         num, slope = score_loss_and_slope(self.model, W.T @ X.T, y)
@@ -106,7 +106,7 @@ class SmoothGradient(BlockGradient):
             soft -= top[:, None]
             np.exp(soft, out=soft)
             soft.sum(axis=1, out=out[d + 2])
-        return 0, (g, inv, sq, soft)
+        return g, inv, sq, soft
 
     def combine(self, parts: np.ndarray, g_w: np.ndarray):
         cfg, d = self.cfg, self.d

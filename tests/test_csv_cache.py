@@ -52,6 +52,9 @@ def _text(newline="\n", final=True, quote_domain=False, note=False, row=(None, "
 CASES = {
     "lf": (_text(), ["fast"]),
     "crlf": (_text("\r\n"), ["fast"]),
+    # numpy's parser ends a line at a lone CR too, so its row bound counts them
+    "cr": (_text("\r"), ["fast"]),
+    "blank-lines": (_text("\n\n"), ["fast"]),
     "no-final-newline": (_text(final=False), ["fast"]),
     "quoted-domains": (_text(quote_domain=True), ["fast"]),
     "quoted-text-with-newline": (_text("\r\n", note=True), ["fast"]),
@@ -113,7 +116,8 @@ def test_cases_load_as_they_should(tmp_path):
     def outcome(name):
         return _outcome(_write(tmp_path, CASES[name][0], f"{name}.csv"))
     lf = outcome("lf")
-    for name in ("crlf", "no-final-newline", "quoted-domains", "quoted-text-with-newline"):
+    for name in ("crlf", "cr", "blank-lines", "no-final-newline", "quoted-domains",
+                 "quoted-text-with-newline"):
         assert outcome(name) == lf
     assert outcome("python-float")[0][0] != lf[0][0]
     assert "label(s) outside [-1, 1] were clipped" in str(outcome("clipped-labels")[1])

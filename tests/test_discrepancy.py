@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import linalg, optimize
 
 from privadapt.core import AdaptDataset, LossModel
 from privadapt.discrepancy import (
@@ -10,6 +15,8 @@ from privadapt.discrepancy import (
     discrepancy_grid,
     loss_gap,
 )
+from privadapt.data_io import SyntheticShiftSpec, generate_synthetic
+from privadapt.mechanisms import derive_rng
 from tests.test_convex_objective import random_dataset
 
 SQ = LossModel("squared", r=1.0, lam=1.0)
@@ -143,6 +150,85 @@ class TestDCA:
         assert abs(loss_gap(data, SQ, est.witness_w)) == pytest.approx(
             est.d_hat, abs=1e-12)
         assert np.linalg.norm(est.witness_w) <= SQ.lam + 1e-12
+
+
+def _ball_max(p: np.ndarray, gam: np.ndarray) -> float:
+    """max of v'diag(p)v - 2 gam'v over ||v|| <= 1, from the root delta of
+    sum gam_i^2 / (delta + a_i)^2 = 1 with a = max(p) - p, found by brentq
+    on [|gam_top|, ||gam||], where f = max(p) + sum gam_i^2 (2 delta + a_i)
+    / (delta + a_i)^2; or the interior point when diag(p) < 0 admits it."""
+    top = int(np.argmax(p))
+    a = p[top] - p
+
+    def excess(delta):
+        with np.errstate(over="ignore"):
+            return float(np.sum((gam / (delta + a)) ** 2)) - 1.0
+    if p[top] < 0 and excess(-p[top]) <= 0:
+        return float(np.sum(gam ** 2 / -p))
+    assert gam[top] != 0  # continuous random data: no hard case
+    # excess(||gam||) <= 0 up to rounding, which the wider end absorbs
+    lo, hi = max(abs(gam[top]), -p[top]), float(np.linalg.norm(gam)) * (1.0 + 1e-9)
+    delta = optimize.brentq(excess, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps) \
+        if lo < hi else lo
+    return float(p[top] + np.sum(gam ** 2 * (2 * delta + a) / (delta + a) ** 2))
+
+
+def _reference_d_hat(data: AdaptDataset, lam: float) -> float:
+    """max |gap(w)| over ||w|| <= lam, gap(w) = w'Aw - 2 g'w + c formed from
+    the rows: in v = w/lam each sign s of the gap is lam f_s + s c, f_s the
+    ball maximum of v'(lam sA)v - 2 s g'v (scipy's eigh), so neither lam^2
+    nor 1/lam is ever formed."""
+    (xq, yq), (xp, yp) = data.samples
+    m, n = len(yq), len(yp)
+    A = xp.T @ xp / n - xq.T @ xq / m
+    g, c = xp.T @ yp / n - xq.T @ yq / m, yp @ yp / n - yq @ yq / m
+    best = 0.0
+    for s in (1.0, -1.0):
+        e, Q = linalg.eigh(s * A)
+        best = max(best, lam * _ball_max(lam * e, Q.T @ (s * g)) + s * c)
+    return best
+
+
+# LossModel("squared", r=1, lam) takes every lam from the least subnormal to
+# about 1.158e77, where B^2 leaves the float range
+LAMS = st.one_of(st.floats(-323.3, 77.06).map(lambda e: 10.0 ** e),
+                 st.sampled_from([5e-324, 1e-200, 1.0, 1.35e16, 1e20, 1.15e77]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), lam=LAMS)
+def test_d_hat_exact_at_every_accepted_lam(seed, d, lam):
+    # d_hat / lam^2 within 1e-9 of the reference, compared as d_hat itself,
+    # whose square-free form holds at both ends of the range
+    try:
+        model = LossModel("squared", r=1.0, lam=lam)
+    except ValueError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, int(rng.integers(2, 30)), int(rng.integers(2, 30)), d, model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d_hat = discrepancy_dca(data, model).d_hat
+    assert math.isfinite(d_hat) and 0.0 <= d_hat <= model.B
+    assert d_hat == pytest.approx(_reference_d_hat(data, lam), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e8, 1.35e16, 1e20, 1e-200])
+def test_d_hat_where_the_bracket_collapsed_or_underflowed(lam):
+    # the bisection bracket [lo, lo + ||g|| / lam] was one float wide at
+    # lam = 1.35e16 and 1e20 (d_hat read 0.0042 there), and the maximiser's
+    # norm underflowed at 1e-200 (d_hat read 0): d_hat / lam^2 is about
+    # 0.209 at large lam and d_hat about 0.167 at tiny lam
+    data, _ = generate_synthetic(SyntheticShiftSpec(d=2, noise_std=0.1), 20, 30,
+                                 derive_rng(1, "x"))
+    model = LossModel("squared", r=1.0, lam=lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d_hat = discrepancy_dca(data, model).d_hat
+    assert math.isfinite(d_hat) and 0.0 <= d_hat <= model.B
+    assert d_hat == pytest.approx(_reference_d_hat(data, lam), rel=1e-9, abs=0.0)
+    assert d_hat / (lam * lam if lam > 1.0 else 1.0) == pytest.approx(
+        0.209 if lam > 1.0 else 0.167, abs=1e-3)
 
 
 class TestProperties:

@@ -1,11 +1,13 @@
-"""Held problems: a noise-free problem whose weight block sits at its lower
-bound, which the gradient's bound certifies stays there, takes no u-step and
-forms its w-gradient share from the d x d Gram form.  Each block holds a
-trailing run of problems that only shrinks.  These tests check the engine
-against the row-form step loop it replaces, the soundness and tightness of
-the bound, that certifying it once a run at the ball's radius holds what
-every step would hold, and which problems stay held on an acceptance-shaped
-run; ``test_lanes`` checks the held lanes against one process."""
+"""Held problems: a problem that takes no noise on a block, starts at its
+lower bound and whose bound keeps it there at every w of the Lambda-ball is
+held for the whole run: it takes no u-step, its output row is its start
+row, exactly lb, and it forms its w-gradient share from the d x d Gram
+form.  The gradient decides each block's held problems once a run
+(``certify``), before the first step.  These tests check the engine against
+the row-form step loop it replaces, which problems the certificate holds,
+the soundness and tightness of its bound, and which problems are held on
+an acceptance-shaped run; ``test_lanes`` checks the held lanes against one
+process."""
 
 import math
 
@@ -17,7 +19,7 @@ from privadapt import processes
 from privadapt.convex_objective import ConvexGradient, project_ball
 from privadapt.convex_solver import noisy_pgd
 from privadapt.core import (AdaptDataset, FeasiblePoint, LossModel, PrivacyBudget,
-                            RegularizerConfig)
+                            RegularizerConfig, row_norms)
 from privadapt.data_io import SyntheticShiftSpec
 from privadapt.harness import SweepSpec, run_sweep
 from privadapt.mechanisms import calibrate, derive_rng
@@ -27,27 +29,41 @@ SQ = LossModel("squared", r=1.0, lam=1.0)
 
 
 def count_held_steps(monkeypatch) -> list:
-    """Record, per lane, each step's ``part`` in this process as the pair
-    (held problems, problems on the row path)."""
+    """Record, per lane, the live problems (those on the row path) of each
+    step's ``part`` in this process."""
     steps, original = [[], []], ConvexGradient.part
 
     def part(self, lane, *args):
-        held, state = original(self, lane, *args)
-        steps[lane].append((held, 0 if state is None else len(state)))
-        return held, state
+        state = original(self, lane, *args)
+        steps[lane].append(0 if state is None else len(state))
+        return state
     monkeypatch.setattr(ConvexGradient, "part", part)
     return steps
 
 
-def held_counts(steps: list) -> list:
-    """Per lane, the number of held problems at each step."""
-    return [[held for held, _ in lane] for lane in steps]
+def expected_held(data, reg, d_dp, free) -> list:
+    """Per lane, the trailing problems of the ``free`` last ones whose bound
+    (x_top Lambda + y_top)^2 + d_dp stays under kappa1 on the rim of the
+    ball, counted one problem at a time from the samples themselves."""
+    if reg.kappa2 or reg.kappa_inf:
+        return [0, 0]
+    rim = (SQ.lam * (1.0 + 1e-9) + 1e-9) * (1.0 + 1e-9)
+    held = []
+    for (x, y), shifts, f in zip(data.samples, (d_dp, np.zeros_like(d_dp)), free):
+        worst, count = (row_norms(x).max() * rim + np.abs(y).max()) ** 2, 0
+        for shift in shifts[::-1][:f]:
+            if worst + shift > reg.kappa1 * (1 - 1e-9):
+                break
+            count += 1
+        held.append(count)
+    return held
 
 
 def _row_form_steps(grad, p, eta, sigma1, sigma2, steps, lam, alpha, rng):
     """The engine's step loop before held blocks, in one process: every
     step runs the row path of both blocks and sums every entry; returns the
-    averaged (W, U_pub, U_priv) and the last (U_pub, U_priv)."""
+    averaged (W, U_pub, U_priv) and, per block, which problems' rows any
+    step moved off the lower bound."""
     m, n = p.u_pub.size, p.u_priv.size
     E = eta.shape[0]
     noisy_w, noisy_u = sigma1.any(), sigma2.any()
@@ -55,6 +71,7 @@ def _row_form_steps(grad, p, eta, sigma1, sigma2, steps, lam, alpha, rng):
     W = np.repeat(p.w[:, None], E, axis=1)
     U = [np.repeat(u[None, :], E, axis=0) for u in (p.u_pub, p.u_priv)]
     sums = [np.zeros_like(W), np.zeros_like(U[0]), np.zeros_like(U[1])]
+    moved = [np.zeros(E, bool), np.zeros(E, bool)]
     for _ in range(steps):
         z_w = rng.standard_normal(p.w.size) if noisy_w else None
         z_u = rng.standard_normal(n) if noisy_u else None
@@ -70,12 +87,13 @@ def _row_form_steps(grad, p, eta, sigma1, sigma2, steps, lam, alpha, rng):
             g *= eta[:, 1 + lane, None]
             U[lane] -= g
             np.maximum(U[lane], lower[lane], out=U[lane])
+            moved[lane] |= (U[lane] != lower[lane]).any(axis=1)
         for total, block in zip(sums, (W, *U)):
             total += block
     for total in sums:
         total /= steps
     project_ball(sums[0], lam)
-    return [sums[0]] + [np.maximum(total, lb) for total, lb in zip(sums[1:], lower)], U
+    return [sums[0]] + [np.maximum(total, lb) for total, lb in zip(sums[1:], lower)], moved
 
 
 def _start(rng, kind, alpha, m, n, d):
@@ -84,6 +102,40 @@ def _start(rng, kind, alpha, m, n, d):
     w = np.zeros(d) if kind == "reference" else rng.standard_normal(d)
     w *= (SQ.lam if kind == "rim" else 0.8 * rng.random()) / max(np.linalg.norm(w), 1e-12)
     return FeasiblePoint(w, np.full(m, m / alpha), np.full(n, n / (1.0 - alpha)))
+
+
+def _engine_and_row_form(data, reg, d_dp, p, eta, sigma1, sigma2, seed, steps=30):
+    """Run the engine and the row form from the same stream state; check
+    that every step of the engine keeps the held count the certificate
+    fixed, that no row-form step moves a held problem off its bound, and
+    that the engine's points match the row form's: bitwise when nothing is
+    held, and at lb on a held row.  Returns the held counts."""
+    m, n = p.u_pub.size, p.u_priv.size
+    E = len(d_dp)
+    grad = ConvexGradient(data, reg, d_dp)
+    with pytest.MonkeyPatch.context() as patch:
+        steps_seen = count_held_steps(patch)
+        got = noisy_pgd(grad, p, eta, sigma1, sigma2, steps, SQ.lam, reg.alpha,
+                        derive_rng(seed, "held"), average=True)
+    (W, *U_avg), moved = _row_form_steps(ConvexGradient(data, reg, d_dp), p, eta, sigma1,
+                                         sigma2, steps, SQ.lam, reg.alpha,
+                                         derive_rng(seed, "held"))
+    held = list(grad.held)
+    for lane in (0, 1):  # one count for the whole run
+        assert steps_seen[lane] == [E - held[lane]] * steps
+        assert not moved[lane][E - held[lane]:].any()
+    mine = [np.array([q.w for q in got]).T] + [np.array([getattr(q, block) for q in got])
+                                               for block in ("u_pub", "u_priv")]
+    for lane, lb in enumerate((m / reg.alpha, n / (1.0 - reg.alpha))):
+        assert (mine[1 + lane][E - held[lane]:] == lb).all()
+    for block, theirs in zip(mine, (W, *U_avg)):
+        if held == [0, 0]:
+            assert block.tobytes() == theirs.tobytes()
+        # a hold takes the Gram form of a w-gradient share and the row path
+        # on fewer columns, whose products may round otherwise; the row
+        # form sums lb once a step, which may round too
+        np.testing.assert_allclose(block, theirs, rtol=1e-12, atol=1e-14)
+    return held
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,84 +157,50 @@ def test_engine_matches_row_form_steps(seed, E, k1, other, eps, private_noise_fr
         eps = [math.inf] * E
     schedules = [calibrate(PrivacyBudget(e, 0.05), reg.alpha, SQ.G, SQ.B, n, 30)
                  for e in eps[:E]]
-    sigma1 = np.array([s.sigma1 for s in schedules])
     sigma2 = np.array([s.sigma2 for s in schedules])
     eta = np.column_stack([rng.uniform(0.01, 0.5, E), rng.uniform(1, 1e3, E) * m,
                            rng.uniform(1, 1e3, E) * n])
-    p = _start(rng, start, reg.alpha, m, n, d)
-    with pytest.MonkeyPatch.context() as patch:
-        steps = count_held_steps(patch)
-        got = noisy_pgd(ConvexGradient(data, reg, d_dp), p, eta, sigma1, sigma2, 30, SQ.lam,
-                        reg.alpha, derive_rng(seed, "held"), average=True)
-    (W, *U_avg), U_last = _row_form_steps(ConvexGradient(data, reg, d_dp), p, eta, sigma1,
-                                          sigma2, 30, SQ.lam, reg.alpha,
-                                          derive_rng(seed, "held"))
-    held = held_counts(steps)
+    held = _engine_and_row_form(data, reg, d_dp, _start(rng, start, reg.alpha, m, n, d), eta,
+                                np.array([s.sigma1 for s in schedules]), sigma2, seed)
     free = E - max(np.flatnonzero(sigma2) + 1, default=0)  # trailing noise-free problems
-    for lane in (0, 1):  # every step runs part, the hold only shrinks, and the rest are live
-        assert len(held[lane]) == 30 and held[lane] == sorted(held[lane], reverse=True)
-        assert all(live == E - h for h, live in steps[lane])
-    assert held[1][0] <= free
-    if start == "random" or k2 or kinf:
-        assert held == [[0] * 30, [0] * 30]
-    elif start == "reference" and k1 >= 1.0:  # w = 0 and d_dp <= 0.3 B: certified
-        assert (held[0][0], held[1][0]) == (E, free)
-    np.testing.assert_allclose(np.array([q.w for q in got]).T, W, rtol=1e-12, atol=1e-14)
-    for lane, block in enumerate(("u_pub", "u_priv")):
-        mine = np.array([getattr(q, block) for q in got])
-        kept = E - held[lane][-1]  # problems kept..E-1 were held throughout: at the bound
-        assert mine[kept:].tobytes() == U_avg[lane][kept:].tobytes()
-        assert (U_last[lane][kept:] == (m / reg.alpha, n / (1.0 - reg.alpha))[lane]).all()
-        # the others' steps saw a w that differs in the last bits
-        np.testing.assert_allclose(mine[:kept], U_avg[lane][:kept], rtol=1e-12)
-
-
-def _certified_and_not(data, reg, d_dp, p, eta, sigma1, sigma2, seed):
-    """Run the engine with the run-level certificate and with it forced off;
-    check that every step holds the same problems and the points are the
-    same bits, and return the certified run's gradient and held counts."""
-    runs = []
-    for certify in (True, False):
-        grad = ConvexGradient(data, reg, d_dp)
-        if not certify:
-            grad.certify = lambda lam: None  # sure stays [0, 0]: every step bounds
-        with pytest.MonkeyPatch.context() as patch:
-            steps = count_held_steps(patch)
-            points = noisy_pgd(grad, p, eta, sigma1, sigma2, 30, SQ.lam, reg.alpha,
-                               derive_rng(seed, "certified"), average=True)
-        runs.append((grad, steps, [q.as_vector().tobytes() for q in points]))
-    (grad, steps, points), (_, steps_off, points_off) = runs
-    assert steps == steps_off and points == points_off
-    return grad, held_counts(steps)
+    if start == "random":
+        assert held == [0, 0]
+    else:
+        assert held == expected_held(data, reg, d_dp, [E, free])
+        if k1 == 2.0 and not (k2 or kinf):  # (x_top lam + y_top)^2 + d_dp <= 2 B, with margin
+            assert held == [E, free]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), E=st.sampled_from([1, 2, 5]),
        k1=st.sampled_from([0.5, 1.0, 2.0]),
        eps=st.lists(st.sampled_from([0.5, 4.0, math.inf]), min_size=5, max_size=5),
-       start=st.sampled_from(["reference", "at-bound", "rim", "random"]))
-def test_run_certificate_holds_what_every_step_holds(seed, E, k1, eps, start):
+       spread=st.sampled_from([0.0, 0.3, 1.0]),
+       start=st.sampled_from(["reference", "at-bound", "rim"]))
+def test_run_certificate_holds_what_every_step_holds(seed, E, k1, eps, spread, start):
+    # d_dp spread over [0, spread B] from the first problem to the last
+    # certifies a trailing run of the public problems; every step holds it,
+    # from any start at the bound, the rim included
     rng = np.random.default_rng(seed)
     m, n, d = (int(v) for v in rng.integers(1, 30, 3))
     data = random_dataset(rng, m, n, d, SQ)
     reg = RegularizerConfig(alpha=float(rng.uniform(0.2, 0.8)), kappa1=k1 * SQ.B)
-    d_dp = rng.uniform(0.0, 0.3 * SQ.B, E) * rng.integers(0, 2, E)
+    d_dp = np.linspace(spread * SQ.B, 0.0, E)
     schedules = [calibrate(PrivacyBudget(e, 0.05), reg.alpha, SQ.G, SQ.B, n, 30)
                  for e in eps[:E]]
+    sigma2 = np.array([s.sigma2 for s in schedules])
     eta = np.column_stack([rng.uniform(0.01, 0.5, E), rng.uniform(1, 1e3, E) * m,
                            rng.uniform(1, 1e3, E) * n])
-    grad, held = _certified_and_not(
-        data, reg, d_dp, _start(rng, start, reg.alpha, m, n, d), eta,
-        np.array([s.sigma1 for s in schedules]), np.array([s.sigma2 for s in schedules]),
-        seed)
-    if k1 == 2.0:  # (x_top lam + y_top)^2 + d_dp <= 2 B, with margin: every problem
-        assert grad.sure == [E, E]
+    held = _engine_and_row_form(data, reg, d_dp, _start(rng, start, reg.alpha, m, n, d), eta,
+                                np.array([s.sigma1 for s in schedules]), sigma2, seed)
+    free = E - max(np.flatnonzero(sigma2) + 1, default=0)
+    assert held == expected_held(data, reg, d_dp, [E, free])
 
 
 def test_run_certificate_declines_a_ball_it_cannot_hold():
-    # kappa1 just under (x_top Lambda + y_top)^2, from a w of half the
-    # radius: the certificate declines, and the per-step bound still holds
-    # the block while w stays short
+    # kappa1 just under (x_top Lambda + y_top)^2: the certificate holds
+    # nothing, even from a w of half the radius, where a step would leave the
+    # block at its bound, and the run is the row form's, bit for bit
     rng = np.random.default_rng(8)
     m, n, d = 20, 30, 3
     data = random_dataset(rng, m, n, d, SQ)
@@ -192,9 +210,9 @@ def test_run_certificate_declines_a_ball_it_cannot_hold():
     w = rng.standard_normal(d)
     p = FeasiblePoint(0.5 * SQ.lam * w / np.linalg.norm(w), np.full(m, m / 0.5),
                       np.full(n, n / 0.5))
-    grad, held = _certified_and_not(data, reg, np.zeros(2), p, np.tile([1e-3, m, n], (2, 1)),
-                                    np.zeros(2), np.zeros(2), 8)
-    assert grad.sure == [0, 0] and held == [[2] * 30, [2] * 30]
+    held = _engine_and_row_form(data, reg, np.zeros(2), p, np.tile([1e-3, m, n], (2, 1)),
+                                np.zeros(2), np.zeros(2), 8)
+    assert held == [0, 0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,24 +220,26 @@ def test_run_certificate_declines_a_ball_it_cannot_hold():
        k1=st.floats(0.0, 3.0), w_norm=st.floats(0.0, 1.0), d_dp=st.floats(0.0, 1.0),
        log_eta=st.floats(-3.0, 12.0))
 def test_certified_block_stays_at_its_bound(seed, E, lane, k1, w_norm, d_dp, log_eta):
-    # for every problem that part keeps held, one row-path step from the
-    # same point leaves its u bitwise where it was, and its Gram share of
-    # the w-gradient matches its row share
+    # for every problem that the certificate holds, one row-path step from
+    # any w of the ball leaves its u bitwise where it was, and its Gram share
+    # of the w-gradient matches its row share
     rng = np.random.default_rng(seed)
     m, n, d = (int(v) for v in rng.integers(1, 40, 3))
     data = random_dataset(rng, m, n, d, SQ)
     reg = RegularizerConfig(alpha=float(rng.uniform(0.1, 0.9)), kappa1=k1 * SQ.B)
-    grad = ConvexGradient(data, reg, np.full(E, d_dp * SQ.B) * rng.random(E))
+    d_dps = np.full(E, d_dp * SQ.B) * rng.random(E)
+    grad = ConvexGradient(data, reg, d_dps)
+    grad.certify(SQ.lam, [E, E])
+    held = grad.held[lane]
+    assume(held > 0)
     W = rng.standard_normal((d, E))
     W *= w_norm * SQ.lam / np.linalg.norm(W, axis=0)
     lb = (m / reg.alpha, n / (1.0 - reg.alpha))[lane]
     U = np.full((E, (m, n)[lane]), lb)
     gram, row = np.empty((2, d + grad.REDUCTIONS, E))
-    held, state = grad.part(lane, W, U, gram, held=E)
-    assume(held > 0)
+    state = grad.part(lane, W, U, gram)
     assert state is None or len(state) == E - held
-    live, g = grad.part(lane, W, U, row)  # the row path on all E problems
-    assert live == 0
+    g = ConvexGradient(data, reg, d_dps).part(lane, W, U, row)  # the row path on all E
     g = g[E - held:]  # kappa2 = kappa_inf = 0: finish adds nothing
     np.testing.assert_allclose(gram[:d, E - held:], row[:d, E - held:], rtol=1e-10,
                                atol=1e-12 * np.abs(row[:d]).max(initial=1.0))
@@ -229,66 +249,66 @@ def test_certified_block_stays_at_its_bound(seed, E, lane, k1, w_norm, d_dp, log
 
 @pytest.mark.parametrize("lane", [0, 1])
 def test_bound_is_tight_on_an_extreme_row(lane):
-    # a row of the top norm r, aligned with w, whose label has the opposite
-    # sign, has |r| = x_top ||w|| + y_top: a kappa1 just under its r^2 + d_dp
-    # moves the block, and the bound holds it only just over that
+    # a row of the top norm r, aligned with a w on the rim, whose label has
+    # the opposite sign, has |r| = x_top Lambda + y_top: a kappa1 just under
+    # its r^2 + d_dp moves the block, and the certificate holds it only just
+    # over that
     rng = np.random.default_rng(5)
     base = random_dataset(rng, 20, 30, 3, SQ)
     w = np.array([0.3, -0.2, 0.5])
+    w *= SQ.lam / np.linalg.norm(w)
     x, y = ([base.public_x.copy(), base.private_x.copy()][lane],
             [base.public_y.copy(), base.private_y.copy()][lane])
-    x[0], y[0] = SQ.r * w / np.linalg.norm(w), -1.0
+    x[0], y[0] = SQ.r * w / SQ.lam, -1.0
     data = AdaptDataset(*((x, y, base.private_x, base.private_y) if lane == 0
                           else (base.public_x, base.public_y, x, y)))
     d_dp = 0.2
-    worst = (SQ.r * np.linalg.norm(w) + 1.0) ** 2 + (d_dp if lane == 0 else 0.0)
+    worst = (SQ.r * SQ.lam + 1.0) ** 2 + (d_dp if lane == 0 else 0.0)
     for factor, holds in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
         reg = RegularizerConfig(alpha=0.5, kappa1=worst * factor)
         grad = ConvexGradient(data, reg, np.array([d_dp]))
+        grad.certify(SQ.lam, [1, 1])
+        assert grad.held[lane] == holds
         lb = (data.m / reg.alpha, data.n / (1.0 - reg.alpha))[lane]
         U = np.full((1, (data.m, data.n)[lane]), lb)
-        out = np.empty((2, data.d + grad.REDUCTIONS, 1))
-        assert grad.part(lane, w[:, None], U, out[0], held=1)[0] == holds
-        _, g = grad.part(lane, w[:, None], U, out[1])
+        g = ConvexGradient(data, reg, np.array([d_dp])).part(
+            lane, w[:, None], U, np.empty((data.d + grad.REDUCTIONS, 1)))
         assert (np.maximum(U - 1e3 * lb * g, lb) == U).all() == holds
 
 
 def test_bound_declines_a_block_it_cannot_hold():
-    # kappa1 = 0 with a positive residual: the u-step moves the block
+    # kappa1 = 0 with a positive residual moves the block, and kappa2 or
+    # kappa_inf couples a problem's rows: the certificate holds nothing
     rng = np.random.default_rng(3)
     data = random_dataset(rng, 20, 30, 3, SQ)
     for reg in (RegularizerConfig(kappa1=0.0),
                 RegularizerConfig(kappa1=SQ.B, kappa2=1.0),
                 RegularizerConfig(kappa1=SQ.B, kappa_inf=1.0)):
         grad = ConvexGradient(data, reg, np.zeros(1))
-        out = np.empty((data.d + grad.REDUCTIONS, 1))
-        W = np.full((data.d, 1), 0.1)
-        assert grad.part(0, W, np.full((1, data.m), data.m / reg.alpha), out, held=1)[0] == 0
+        grad.certify(SQ.lam, [1, 1])
+        assert list(grad.held) == [0, 0]
 
 
-@pytest.mark.parametrize("epsilons, m, n, held", [
-    ([0.5, 1.0, 5.0, 15.0, math.inf], 7000, 10_000, [(5, 0), (1, 4)]),
-    ([math.inf], 700, 1000, [(1, 0), (1, 0)]),
+@pytest.mark.parametrize("epsilons, m, n, live", [
+    ([0.5, 1.0, 5.0, 15.0, math.inf], 7000, 10_000, [0, 4]),
+    ([math.inf], 700, 1000, [0, 0]),
 ], ids=["acceptance", "non-private"])
-def test_acceptance_shaped_run_holds_the_public_block(epsilons, m, n, held, monkeypatch):
+def test_acceptance_shaped_run_holds_the_public_block(epsilons, m, n, live, monkeypatch):
     # the acceptance fixture's sweep (kappa1 = B) for one trial, in one
     # process: the public block never leaves its bound, and neither does the
     # private block of the epsilon = inf problem, listed last or first, so the
     # row path runs on the noisy problems only; the two orders give the same fits
     monkeypatch.setattr(processes, "process_slots", lambda: 1)
-    records, release = [], ConvexGradient._release
+    records = []
     for order in dict.fromkeys([tuple(epsilons), tuple(epsilons[-1:] + epsilons[:-1])]):
         with pytest.MonkeyPatch.context() as patch:
-            steps, bounds = count_held_steps(patch), []
-            patch.setattr(ConvexGradient, "_release",
-                          lambda self, *args: bounds.append(args[0]) or release(self, *args))
+            steps = count_held_steps(patch)
             result = run_sweep(SweepSpec(
                 dataset=SyntheticShiftSpec(d=20, noise_std=0.1), algorithm="convex",
                 epsilons=list(order), target_sizes=[n], trials=1, master_seed=20260826,
                 model=SQ, reg=RegularizerConfig(alpha=0.5, kappa1=SQ.B), T=2000,
                 baseline_T=2000, m=m, test_size=1000))
-        assert steps == [[held[0]] * 2000, [held[1]] * 2000]
-        assert bounds == [0, 1]  # each lane's hold certified once, before the first step
+        assert steps == [[live[0]] * 2000, [live[1]] * 2000]
         records.append(sorted(result.records, key=lambda rec: rec["epsilon"]))
     for last, first in zip(records[0], records[-1]):
         assert last["epsilon"] == first["epsilon"]

@@ -24,7 +24,7 @@ from privadapt.harness import SweepCellError, emit_results, read_results, run_sw
 from privadapt.mechanisms import calibrate, derive_rng
 from privadapt.nonconvex_solver import NonConvexRunConfig, fit_nonconvex_columns
 from tests.test_harness import NONCONVEX, small_spec
-from tests.test_held_blocks import count_held_steps, held_counts
+from tests.test_held_blocks import count_held_steps
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux",
                                 reason="the private lane is forked on Linux only")
@@ -108,11 +108,11 @@ def test_convex_lanes_equal_one_process(E, overrides, monkeypatch, forks, bounde
     _assert_same_points(one, two)
 
 
-@pytest.mark.parametrize("epsilons, held", [([0.5, 5.0, math.inf], [3, 1]),
-                                             ([math.inf, 0.5, 5.0], [3, 1]),
-                                             ([math.inf, math.inf], [2, 2])],
+@pytest.mark.parametrize("epsilons, live", [([0.5, 5.0, math.inf], [0, 2]),
+                                             ([math.inf, 0.5, 5.0], [0, 2]),
+                                             ([math.inf, math.inf], [0, 0])],
                          ids=["public-held", "inf-first", "both-held"])
-def test_held_lanes_equal_one_process(epsilons, held, monkeypatch, forks, bounded,
+def test_held_lanes_equal_one_process(epsilons, live, monkeypatch, forks, bounded,
                                       leaves_nothing):
     # kappa1 = B holds every problem on the public block, and each
     # epsilon = inf problem on the private one, in the process that runs
@@ -124,32 +124,32 @@ def test_held_lanes_equal_one_process(epsilons, held, monkeypatch, forks, bounde
     one, two = _one_and_two_lanes(monkeypatch, lambda: fit_convex_columns(
         _data(), columns, reg, ConvexRunConfig(T=40, seed=3), SQ))
     assert forks.value == 1
-    assert held_counts(steps) == [[held[0]] * 80, [held[1]] * 40]
+    assert steps == [[live[0]] * 80, [live[1]] * 40]
     _assert_same_bits(one, two)
 
 
-@pytest.mark.parametrize("step_w, held", [
-    ((0.1, 0.4, 0.2), [2] * 11 + [1] * 11 + [0] * 18),
-    ((0.05, 0.2, 0.1), [2] * 22 + [1] * 18),
-], ids=["both-leave", "one-leaves"])
-def test_partly_held_private_lane_equals_one_process(step_w, held, monkeypatch, forks,
+@pytest.mark.parametrize("d_dp, live", [([0.1, 0.2, 0.3], [0, 1]),
+                                        ([0.1, SQ.B, 0.3], [2, 1])],
+                         ids=["public-whole", "public-partial"])
+def test_partly_held_private_lane_equals_one_process(d_dp, live, monkeypatch, forks,
                                                      bounded, leaves_nothing):
-    # a noisy problem and two noise-free ones at the bound: kappa1 = 0.4
-    # holds the noise-free two on the private block until w grows, and the
-    # middle one, with the larger w-step, leaves first (this process counts
-    # the private lane of the one-process run only)
+    # a noisy problem and two noise-free ones at the bound: kappa1 = B holds
+    # the noise-free two on the private block for the whole run, and on the
+    # public block every problem whose d_dp leaves its bound under kappa1,
+    # after the last one that does not (this process counts both lanes of
+    # the one-process run and the public lane of the two-lane run)
     steps = count_held_steps(monkeypatch)
-    reg = RegularizerConfig(alpha=0.3, kappa1=0.4)
+    reg = RegularizerConfig(alpha=0.3, kappa1=SQ.B)
     schedules = [calibrate(PrivacyBudget(eps, 0.01), reg.alpha, SQ.G, SQ.B, N, 40)
                  for eps in (0.5, math.inf, math.inf)]
-    eta = np.array([[w, 100.0, 300.0] for w in step_w])
+    eta = np.array([[w, 100.0, 300.0] for w in (0.1, 0.4, 0.2)])
     one, two = _one_and_two_lanes(monkeypatch, lambda: noisy_pgd(
-        ConvexGradient(_data(), reg, np.array([0.1, 0.2, 0.3])),
+        ConvexGradient(_data(), reg, np.array(d_dp)),
         reference_point(reg.alpha, M, N, D), eta, np.array([s.sigma1 for s in schedules]),
         np.array([s.sigma2 for s in schedules]), 40, SQ.lam, reg.alpha,
         derive_rng(3, "lanes"), average=True))
     assert forks.value == 1
-    assert held_counts(steps)[1] == held
+    assert steps == [[live[0]] * 80, [live[1]] * 40]
     _assert_same_points(one, two)
 
 

@@ -206,8 +206,10 @@ def _load_peak(tmp_path, monkeypatch, path_taken: str) -> None:
     parses the CSV and writes its sidecar ("miss"), or parses it and keeps
     none ("no sidecar").  tracemalloc does not see an anonymous map, so a
     map's bytes count from the start of the call that reads into it.  A
-    miss first peaks in numpy's parser, which over-allocates the rows it
-    grows (about 1.27 times the bytes returned here)."""
+    miss first peaks while it writes the sidecar from the parsed rows,
+    which numpy's parser allocates once to a bound on their count: the
+    rows, the row index arrays and one column's gather (about 1.18 times
+    the bytes returned here)."""
     data, _ = generate_synthetic(SyntheticShiftSpec(d=20), 1500, 2500, np.random.default_rng(0))
     path = str(tmp_path / "data.csv")
     write_csv(data, path)
